@@ -12,7 +12,6 @@ from __future__ import annotations
 import csv
 import io
 import random
-from functools import lru_cache
 
 from .errors import CapExceeded, NotComplete, ParseError, UniverseMismatch
 from .fset import LSet, Universe, iter_lsets, lset_count, render_lset
@@ -36,6 +35,7 @@ class LContext:
         for r in self.rows:
             if r.universe != universe or r.chain != chain:
                 raise UniverseMismatch("row over a different universe/chain")
+        self._images = {}
 
     @classmethod
     def from_csv(cls, text: str, chain: Chain, universe: Universe | None = None) -> "LContext":
@@ -87,14 +87,15 @@ class LContext:
 # ------------------------------------------------------- derivation operators
 
 
-@lru_cache(maxsize=64)
 def _row_images(ctx: LContext, s: Parameterization):
-    """Every (object position, connection position, g(I_x)) triple."""
-    out = []
-    for xi, r in enumerate(ctx.rows):
-        for ci, conn in enumerate(s.connections):
-            out.append((xi, ci, conn.upper(r)))
-    return tuple(out)
+    """The distinct index vectors of g(I_x) over objects x and <f, g> in S;
+    kept on the context, computed once per S."""
+    images = ctx._images.get(s)
+    if images is None:
+        images = ctx._images[s] = tuple(
+            dict.fromkeys(conn.upper(r).idx for r in ctx.rows for conn in s)
+        )
+    return images
 
 
 def up(ctx: LContext, pairs, s: Parameterization) -> LSet:
@@ -110,19 +111,16 @@ def up(ctx: LContext, pairs, s: Parameterization) -> LSet:
 
 def down(ctx: LContext, g: LSet, s: Parameterization):
     """All <object, connection> pairs whose g(I_x) contains the given set."""
-    out = []
-    for xi, ci, img in _row_images(ctx, s):
-        if g <= img:
-            out.append((ctx.objects[xi], s.connections[ci]))
-    return tuple(out)
+    return tuple(
+        (name, conn) for name, r in zip(ctx.objects, ctx.rows) for conn in s if g <= conn.upper(r)
+    )
 
 
 def downup(ctx: LContext, g: LSet, s: Parameterization) -> LSet:
     """The context closure: intersection of all g(I_x) containing the set."""
     cur = [ctx.chain.n - 1] * len(ctx.universe)
     gidx = g.idx
-    for _, _, img in _row_images(ctx, s):
-        iidx = img.idx
+    for iidx in _row_images(ctx, s):
         if all(x <= y for x, y in zip(gidx, iidx)):
             for y, v in enumerate(iidx):
                 if v < cur[y]:
@@ -276,10 +274,7 @@ class _CompletenessOracle:
 
     def _kills(self, rule: FAI):
         """For each non-intent, whether the rule fails there."""
-        pairs = [
-            (conn.lower(rule.antecedent).idx, conn.lower(rule.consequent).idx)
-            for conn in self.s
-        ]
+        pairs = self.s.lower_pairs(rule.antecedent, rule.consequent)
         out = []
         for m in self.non_intents:
             midx = m.idx
@@ -374,7 +369,7 @@ def hasse_dot(sets, name: str = "lattice") -> str:
     nodes = sorted(sets, key=lambda m: m.idx)
     lines = [f"digraph {name} {{", "  rankdir=BT;"]
     for i, m in enumerate(nodes):
-        label = render_lset(m)
+        label = render_lset(m).replace("\\", "\\\\").replace('"', '\\"')
         lines.append(f'  n{i} [label="{{{label}}}"];')
     for i, a in enumerate(nodes):
         for j, b in enumerate(nodes):

@@ -37,6 +37,10 @@ class CapExceeded(FaiError):
     """An enumeration or generation loop hit its configured cap."""
 
 
+class InvariantError(FaiError):
+    """An internal invariant failed: a bug, or an object built unchecked."""
+
+
 class NotClosureSystem(FaiError):
     """A model collection is not intersection-closed and g-closed."""
 

@@ -14,7 +14,8 @@ import itertools
 from .errors import DegreeNotInChain, ParseError, UniverseMismatch
 from .lattice import Chain, parse_degree, render_degree
 
-_FORBIDDEN = set("/,\t\n\r ")
+# "#" starts a comment in theory files, so a name holding it would not parse back
+_FORBIDDEN = set("/,#\t\n\r ")
 
 
 class Universe:

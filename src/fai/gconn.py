@@ -1,9 +1,12 @@
 """Isotone Galois connections on graded sets and finite monoids of them.
 
-A connection is a pair <f, g> with f(A) <= B iff A <= g(B).  The lower map of
-any such pair distributes over unions, so it is determined by its images of
-the singletons {a/y}; that table is the connection's fingerprint and two
-connections are equal exactly when their fingerprints agree.
+A connection is a pair <f, g> with f(A) <= B iff A <= g(B).  The lower map
+preserves unions, so it is determined by its images of the singletons
+{a/y}; that table is the connection's fingerprint and two connections are
+equal exactly when their fingerprints agree.  Dually the upper map preserves
+intersections, so it is determined by its images of the sets that are 1 at
+every attribute but one.  A connection carries both tables and evaluates
+both maps from them; its term is kept for descriptors and display only.
 """
 
 from __future__ import annotations
@@ -14,7 +17,14 @@ from functools import lru_cache
 import hashlib
 import itertools
 
-from .errors import CapExceeded, NotAdjoint, NotAMonoid, ParseError, UniverseMismatch
+from .errors import (
+    CapExceeded,
+    InvariantError,
+    NotAdjoint,
+    NotAMonoid,
+    ParseError,
+    UniverseMismatch,
+)
 from .fset import LSet, Universe, parse_lset, render_lset
 from .lattice import Chain, DualPair, Hedge, parse_degree, render_degree
 
@@ -68,112 +78,137 @@ def _dual_for(chain: Chain) -> DualPair:
     return DualPair(chain)
 
 
-def _term_needs_dual(term) -> bool:
-    if isinstance(term, DiffSet):
-        return True
+# ---------------------------------------------------------------- tables
+#
+# A lower table holds, per attribute position y and degree index a >= 1, the
+# index vector of f({a/y}); f(A) is the union of the rows picked by A.  An
+# upper table holds, per y and degree index b below the top, the index
+# vector of g(top with b at y); g(B) is the intersection of the rows picked
+# by B, and g(top) is the top set.
+
+
+def _fp_apply(fp, idx):
+    """Image of the set with index vector idx under the lower map given by fp."""
+    rows = [fp[y][a - 1] for y, a in enumerate(idx) if a]
+    if len(rows) > 1:
+        return tuple(map(max, *rows))
+    return rows[0] if rows else (0,) * len(idx)
+
+
+def _upper_apply(table, idx):
+    """Image of the set with index vector idx under the upper map given by table."""
+    top = len(table[0])  # one row per degree below the top
+    rows = [table[y][b] for y, b in enumerate(idx) if b != top]
+    if len(rows) > 1:
+        return tuple(map(min, *rows))
+    return rows[0] if rows else (top,) * len(idx)
+
+
+def _compose_lower(outer, inner):
+    """Lower table of outer o inner: outer's lower map on inner's rows."""
+    return tuple(tuple(_fp_apply(outer, row) for row in rows) for rows in inner)
+
+
+def _compose_upper(outer, inner):
+    """Upper table of outer o inner: inner's upper map on outer's rows."""
+    return tuple(tuple(_upper_apply(inner, row) for row in rows) for rows in outer)
+
+
+def _generator_maps(term, universe: Universe, chain: Chain):
+    """The lower and upper map of a non-composite term, on index vectors."""
+    if isinstance(term, Identity):
+        return (lambda idx: idx), (lambda idx: idx)
+    if isinstance(term, ConstMult):
+        c = chain.index_of(term.c)
+        return (
+            lambda idx: tuple(chain.tnorm_i(c, i) for i in idx),
+            lambda idx: tuple(chain.residuum_i(c, i) for i in idx),
+        )
+    if isinstance(term, (ConstMultSet, DiffSet)):
+        if term.C.universe != universe or term.C.chain != chain:
+            raise UniverseMismatch("generator constant set over a different universe/chain")
+        cs = term.C.idx
+        if isinstance(term, ConstMultSet):
+            return (
+                lambda idx: tuple(chain.tnorm_i(c, i) for c, i in zip(cs, idx)),
+                lambda idx: tuple(chain.residuum_i(c, i) for c, i in zip(cs, idx)),
+            )
+        dual = _dual_for(chain)
+        return (
+            lambda idx: tuple(dual.ominus_i(i, c) for i, c in zip(idx, cs)),
+            lambda idx: tuple(dual.oplus_i(c, i) for c, i in zip(cs, idx)),
+        )
+    if isinstance(term, Rotate):
+        n, shift = len(universe), term.shift
+        return (
+            lambda idx: tuple(idx[(j + shift) % n] for j in range(n)),
+            lambda idx: tuple(idx[(j - shift) % n] for j in range(n)),
+        )
+    raise TypeError(f"unknown term {term!r}")
+
+
+def _term_tables(term, universe: Universe, chain: Chain):
+    """(lower table, upper table) of a term; a composite composes its factors'."""
     if isinstance(term, Compose):
-        return _term_needs_dual(term.outer) or _term_needs_dual(term.inner)
-    return False
+        outer = _term_tables(term.outer, universe, chain)
+        inner = _term_tables(term.inner, universe, chain)
+        return _compose_lower(outer[0], inner[0]), _compose_upper(outer[1], inner[1])
+    lower, upper = _generator_maps(term, universe, chain)
+    size, top = len(universe), chain.n - 1
+
+    def point(y, v, rest):
+        return (rest,) * y + (v,) + (rest,) * (size - y - 1)
+
+    lower_table = tuple(
+        tuple(lower(point(y, a, 0)) for a in range(1, top + 1)) for y in range(size)
+    )
+    upper_table = tuple(
+        tuple(upper(point(y, b, top)) for b in range(top)) for y in range(size)
+    )
+    return lower_table, upper_table
 
 
 class Connection:
-    """A generator term bound to a universe and chain.
+    """A term bound to a universe and chain, with the tables of its two maps.
 
-    lower/upper evaluate the two adjoint maps.  The fingerprint (lazily
-    computed) is the tuple, over attribute positions and nonzero degrees, of
-    lower({a/y}) as index vectors; equality and hashing use it.
+    lower/upper evaluate the two adjoint maps from lower_table and
+    upper_table, which are built independently, each from its own map's
+    formula.  The fingerprint is the lower table; equality and hashing use
+    it.
     """
 
-    __slots__ = ("term", "universe", "chain", "_dual", "_fp", "_hash")
+    __slots__ = ("term", "universe", "chain", "lower_table", "upper_table", "_hash")
 
-    def __init__(self, term, universe: Universe, chain: Chain, _fp=None):
+    def __init__(self, term, universe: Universe, chain: Chain, _tables=None):
         self.term = term
         self.universe = universe
         self.chain = chain
-        self._dual = _dual_for(chain) if _term_needs_dual(term) else None
-        self._fp = _fp
+        if _tables is None:
+            _tables = _term_tables(term, universe, chain)
+        self.lower_table, self.upper_table = _tables
         self._hash = None
-        self._validate(term)
-
-    def _validate(self, term) -> None:
-        if isinstance(term, ConstMult):
-            self.chain.index_of(term.c)
-        elif isinstance(term, (ConstMultSet, DiffSet)):
-            if term.C.universe != self.universe or term.C.chain != self.chain:
-                raise UniverseMismatch("generator constant set over a different universe/chain")
-        elif isinstance(term, Compose):
-            self._validate(term.outer)
-            self._validate(term.inner)
 
     # -- evaluation --
 
-    def lower(self, a: LSet) -> LSet:
+    def _check(self, a: LSet) -> None:
         if a.universe != self.universe or a.chain != self.chain:
             raise UniverseMismatch("argument over a different universe/chain")
-        return LSet(self.universe, self.chain, self._lower_idx(self.term, a.idx))
+
+    def lower(self, a: LSet) -> LSet:
+        if a.universe is not self.universe or a.chain is not self.chain:
+            self._check(a)
+        return LSet(self.universe, self.chain, _fp_apply(self.lower_table, a.idx))
 
     def upper(self, b: LSet) -> LSet:
-        if b.universe != self.universe or b.chain != self.chain:
-            raise UniverseMismatch("argument over a different universe/chain")
-        return LSet(self.universe, self.chain, self._upper_idx(self.term, b.idx))
-
-    def _lower_idx(self, term, idx):
-        chain = self.chain
-        if isinstance(term, Identity):
-            return idx
-        if isinstance(term, ConstMult):
-            c = chain.index_of(term.c)
-            return tuple(chain.tnorm_i(c, i) for i in idx)
-        if isinstance(term, ConstMultSet):
-            return tuple(chain.tnorm_i(c, i) for c, i in zip(term.C.idx, idx))
-        if isinstance(term, DiffSet):
-            om = self._dual.ominus_i
-            return tuple(om(i, c) for i, c in zip(idx, term.C.idx))
-        if isinstance(term, Rotate):
-            n = len(idx)
-            return tuple(idx[(j + term.shift) % n] for j in range(n))
-        if isinstance(term, Compose):
-            return self._lower_idx(term.outer, self._lower_idx(term.inner, idx))
-        raise TypeError(f"unknown term {term!r}")
-
-    def _upper_idx(self, term, idx):
-        chain = self.chain
-        if isinstance(term, Identity):
-            return idx
-        if isinstance(term, ConstMult):
-            c = chain.index_of(term.c)
-            return tuple(chain.residuum_i(c, i) for i in idx)
-        if isinstance(term, ConstMultSet):
-            return tuple(chain.residuum_i(c, i) for c, i in zip(term.C.idx, idx))
-        if isinstance(term, DiffSet):
-            op = self._dual.oplus_i
-            return tuple(op(c, i) for c, i in zip(term.C.idx, idx))
-        if isinstance(term, Rotate):
-            n = len(idx)
-            return tuple(idx[(j - term.shift) % n] for j in range(n))
-        if isinstance(term, Compose):
-            return self._upper_idx(term.inner, self._upper_idx(term.outer, idx))
-        raise TypeError(f"unknown term {term!r}")
+        if b.universe is not self.universe or b.chain is not self.chain:
+            self._check(b)
+        return LSet(self.universe, self.chain, _upper_apply(self.upper_table, b.idx))
 
     # -- extensional identity --
 
     @property
     def fingerprint(self):
-        fp = self._fp
-        if fp is None:
-            n = self.chain.n
-            size = len(self.universe)
-            rows = []
-            for y in range(size):
-                row = []
-                for a in range(1, n):
-                    sing = [0] * size
-                    sing[y] = a
-                    row.append(self._lower_idx(self.term, tuple(sing)))
-                rows.append(tuple(row))
-            fp = tuple(rows)
-            self._fp = fp
-        return fp
+        return self.lower_table
 
     def fingerprint_hash(self) -> str:
         payload = repr((self.fingerprint, self.chain.degrees, self.universe.attributes))
@@ -200,29 +235,15 @@ def identity(universe: Universe, chain: Chain) -> Connection:
     return Connection(Identity(), universe, chain)
 
 
-def _fp_apply(fp, idx):
-    """Image of the set with index vector idx under the lower map given by fp."""
-    out = [0] * len(idx)
-    for y, a in enumerate(idx):
-        if a == 0:
-            continue
-        row = fp[y][a - 1]
-        for z, v in enumerate(row):
-            if v > out[z]:
-                out[z] = v
-    return tuple(out)
-
-
 def compose(outer: Connection, inner: Connection) -> Connection:
     """<f1,g1> o <f2,g2>: lower A |-> f1(f2(A)), upper B |-> g2(g1(B))."""
     if outer.universe != inner.universe or outer.chain != inner.chain:
         raise UniverseMismatch("cannot compose connections over different universes")
-    fpo, fpi = outer.fingerprint, inner.fingerprint
-    fp = tuple(
-        tuple(_fp_apply(fpo, row) for row in rows)
-        for rows in fpi
+    tables = (
+        _compose_lower(outer.lower_table, inner.lower_table),
+        _compose_upper(outer.upper_table, inner.upper_table),
     )
-    return Connection(Compose(outer.term, inner.term), outer.universe, outer.chain, _fp=fp)
+    return Connection(Compose(outer.term, inner.term), outer.universe, outer.chain, _tables=tables)
 
 
 def derive_upper(conn: Connection, b: LSet) -> LSet:
@@ -294,13 +315,15 @@ class Parameterization:
                 deduped.append(c)
         self.connections = tuple(deduped)
         self._by_fp = fps
+        self._hash = None
+        self._pairs = {}
         if check:
             ident = identity(self.universe, self.chain)
             if ident.fingerprint not in fps:
                 raise NotAMonoid("the identity connection is missing")
             for a in self.connections:
                 for b in self.connections:
-                    if compose(a, b).fingerprint not in fps:
+                    if _compose_lower(a.lower_table, b.lower_table) not in fps:
                         raise NotAMonoid(
                             f"not closed under composition: {a!r} o {b!r} escapes S"
                         )
@@ -320,7 +343,21 @@ class Parameterization:
 
     def compose_in(self, a: Connection, b: Connection) -> Connection:
         """Composition resolved to the stored member of S."""
-        return self._by_fp[compose(a, b).fingerprint]
+        return self._by_fp[_compose_lower(a.lower_table, b.lower_table)]
+
+    def lower_pairs(self, a: LSet, b: LSet):
+        """The distinct (f(A).idx, f(B).idx) over <f, g> in S, in S's order,
+        leaving out those with f(B) <= f(A); memoized per (A, B)."""
+        key = (a, b)
+        pairs = self._pairs.get(key)
+        if pairs is None:
+            seen = {}
+            for conn in self.connections:
+                fa, fb = conn.lower(a).idx, conn.lower(b).idx
+                if not all(x <= y for x, y in zip(fb, fa)):
+                    seen[fa, fb] = None
+            pairs = self._pairs[key] = tuple(seen)
+        return pairs
 
     def __eq__(self, other) -> bool:
         return (
@@ -331,17 +368,43 @@ class Parameterization:
         )
 
     def __hash__(self) -> int:
-        return hash((self.universe, self.chain, frozenset(self._by_fp)))
+        if self._hash is None:
+            self._hash = hash((self.universe, self.chain, frozenset(self._by_fp)))
+        return self._hash
 
     def __repr__(self) -> str:
         return f"Parameterization({len(self.connections)} connections)"
 
 
+def _monoid_size(identity_table, generator_tables, cap: int) -> int:
+    """|S| for the monoid the generators span: breadth first from the
+    identity, composing each member with the generators only (every member
+    is a word in them).  Raises CapExceeded past cap members."""
+    seen = {identity_table}
+    frontier = [identity_table]
+    while frontier:
+        found = []
+        for fp in frontier:
+            for gen in generator_tables:
+                img = _compose_lower(fp, gen)
+                if img not in seen:
+                    seen.add(img)
+                    if len(seen) > cap:
+                        raise CapExceeded(f"monoid exceeds {cap} connections")
+                    found.append(img)
+        frontier = found
+    return len(seen)
+
+
 def generate_monoid(generators, universe: Universe, chain: Chain, cap: int = 4096) -> Parameterization:
     """Close the generators under composition; the identity is always added.
 
-    Deterministic: members appear in discovery order, identity first.
-    Raises CapExceeded when the monoid grows past cap members.
+    Deterministic: members appear in discovery order, identity first, where
+    discovery composes every pair of members found so far, round by round.
+    The size of S is known beforehand from a breadth-first search, so the
+    discovery stops at S's last member instead of running a final round
+    that only confirms closure.  Raises CapExceeded when the monoid grows
+    past cap members.
     """
     elems = [identity(universe, chain)]
     fps = {elems[0].fingerprint}
@@ -351,20 +414,21 @@ def generate_monoid(generators, universe: Universe, chain: Chain, cap: int = 409
         if g.fingerprint not in fps:
             fps.add(g.fingerprint)
             elems.append(g)
-            if len(elems) > cap:
-                raise CapExceeded(f"monoid exceeds {cap} connections")
-    changed = True
-    while changed:
-        changed = False
+    size = _monoid_size(elems[0].fingerprint, [g.fingerprint for g in elems[1:]], cap)
+    while len(elems) < size:
+        found = len(elems)
         for a in list(elems):
             for b in list(elems):
-                c = compose(a, b)
-                if c.fingerprint not in fps:
-                    fps.add(c.fingerprint)
-                    elems.append(c)
-                    changed = True
-                    if len(elems) > cap:
-                        raise CapExceeded(f"monoid exceeds {cap} connections")
+                fp = _compose_lower(a.lower_table, b.lower_table)
+                if fp in fps:
+                    continue
+                fps.add(fp)
+                upper = _compose_upper(a.upper_table, b.upper_table)
+                elems.append(Connection(Compose(a.term, b.term), universe, chain, _tables=(fp, upper)))
+                if len(elems) == size:
+                    return Parameterization(elems, check=False)
+        if len(elems) == found:
+            raise InvariantError(f"discovery closed at {found} of {size} members")
     return Parameterization(elems, check=False)
 
 
@@ -412,7 +476,7 @@ def term_to_descriptor(term) -> dict:
 def _degree_from(value) -> Fraction:
     if isinstance(value, str):
         return parse_degree(value)
-    if isinstance(value, (int, Fraction)):
+    if isinstance(value, (int, Fraction)) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, float):
         # exact only for representable decimals written in JSON; callers that
@@ -421,9 +485,40 @@ def _degree_from(value) -> Fraction:
     raise ParseError(f"cannot read degree {value!r}")
 
 
+# The keys each descriptor kind requires, with the JSON types each may take.
+_DESCRIPTOR_FIELDS = {
+    "identity": {},
+    "const-mult": {"c": (str, int, float, Fraction)},
+    "const-mult-set": {"C": (str,)},
+    "diff-set": {"C": (str,)},
+    "rotate": {"shift": (int,)},
+    "compose": {"terms": (list,)},
+    "hedge": {"fixed_points": (list,)},
+}
+
+
+def _checked_descriptor(desc, allow_hedge: bool) -> str:
+    """The kind of a well-formed descriptor; ParseError for any other."""
+    if not isinstance(desc, dict):
+        raise ParseError(f"a connection descriptor must be an object, not {desc!r}")
+    kind = desc.get("kind")
+    fields = _DESCRIPTOR_FIELDS.get(kind) if isinstance(kind, str) else None
+    if fields is None or (kind == "hedge" and not allow_hedge):
+        raise ParseError(f"unknown generator kind {kind!r}")
+    for key, types in fields.items():
+        if key not in desc:
+            raise ParseError(f"{kind} descriptor lacks {key!r}")
+        value = desc[key]
+        if not isinstance(value, types) or isinstance(value, bool):
+            raise ParseError(f"{kind} descriptor has a malformed {key!r}: {value!r}")
+    if kind == "compose" and len(desc["terms"]) != 2:
+        raise ParseError("compose descriptor needs exactly two terms")
+    return kind
+
+
 def connection_from_descriptor(desc: dict, universe: Universe, chain: Chain) -> Connection:
     """Build a single connection from a JSON descriptor (no hedge expansion)."""
-    kind = desc.get("kind")
+    kind = _checked_descriptor(desc, allow_hedge=False)
     if kind == "identity":
         term = Identity()
     elif kind == "const-mult":
@@ -433,25 +528,22 @@ def connection_from_descriptor(desc: dict, universe: Universe, chain: Chain) -> 
     elif kind == "diff-set":
         term = DiffSet(parse_lset(desc["C"], universe, chain))
     elif kind == "rotate":
-        term = Rotate(int(desc["shift"]) % len(universe))
-    elif kind == "compose":
-        terms = desc.get("terms", [])
-        if len(terms) != 2:
-            raise ParseError("compose descriptor needs exactly two terms")
-        outer = connection_from_descriptor(terms[0], universe, chain)
-        inner = connection_from_descriptor(terms[1], universe, chain)
-        return compose(outer, inner)
+        term = Rotate(desc["shift"] % len(universe))
     else:
-        raise ParseError(f"unknown generator kind {kind!r}")
+        outer = connection_from_descriptor(desc["terms"][0], universe, chain)
+        inner = connection_from_descriptor(desc["terms"][1], universe, chain)
+        return compose(outer, inner)
     return Connection(term, universe, chain)
 
 
 def generators_from_descriptors(descriptors, universe: Universe, chain: Chain):
     """Expand a descriptor list into connections; hedge descriptors expand to
     one constant multiple per fixed point."""
+    if not isinstance(descriptors, list):
+        raise ParseError(f"generators must be a list of descriptors, not {descriptors!r}")
     conns = []
     for desc in descriptors:
-        if desc.get("kind") == "hedge":
+        if _checked_descriptor(desc, allow_hedge=True) == "hedge":
             fps = [_degree_from(v) for v in desc["fixed_points"]]
             hedge = Hedge(chain, fps)
             conns.extend(from_hedge(hedge, universe, drop_vacuous=bool(desc.get("drop_vacuous"))))

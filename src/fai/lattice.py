@@ -9,7 +9,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import ChainNotClosed, ChainNotSymmetric, DegreeNotInChain, InvalidHedge
+from .errors import (
+    ChainNotClosed,
+    ChainNotSymmetric,
+    DegreeNotInChain,
+    InvalidHedge,
+    InvariantError,
+)
 
 LOGICS = ("godel", "lukasiewicz", "goguen")
 
@@ -258,7 +264,13 @@ class DualPair:
         for a in range(n):
             for b in range(n):
                 for c in range(n):
-                    assert (self._ominus[a][b] <= c) == (a <= self._oplus[b][c])
+                    if (self._ominus[a][b] <= c) != (a <= self._oplus[b][c]):
+                        raise InvariantError(
+                            "dual adjointness a(-)b <= c iff a <= b(+)c fails at "
+                            f"a={render_degree(chain.degrees[a])}, "
+                            f"b={render_degree(chain.degrees[b])}, "
+                            f"c={render_degree(chain.degrees[c])}"
+                        )
 
     def oplus_i(self, i: int, j: int) -> int:
         return self._oplus[i][j]

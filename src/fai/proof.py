@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import GoalMismatch, InvalidStep, NotProvable, ParseError
+from .errors import GoalMismatch, InvalidStep, InvariantError, NotProvable, ParseError
 from .fset import LSet, Universe, c_mult, parse_lset, render_lset, union
 from .gconn import (
     Connection,
@@ -213,7 +213,8 @@ def prove(theory: Theory, s: Parameterization, goal: FAI) -> Proof:
                     fires.append((ri, conn, fb, cur, union(cur, fb)))
                     cur = union(cur, fb)
                     changed = True
-    assert goal.consequent <= cur
+    if not goal.consequent <= cur:
+        raise InvariantError("the replayed saturation stopped below the entailed goal")
 
     ident = identity(s.universe, s.chain)
     steps: list[ProofStep] = []
@@ -263,7 +264,7 @@ def provability_degree(theory: Theory, s: Parameterization, fai: FAI):
         except NotProvable:
             continue
         return chain.degrees[c]
-    raise AssertionError("A => 0*B is always provable")
+    raise InvariantError("A => 0*B is always provable")
 
 
 # ------------------------------------------------------------- normalization
@@ -314,7 +315,7 @@ def normalize_proof(proof: Proof, theory: Theory, s: Parameterization) -> Proof:
             fq = push(member, build(by.j))
             node = _Node("cut", step.formula, p=build(by.i), q=fq, c=member.lower(by.c))
         else:
-            raise AssertionError
+            raise InvariantError(f"step {k}: unknown justification {by!r}")
         memo[k] = node
         return node
 
@@ -329,12 +330,13 @@ def normalize_proof(proof: Proof, theory: Theory, s: Parameterization) -> Proof:
             out = _Node("applyf", formula, conn=f, p=node)
         elif node.kind == "applyf":
             composed = s.resolve(compose(f, node.conn))
-            assert composed is not None, "S is composition-closed"
+            if composed is None:
+                raise InvariantError("S is not closed under composition")
             out = _Node("applyf", formula, conn=composed, p=node.p)
         elif node.kind == "cut":
             out = _Node("cut", formula, p=push(f, node.p), q=push(f, node.q), c=f.lower(node.c))
         else:
-            raise AssertionError
+            raise InvariantError(f"cannot push a connection through a {node.kind} node")
         pushed[key] = out
         return out
 
@@ -363,7 +365,8 @@ def normalize_proof(proof: Proof, theory: Theory, s: Parameterization) -> Proof:
     def place_cuts(node: _Node) -> int:
         if id(node) in placed:
             return placed[id(node)]
-        assert node.kind == "cut"
+        if node.kind != "cut":
+            raise InvariantError(f"a {node.kind} node was not placed before the cuts")
         pi = place_cuts(node.p)
         qi = place_cuts(node.q)
         placed[id(node)] = len(steps)

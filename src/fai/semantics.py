@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import CapExceeded, NotClosureSystem, ParseError, UniverseMismatch
+from .errors import CapExceeded, InvariantError, NotClosureSystem, ParseError, UniverseMismatch
 from .fset import LSet, Universe, c_mult, iter_lsets, lset_count, parse_lset, render_lset, subsethood
 from .gconn import Parameterization
 from .lattice import Chain, Hedge
@@ -148,11 +148,11 @@ def truth_degree(m: LSet, fai: FAI, s: Parameterization) -> Fraction:
 
 
 def _compiled(theory: Theory, s: Parameterization):
-    """Per (rule, connection) pair: (f(A).idx, f(B).idx)."""
+    """The (f(A).idx, f(B).idx) pairs of every rule A => B and <f, g> in S
+    that can fire; each rule's pairs are compiled once per S and kept there."""
     pairs = []
     for rule in theory:
-        for conn in s:
-            pairs.append((conn.lower(rule.antecedent).idx, conn.lower(rule.consequent).idx))
+        pairs.extend(s.lower_pairs(rule.antecedent, rule.consequent))
     return pairs
 
 
@@ -192,7 +192,7 @@ def least_model(theory: Theory, s: Parameterization, m: LSet) -> LSet:
                         changed = True
         if not changed:
             return LSet(m.universe, m.chain, cur)
-    raise AssertionError("t_step failed to stabilize within the |L|*|Y| bound")
+    raise InvariantError("t_step failed to stabilize within the |L|*|Y| bound")
 
 
 def entails(theory: Theory, fai: FAI, s: Parameterization) -> bool:

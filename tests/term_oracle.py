@@ -1,0 +1,95 @@
+"""Reference implementations kept for tests only.
+
+``lower_idx`` and ``upper_idx`` interpret a connection term directly,
+walking composite terms recursively; ``pairwise_monoid`` closes generators
+under composition by composing every pair of members, round by round, until
+a round finds nothing new.  fai evaluates connections from their tables and
+finds the size of S first, so these serve as independent oracles.
+"""
+
+from functools import lru_cache
+
+from fai import CapExceeded, DualPair, identity
+from fai.gconn import Compose, ConstMult, ConstMultSet, DiffSet, Identity, Rotate, compose
+
+
+@lru_cache(maxsize=None)
+def _dual(chain):
+    return DualPair(chain)
+
+
+def lower_idx(term, idx, chain, memo=None):
+    """The lower map of a term on an index vector.  A memo dict, keyed on
+    (id(subterm), vector), shares the work among terms built from the same
+    subterm objects."""
+    if memo is not None and isinstance(term, Compose):
+        key = (id(term), "lower", idx)
+        if key not in memo:
+            memo[key] = lower_idx(term.outer, lower_idx(term.inner, idx, chain, memo), chain, memo)
+        return memo[key]
+    if isinstance(term, Identity):
+        return tuple(idx)
+    if isinstance(term, ConstMult):
+        c = chain.index_of(term.c)
+        return tuple(chain.tnorm_i(c, i) for i in idx)
+    if isinstance(term, ConstMultSet):
+        return tuple(chain.tnorm_i(c, i) for c, i in zip(term.C.idx, idx))
+    if isinstance(term, DiffSet):
+        dual = _dual(chain)
+        return tuple(dual.ominus_i(i, c) for i, c in zip(idx, term.C.idx))
+    if isinstance(term, Rotate):
+        n = len(idx)
+        return tuple(idx[(j + term.shift) % n] for j in range(n))
+    if isinstance(term, Compose):
+        return lower_idx(term.outer, lower_idx(term.inner, idx, chain), chain)
+    raise TypeError(f"unknown term {term!r}")
+
+
+def upper_idx(term, idx, chain, memo=None):
+    """The upper map of a term on an index vector; memo as for lower_idx."""
+    if memo is not None and isinstance(term, Compose):
+        key = (id(term), "upper", idx)
+        if key not in memo:
+            memo[key] = upper_idx(term.inner, upper_idx(term.outer, idx, chain, memo), chain, memo)
+        return memo[key]
+    if isinstance(term, Identity):
+        return tuple(idx)
+    if isinstance(term, ConstMult):
+        c = chain.index_of(term.c)
+        return tuple(chain.residuum_i(c, i) for i in idx)
+    if isinstance(term, ConstMultSet):
+        return tuple(chain.residuum_i(c, i) for c, i in zip(term.C.idx, idx))
+    if isinstance(term, DiffSet):
+        dual = _dual(chain)
+        return tuple(dual.oplus_i(c, i) for c, i in zip(term.C.idx, idx))
+    if isinstance(term, Rotate):
+        n = len(idx)
+        return tuple(idx[(j - term.shift) % n] for j in range(n))
+    if isinstance(term, Compose):
+        return upper_idx(term.inner, upper_idx(term.outer, idx, chain), chain)
+    raise TypeError(f"unknown term {term!r}")
+
+
+def pairwise_monoid(generators, universe, chain, cap=4096):
+    """Members of the monoid in pairwise discovery order, identity first."""
+    elems = [identity(universe, chain)]
+    fps = {elems[0].fingerprint}
+    for g in generators:
+        if g.fingerprint not in fps:
+            fps.add(g.fingerprint)
+            elems.append(g)
+            if len(elems) > cap:
+                raise CapExceeded(f"monoid exceeds {cap} connections")
+    changed = True
+    while changed:
+        changed = False
+        for a in list(elems):
+            for b in list(elems):
+                c = compose(a, b)
+                if c.fingerprint not in fps:
+                    fps.add(c.fingerprint)
+                    elems.append(c)
+                    changed = True
+                    if len(elems) > cap:
+                        raise CapExceeded(f"monoid exceeds {cap} connections")
+    return elems

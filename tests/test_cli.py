@@ -193,6 +193,38 @@ def test_bad_input_paths(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def _params_with(tmp_path, generators, attributes=("k", "l", "a", "e")):
+    path = tmp_path / "params.json"
+    path.write_text(json.dumps({
+        "degrees": ["0", "0.25", "0.5", "0.75", "1"],
+        "logic": "godel",
+        "attributes": list(attributes),
+        "generators": generators,
+    }))
+    return str(path)
+
+
+def test_const_mult_without_c_is_a_parse_error(tmp_path, capsys):
+    assert main(["validate", "--params", _params_with(tmp_path, [{"kind": "const-mult"}])]) == 3
+    assert "const-mult descriptor lacks 'c'" in capsys.readouterr().err
+
+
+def test_hedge_without_fixed_points_is_a_parse_error(tmp_path, capsys):
+    assert main(["validate", "--params", _params_with(tmp_path, [{"kind": "hedge"}])]) == 3
+    assert "hedge descriptor lacks 'fixed_points'" in capsys.readouterr().err
+
+
+def test_generators_not_a_list_is_a_parse_error(tmp_path, capsys):
+    assert main(["validate", "--params", _params_with(tmp_path, "oops")]) == 3
+    assert "generators must be a list" in capsys.readouterr().err
+
+
+def test_hash_in_an_attribute_name_is_rejected(tmp_path, capsys):
+    params = _params_with(tmp_path, [], attributes=("k", "l", "a", "e#x"))
+    assert main(["validate", "--params", params]) == 3
+    assert "bad attribute name 'e#x'" in capsys.readouterr().err
+
+
 def test_usage_errors_exit_2():
     with pytest.raises(SystemExit) as err:
         main(["entail", "--params", P1])

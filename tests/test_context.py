@@ -9,6 +9,7 @@ from fai import (
     LContext,
     LSet,
     NotComplete,
+    Universe,
     UniverseMismatch,
     complete_set,
     down,
@@ -24,6 +25,7 @@ from fai import (
     parse_theory,
     pseudo_intents,
     reduce_to_base,
+    render_lset,
     up,
 )
 from fai.errors import DegreeNotInChain, ParseError
@@ -185,3 +187,13 @@ def test_hasse_dot_matches_transitive_reduction(holidays, settings):
                 g.add_edge(i, j)
     reduced = networkx.transitive_reduction(g)
     assert sorted((int(a), int(b)) for a, b in edges) == sorted(reduced.edges())
+
+
+def test_hasse_dot_escapes_quotes_and_backslashes(chain5):
+    universe = Universe(('a"b', "c\\d"))
+    top = LSet.top(universe, chain5)
+    dot = hasse_dot([LSet.bottom(universe, chain5), top])
+    # a DOT string holds no bare quote: each label must match as one string
+    labels = re.findall(r'label="((?:[^"\\]|\\.)*)"\];$', dot, re.M)
+    assert labels == ["{}", '{a\\"b, c\\\\d}']
+    assert re.sub(r"\\(.)", r"\1", labels[1]) == "{" + render_lset(top) + "}"

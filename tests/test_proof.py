@@ -16,6 +16,7 @@ from fai import (
     GoalMismatch,
     Hyp,
     InvalidStep,
+    InvariantError,
     NotProvable,
     Parameterization,
     Proof,
@@ -277,6 +278,23 @@ def test_normalize_composes_stacked_f_steps(base6, settings, chain5, universe):
     last = norm.steps[-1].by
     assert isinstance(last, (Hyp, ApplyF))
     assert check_proof(norm, base6, s)
+
+
+def test_normalize_in_an_unclosed_s_raises_a_typed_error(base6, chain5, universe):
+    # S built unchecked: rotate(1) o rotate(1) = rotate(2) is not a member
+    r1 = Connection(Rotate(1), universe, chain5)
+    s = Parameterization([identity(universe, chain5), r1], check=False)
+    rule = base6[2]
+    once = FAI(r1.lower(rule.antecedent), r1.lower(rule.consequent))
+    twice = FAI(r1.lower(once.antecedent), r1.lower(once.consequent))
+    proof = Proof([
+        ProofStep(rule, Hyp(2)),
+        ProofStep(once, ApplyF(0, r1)),
+        ProofStep(twice, ApplyF(1, r1)),
+    ])
+    assert check_proof(proof, base6, s)
+    with pytest.raises(InvariantError, match="not closed under composition"):
+        normalize_proof(proof, base6, s)
 
 
 def test_normalize_pushes_f_through_cut(shipped_proof, base6, settings):

@@ -1,0 +1,107 @@
+"""Connections evaluated from their tables against the term interpreter, and
+monoid generation against plain pairwise discovery."""
+
+from fractions import Fraction
+import itertools
+
+import pytest
+
+from fai import (
+    CapExceeded,
+    Chain,
+    Connection,
+    LSet,
+    NotAdjoint,
+    Universe,
+    generate_monoid,
+    verify_adjoint,
+)
+from fai.gconn import DiffSet, Rotate, _fp_apply, _upper_apply
+
+from term_oracle import lower_idx, pairwise_monoid, upper_idx
+
+F = Fraction
+
+
+def _rotate_diff_generators(logic: str, degrees: int):
+    """rotate(2) and a diff-set with one step at two of five attributes."""
+    chain = Chain([F(i, degrees - 1) for i in range(degrees)], logic)
+    universe = Universe([f"y{k}" for k in range(5)])
+    const = LSet(universe, chain, [1, 0, 1, 0, 0])
+    gens = [Connection(Rotate(2), universe, chain), Connection(DiffSet(const), universe, chain)]
+    return gens, universe, chain
+
+
+def _assert_tables_match_interpreter(s, universe, chain):
+    for conn in s:
+        # a composite term builds the same tables from its factors
+        rebuilt = Connection(conn.term, universe, chain)
+        assert rebuilt.lower_table == conn.lower_table
+        assert rebuilt.upper_table == conn.upper_table
+    for idx in itertools.product(range(chain.n), repeat=len(universe)):
+        memo = {}
+        for conn in s:
+            assert _fp_apply(conn.lower_table, idx) == lower_idx(conn.term, idx, chain, memo)
+            assert _upper_apply(conn.upper_table, idx) == upper_idx(conn.term, idx, chain, memo)
+
+
+def test_tables_match_interpreter_on_the_worked_example(settings, chain5, universe):
+    for s in settings.values():
+        _assert_tables_match_interpreter(s, universe, chain5)
+        for conn in s:
+            m = LSet(universe, chain5, (1, 4, 2, 0))
+            assert conn.lower(m).idx == lower_idx(conn.term, m.idx, chain5)
+            assert conn.upper(m).idx == upper_idx(conn.term, m.idx, chain5)
+
+
+# Godel at |L| = 5 gives |S| = 85; Lukasiewicz at |L| = 5 exceeds the default
+# cap, so it runs at |L| = 3 (|S| = 456); {0, 1} is the only finite chain
+# closed under the Goguen product (|S| = 81).
+@pytest.mark.parametrize("logic,degrees,size", [
+    ("godel", 5, 85),
+    ("lukasiewicz", 3, 456),
+    ("goguen", 2, 81),
+])
+def test_tables_match_interpreter_on_rotate_diff_monoids(logic, degrees, size):
+    gens, universe, chain = _rotate_diff_generators(logic, degrees)
+    s = generate_monoid(gens, universe, chain)
+    assert len(s) == size
+    _assert_tables_match_interpreter(s, universe, chain)
+
+
+def test_member_order_equals_pairwise_discovery(settings, chain5, universe):
+    gens6 = list(settings[6].connections[1:3])
+    gens85, universe85, chain85 = _rotate_diff_generators("godel", 5)
+    for gens, u, ch in ((gens6, universe, chain5), (gens85, universe85, chain85)):
+        expected = pairwise_monoid(gens, u, ch)
+        found = generate_monoid(gens, u, ch).connections
+        assert [c.fingerprint for c in found] == [c.fingerprint for c in expected]
+        assert [c.term for c in found] == [c.term for c in expected]
+        assert [c.fingerprint_hash() for c in found] == [c.fingerprint_hash() for c in expected]
+
+
+def test_cap_exceeded_at_the_same_size(settings, chain5, universe):
+    gens6 = list(settings[6].connections[1:3])
+    gens85, universe85, chain85 = _rotate_diff_generators("godel", 5)
+    for gens, u, ch, size in ((gens6, universe, chain5, 8), (gens85, universe85, chain85, 85)):
+        for cap in (size - 1, 1):
+            with pytest.raises(CapExceeded):
+                pairwise_monoid(gens, u, ch, cap=cap)
+            with pytest.raises(CapExceeded):
+                generate_monoid(gens, u, ch, cap=cap)
+        assert len(pairwise_monoid(gens, u, ch, cap=size)) == size
+        assert len(generate_monoid(gens, u, ch, cap=size)) == size
+
+
+def test_verify_adjoint_rejects_a_corrupted_upper_table(settings, chain5, universe):
+    for conn in settings[6]:
+        assert verify_adjoint(conn.lower, conn.upper, universe, chain5)
+    conn = settings[6].connections[2]  # the diff-set generator
+    rows = [list(row) for row in conn.upper_table]
+    rows[3][2] = tuple(max(v - 1, 0) for v in rows[3][2])
+    corrupted = tuple(tuple(row) for row in rows)
+    assert corrupted != conn.upper_table
+    bad = Connection(conn.term, universe, chain5, _tables=(conn.lower_table, corrupted))
+    assert bad == conn  # equality only sees the lower table
+    with pytest.raises(NotAdjoint):
+        verify_adjoint(bad.lower, bad.upper, universe, chain5)
