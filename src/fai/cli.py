@@ -21,19 +21,9 @@ from .context import (
     minimize_sides,
     reduce_to_base,
 )
-from .errors import CapExceeded, FaiError, GoalMismatch, InvalidStep, NotProvable
+from .errors import CapExceeded, FaiError, GoalMismatch, InvalidStep, NotProvable, ParseError
 from .fset import Universe, parse_lset, render_lset
-from .gconn import (
-    Compose,
-    ConstMult,
-    ConstMultSet,
-    DiffSet,
-    Identity,
-    Rotate,
-    generate_monoid,
-    generators_from_descriptors,
-    verify_adjoint,
-)
+from .gconn import generate_monoid, generators_from_descriptors, term_to_descriptor, verify_adjoint
 from .lattice import Chain, parse_degree, render_degree
 from .proof import check_proof, proof_from_json, proof_to_json, prove
 from .semantics import (
@@ -52,21 +42,43 @@ def _read(path: str) -> str:
         return fh.read()
 
 
+# The JSON type of each top-level key of a parameter file, and its name in
+# errors; generators and monoid_cap may be left out.
+_SETTING_TYPES = {
+    "degrees": (list, "a list"),
+    "logic": (str, "a string"),
+    "attributes": (list, "a list of strings"),
+    "generators": (list, "a list of descriptors"),
+    "monoid_cap": (int, "an integer"),
+}
+
+
 def _load_setting(path: str):
     """Chain, universe and monoid from a parameter file.
 
-    JSON keys: degrees (list), logic, attributes (list), generators (list of
-    descriptors, may be empty for plain implications), monoid_cap (optional).
-    Floats are read as exact fractions.
+    JSON keys: degrees (list), logic, attributes (list of names), generators
+    (list of descriptors, may be empty for plain implications), monoid_cap
+    (optional int).  Floats are read as exact fractions.  ParseError for any
+    other shape.
     """
     data = json.loads(_read(path), parse_float=Fraction)
+    if not isinstance(data, dict):
+        raise ParseError(f"a parameter file holds a JSON object, not {data!r}")
     for key in ("degrees", "logic", "attributes"):
         if key not in data:
-            raise FaiError(f"parameter file lacks {key!r}")
+            raise ParseError(f"parameter file lacks {key!r}")
+    for key, (kind, what) in _SETTING_TYPES.items():
+        value = data.get(key, kind())
+        if (
+            not isinstance(value, kind)
+            or isinstance(value, bool)
+            or (key == "attributes" and not all(isinstance(name, str) for name in value))
+        ):
+            raise ParseError(f"{key} must be {what}, not {value!r}")
     chain = Chain([_fraction(d) for d in data["degrees"]], data["logic"])
     universe = Universe(data["attributes"])
     gens = generators_from_descriptors(data.get("generators", []), universe, chain)
-    cap = int(data.get("monoid_cap", 4096))
+    cap = data.get("monoid_cap", 4096)
     return chain, universe, generate_monoid(gens, universe, chain, cap=cap)
 
 
@@ -94,20 +106,17 @@ def _emit(text: str, out: str | None) -> None:
             fh.write(text)
 
 
-def _render_term(term) -> str:
-    if isinstance(term, Identity):
-        return "identity"
-    if isinstance(term, ConstMult):
-        return f"const-mult({render_degree(term.c)})"
-    if isinstance(term, ConstMultSet):
-        return f"const-mult-set({{{render_lset(term.C)}}})"
-    if isinstance(term, DiffSet):
-        return f"diff-set({{{render_lset(term.C)}}})"
-    if isinstance(term, Rotate):
-        return f"rotate({term.shift})"
-    if isinstance(term, Compose):
-        return f"compose({_render_term(term.outer)}, {_render_term(term.inner)})"
-    return repr(term)
+def _render_descriptor(desc: dict) -> str:
+    """One line for a connection descriptor, e.g. ``compose(rotate(2), const-mult(0.5))``."""
+    args = []
+    for key, value in desc.items():
+        if key == "terms":
+            args.extend(_render_descriptor(term) for term in value)
+        elif key == "C":
+            args.append(f"{{{value}}}")
+        elif key != "kind":
+            args.append(str(value))
+    return f"{desc['kind']}({', '.join(args)})" if args else desc["kind"]
 
 
 # ---------------------------------------------------------------- commands
@@ -120,7 +129,8 @@ def cmd_validate(args) -> int:
     print(f"attributes: {', '.join(universe.attributes)}")
     print(f"S: {len(s)} connections")
     for i, conn in enumerate(s):
-        print(f"  [{i}] {_render_term(conn.term)}  fp={conn.fingerprint_hash()}")
+        term = _render_descriptor(term_to_descriptor(conn.term))
+        print(f"  [{i}] {term}  fp={conn.fingerprint_hash()}")
     try:
         for conn in s:
             verify_adjoint(conn.lower, conn.upper, universe, chain, cap=args.cap)
@@ -255,7 +265,9 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--params", required=True, metavar="FILE",
                         help="JSON with degrees, logic, attributes, generators")
     common.add_argument("--cap", type=int, default=10**6, metavar="N",
-                        help="abort enumeration past N candidate sets")
+                        help="abort past N closed sets (intents, models, or intents "
+                        "and pseudo-intents); validate: skip adjointness past "
+                        "N graded sets")
 
     parser = argparse.ArgumentParser(
         prog="fai",

@@ -13,11 +13,11 @@ import csv
 import io
 import random
 
-from .errors import CapExceeded, NotComplete, ParseError, UniverseMismatch
-from .fset import LSet, Universe, iter_lsets, lset_count, render_lset
+from .errors import NotComplete, ParseError, UniverseMismatch
+from .fset import LSet, Universe, next_closures, render_lset
 from .gconn import Parameterization
 from .lattice import Chain, parse_degree
-from .semantics import FAI, Theory, entails, least_model
+from .semantics import FAI, Theory, _idx_leq, entails, least_model
 
 
 class LContext:
@@ -137,74 +137,47 @@ def holds_in_context(ctx: LContext, fai: FAI, s: Parameterization) -> bool:
 
 
 def intents_enum(ctx: LContext, s: Parameterization, cap: int = 10**6):
-    """All downup fixed points, in ascending lectic order.
-
-    NextClosure-style: from the current intent, for attribute positions from
-    last to first, close (prefix of A before i) + {next degree above A at i}
-    and accept the first candidate agreeing with A before i.
-    """
-    universe, chain = ctx.universe, ctx.chain
-    if lset_count(universe, chain) > cap:
-        raise CapExceeded(f"{lset_count(universe, chain)} sets exceed the cap {cap}")
-    size = len(universe)
-    top = chain.n - 1
-
-    def next_closed(a: LSet):
-        for i in range(size - 1, -1, -1):
-            v = a.idx[i]
-            if v == top:
-                continue
-            seed = [0] * size
-            seed[:i] = a.idx[:i]
-            seed[i] = v + 1
-            cand = downup(ctx, LSet(universe, chain, seed), s)
-            if cand.idx[:i] == a.idx[:i]:
-                return cand
-        return None
-
-    cur = downup(ctx, LSet.bottom(universe, chain), s)
-    out = [cur]
-    while True:
-        cur = next_closed(cur)
-        if cur is None:
-            return out
-        out.append(cur)
+    """All downup fixed points, in ascending lectic order; CapExceeded past
+    ``cap`` intents."""
+    return list(next_closures(ctx.universe, ctx.chain, lambda m: downup(ctx, m, s), cap))
 
 
-def _subset_scan_order(universe: Universe, chain: Chain, order: str):
-    """All sets in a linear order extending proper containment."""
-    sets = list(iter_lsets(universe, chain))
-    if order == "sum-lectic":
-        sets.sort(key=lambda m: (sum(m.degrees()), m.idx))
-    elif order == "lectic":
-        pass  # already lectic, which extends containment
-    else:
-        raise ValueError(f"unknown scan order {order!r}")
-    return sets
-
-
-def pseudo_intents(ctx: LContext, s: Parameterization, cap: int = 10**6, order: str = "sum-lectic"):
-    """All S-pseudo-intents with their closures, in scan order.
+def pseudo_intents(ctx: LContext, s: Parameterization, cap: int = 10**6):
+    """All S-pseudo-intents with their closures, by ascending degree sum and
+    then lectic order.
 
     P qualifies iff P is not closed and Q's closure lands inside P for every
-    previously found pseudo-intent Q properly below P; scanning in an order
-    extending containment makes the incremental classification sound.
+    pseudo-intent Q properly below P.  Ganter's algorithm: the sets closed
+    under adding C(Q) for every pseudo-intent Q properly inside them are the
+    intents and the pseudo-intents, and NextClosure lists them in lectic
+    order, which extends containment, so every Q is found before any set
+    above it is closed.  ``cap`` bounds the intents and pseudo-intents
+    visited.
     """
-    universe, chain = ctx.universe, ctx.chain
-    if lset_count(universe, chain) > cap:
-        raise CapExceeded(f"{lset_count(universe, chain)} sets exceed the cap {cap}")
     found = []
-    for m in _subset_scan_order(universe, chain, order):
+
+    def close(m: LSet) -> LSet:
+        cur = m.idx
+        changed = True
+        while changed:
+            changed = False
+            for q, qcl in found:
+                if cur != q.idx and _idx_leq(q.idx, cur) and not _idx_leq(qcl.idx, cur):
+                    cur = tuple(map(max, cur, qcl.idx))
+                    changed = True
+        return LSet(m.universe, m.chain, cur)
+
+    for m in next_closures(ctx.universe, ctx.chain, close, cap):
         cl = downup(ctx, m, s)
-        if cl == m:
-            continue
-        if all(not q < m or qcl <= m for q, qcl in found):
+        if cl != m:
             found.append((m, cl))
+    found.sort(key=lambda pair: (sum(pair[0].degrees()), pair[0].idx))
     return found
 
 
 def complete_set(ctx: LContext, s: Parameterization, cap: int = 10**6) -> Theory:
-    """The theory {P => downup(P) : P an S-pseudo-intent}."""
+    """The theory {P => downup(P) : P an S-pseudo-intent}, in the order of
+    pseudo_intents."""
     pairs = pseudo_intents(ctx, s, cap)
     return Theory(
         [FAI(p, cl) for p, cl in pairs],
@@ -213,6 +186,15 @@ def complete_set(ctx: LContext, s: Parameterization, cap: int = 10**6) -> Theory
 
 
 # ------------------------------------------------------------- completeness
+
+
+def _complete_against(theory: Theory, ctx: LContext, s: Parameterization, comp: Theory) -> bool:
+    """Completeness given the context's complete set: every rule holds in the
+    context, so every intent is a model, and the theory entails every rule
+    of the complete set, so every model is an intent."""
+    return all(holds_in_context(ctx, r, s) for r in theory) and all(
+        entails(theory, r, s) for r in comp
+    )
 
 
 def is_complete(
@@ -226,87 +208,22 @@ def is_complete(
 ) -> bool:
     """Whether the theory's least models agree with downup everywhere.
 
-    Full mode sweeps every set (requires |L|^|Y| <= cap); sampled mode checks
-    the rows, bottom, top, and seeded-random sets.
+    Full mode decides it by entailment of the complete set (``cap`` bounds
+    its enumeration); sampled mode compares least model and downup on the
+    rows, bottom, top, and seeded-random sets.
     """
-    universe, chain = ctx.universe, ctx.chain
     if mode == "full":
-        if lset_count(universe, chain) > cap:
-            raise CapExceeded(
-                f"{lset_count(universe, chain)} sets exceed the cap {cap}; use sampled mode"
-            )
-        candidates = iter_lsets(universe, chain)
-    elif mode == "sampled":
-        rng = random.Random(seed)
-        fixed = [LSet.bottom(universe, chain), LSet.top(universe, chain), *ctx.rows]
-        drawn = [
-            LSet(universe, chain, tuple(rng.randrange(chain.n) for _ in range(len(universe))))
-            for _ in range(samples)
-        ]
-        candidates = fixed + drawn
-    else:
+        return _complete_against(theory, ctx, s, complete_set(ctx, s, cap))
+    if mode != "sampled":
         raise ValueError(f"unknown mode {mode!r}")
-    for m in candidates:
-        if least_model(theory, s, m) != downup(ctx, m, s):
-            return False
-    return True
-
-
-class _CompletenessOracle:
-    """Incremental completeness checks for one context and parameterization.
-
-    A theory of context-true rules is complete iff every non-intent violates
-    some rule, so the oracle keeps one violation bitmask per non-intent and
-    re-derives only the touched rule's bit on each candidate edit.
-    """
-
-    def __init__(self, ctx: LContext, s: Parameterization, cap: int = 10**6):
-        universe, chain = ctx.universe, ctx.chain
-        if lset_count(universe, chain) > cap:
-            raise CapExceeded(f"{lset_count(universe, chain)} sets exceed the cap {cap}")
-        self.ctx = ctx
-        self.s = s
-        intents = set(intents_enum(ctx, s, cap))
-        self.non_intents = [m for m in iter_lsets(universe, chain) if m not in intents]
-
-    def _true_in_context(self, rule: FAI) -> bool:
-        return rule.consequent <= downup(self.ctx, rule.antecedent, self.s)
-
-    def _kills(self, rule: FAI):
-        """For each non-intent, whether the rule fails there."""
-        pairs = self.s.lower_pairs(rule.antecedent, rule.consequent)
-        out = []
-        for m in self.non_intents:
-            midx = m.idx
-            killed = False
-            for fa, fb in pairs:
-                if all(x <= y for x, y in zip(fa, midx)) and not all(
-                    x <= y for x, y in zip(fb, midx)
-                ):
-                    killed = True
-                    break
-            out.append(killed)
-        return out
-
-    def check(self, theory: Theory) -> bool:
-        if not all(self._true_in_context(r) for r in theory):
-            return False
-        kills = [self._kills(r) for r in theory]
-        return all(any(col) for col in zip(*kills)) if theory else not self.non_intents
-
-    def masks(self, theory: Theory):
-        return [self._kills(r) for r in theory]
-
-    def check_replace(self, masks, i: int, rule: FAI) -> list | None:
-        """Masks with rule i replaced, or None when the edit loses completeness."""
-        if not self._true_in_context(rule):
-            return None
-        new = self._kills(rule)
-        rest = masks[:i] + masks[i + 1 :]
-        for j in range(len(self.non_intents)):
-            if not new[j] and not any(col[j] for col in rest):
-                return None
-        return masks[:i] + [new] + masks[i + 1 :]
+    universe, chain = ctx.universe, ctx.chain
+    rng = random.Random(seed)
+    fixed = [LSet.bottom(universe, chain), LSet.top(universe, chain), *ctx.rows]
+    drawn = [
+        LSet(universe, chain, tuple(rng.randrange(chain.n) for _ in range(len(universe))))
+        for _ in range(samples)
+    ]
+    return all(least_model(theory, s, m) == downup(ctx, m, s) for m in fixed + drawn)
 
 
 def reduce_to_base(theory: Theory, ctx: LContext, s: Parameterization) -> Theory:
@@ -333,11 +250,10 @@ def minimize_sides(theory: Theory, ctx: LContext, s: Parameterization, cap: int 
     attributes in universe order, stepping each degree down while the edited
     theory remains complete for the context.
     """
-    oracle = _CompletenessOracle(ctx, s, cap)
+    comp = complete_set(ctx, s, cap)
     current = theory
-    if not oracle.check(current):
+    if not _complete_against(current, ctx, s, comp):
         raise NotComplete("minimize_sides needs a complete theory")
-    masks = oracle.masks(current)
     for i in range(len(current)):
         for side in ("antecedent", "consequent"):
             for y in range(len(ctx.universe)):
@@ -353,11 +269,10 @@ def minimize_sides(theory: Theory, ctx: LContext, s: Parameterization, cap: int 
                         if side == "antecedent"
                         else FAI(rule.antecedent, lowered)
                     )
-                    new_masks = oracle.check_replace(masks, i, cand)
-                    if new_masks is None:
+                    edited = current.replaced(i, cand)
+                    if not _complete_against(edited, ctx, s, comp):
                         break
-                    masks = new_masks
-                    current = current.replaced(i, cand)
+                    current = edited
     return current
 
 

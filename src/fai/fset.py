@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 import itertools
 
-from .errors import DegreeNotInChain, ParseError, UniverseMismatch
+from .errors import CapExceeded, DegreeNotInChain, ParseError, UniverseMismatch
 from .lattice import Chain, parse_degree, render_degree
 
 # "#" starts a comment in theory files, so a name holding it would not parse back
@@ -224,6 +224,34 @@ def iter_lsets(universe: Universe, chain: Chain):
 
 def lset_count(universe: Universe, chain: Chain) -> int:
     return chain.n ** len(universe)
+
+
+def next_closures(universe: Universe, chain: Chain, close, cap: int):
+    """The fixed points of the closure operator ``close``, in ascending
+    lectic order (Ganter's NextClosure on graded sets).
+
+    From the current closed set A, for attribute positions i from last to
+    first, close (A before i) + {next degree above A at i} and accept the
+    first closure agreeing with A before i.  ``close`` is called afresh at
+    each step, so it may depend on what the caller did with earlier
+    fixed points.  CapExceeded once more than ``cap`` sets would be emitted.
+    """
+    size, top = len(universe), chain.n - 1
+    cur = close(LSet.bottom(universe, chain))
+    emitted = 0
+    while cur is not None:
+        emitted += 1
+        if emitted > cap:
+            raise CapExceeded(f"more than {cap} closed sets")
+        yield cur
+        a, cur = cur.idx, None
+        for i in range(size - 1, -1, -1):
+            if a[i] == top:
+                continue
+            cand = close(LSet(universe, chain, a[:i] + (a[i] + 1,) + (0,) * (size - i - 1)))
+            if cand.idx[:i] == a[:i]:
+                cur = cand
+                break
 
 
 def render_lset(a: LSet) -> str:

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 import hashlib
 import itertools
 
@@ -73,11 +72,6 @@ class Compose:
     inner: object
 
 
-@lru_cache(maxsize=None)
-def _dual_for(chain: Chain) -> DualPair:
-    return DualPair(chain)
-
-
 # ---------------------------------------------------------------- tables
 #
 # A lower table holds, per attribute position y and degree index a >= 1, the
@@ -133,7 +127,7 @@ def _generator_maps(term, universe: Universe, chain: Chain):
                 lambda idx: tuple(chain.tnorm_i(c, i) for c, i in zip(cs, idx)),
                 lambda idx: tuple(chain.residuum_i(c, i) for c, i in zip(cs, idx)),
             )
-        dual = _dual_for(chain)
+        dual = DualPair(chain)
         return (
             lambda idx: tuple(dual.ominus_i(i, c) for i, c in zip(idx, cs)),
             lambda idx: tuple(dual.oplus_i(c, i) for c, i in zip(cs, idx)),

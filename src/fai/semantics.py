@@ -12,7 +12,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import CapExceeded, InvariantError, NotClosureSystem, ParseError, UniverseMismatch
-from .fset import LSet, Universe, c_mult, iter_lsets, lset_count, parse_lset, render_lset, subsethood
+from .fset import (
+    LSet,
+    Universe,
+    c_mult,
+    iter_lsets,
+    lset_count,
+    next_closures,
+    parse_lset,
+    render_lset,
+    subsethood,
+)
 from .gconn import Parameterization
 from .lattice import Chain, Hedge
 
@@ -206,17 +216,9 @@ def entail_degree(theory: Theory, fai: FAI, s: Parameterization) -> Fraction:
 
 
 def models_enum(theory: Theory, s: Parameterization, cap: int = 10**6):
-    """All models of the theory, in lectic order."""
-    universe, chain = s.universe, s.chain
-    total = lset_count(universe, chain)
-    if total > cap:
-        raise CapExceeded(f"{total} candidate sets exceed the cap {cap}")
-    pairs = _compiled(theory, s)
-    out = []
-    for m in iter_lsets(universe, chain):
-        if all(not _idx_leq(fa, m.idx) or _idx_leq(fb, m.idx) for fa, fb in pairs):
-            out.append(m)
-    return out
+    """All models of the theory, in lectic order: the fixed points of
+    least_model; CapExceeded past ``cap`` models."""
+    return list(next_closures(s.universe, s.chain, lambda m: least_model(theory, s, m), cap))
 
 
 def theory_of_system(models, s: Parameterization, cap: int = 10**6) -> Theory:

@@ -52,6 +52,7 @@ from fai.errors import InvalidHedge, NotProvable
 from fai.proof import Axiom
 
 from conftest import DATA
+from scan_oracle import pseudo_intents_by_scan
 
 F = Fraction
 
@@ -295,6 +296,6 @@ def test_c9_structural(holidays, settings, chain5, universe):
         intents = intents_enum(holidays, s)
         assert set(models_enum(base, s)) == set(intents)
         assert list(intents) == [m for m in every if downup(holidays, m, s) == m]
-        first = pseudo_intents(holidays, s, order="sum-lectic")
-        second = pseudo_intents(holidays, s, order="lectic")
-        assert set(first) == set(second)
+        found = pseudo_intents(holidays, s)
+        assert found == pseudo_intents_by_scan(holidays, s, order="sum-lectic")
+        assert set(found) == set(pseudo_intents_by_scan(holidays, s, order="lectic"))

@@ -24,7 +24,17 @@ def test_validate(capsys):
     assert "S: 8 connections" in out
     assert "chain: 5 degrees" in out
     assert "adjointness: verified for all 8 members" in out
-    assert out.count("fp=") == 8
+    d = "diff-set({k, 0.5/a, 0.5/e})"
+    assert out.splitlines()[3:11] == [
+        "  [0] identity  fp=a725d3d2e7f2099f",
+        "  [1] rotate(2)  fp=21a56c92fdf4e33f",
+        f"  [2] {d}  fp=8298292980baf004",
+        f"  [3] compose(rotate(2), {d})  fp=54d1e308c4ee633d",
+        f"  [4] compose({d}, rotate(2))  fp=7ba7a18a069135b7",
+        f"  [5] compose({d}, compose(rotate(2), {d}))  fp=c33236304423e896",
+        f"  [6] compose(rotate(2), compose({d}, rotate(2)))  fp=9c62ad423f4f0577",
+        f"  [7] compose(rotate(2), compose({d}, compose(rotate(2), {d})))  fp=4a3297649089ec03",
+    ]
 
 
 def test_closure_theory_mode(capsys):
@@ -217,6 +227,27 @@ def test_hedge_without_fixed_points_is_a_parse_error(tmp_path, capsys):
 def test_generators_not_a_list_is_a_parse_error(tmp_path, capsys):
     assert main(["validate", "--params", _params_with(tmp_path, "oops")]) == 3
     assert "generators must be a list" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        ({"degrees": 5}, "degrees must be a list, not 5"),
+        ({"logic": ["godel"]}, "logic must be a string, not ['godel']"),
+        ({"attributes": "klae"}, "attributes must be a list of strings, not 'klae'"),
+        ({"attributes": ["k", 1]}, "attributes must be a list of strings, not ['k', 1]"),
+        ({"monoid_cap": [1]}, "monoid_cap must be an integer, not [1]"),
+        ({"monoid_cap": True}, "monoid_cap must be an integer, not True"),
+        ({"monoid_cap": 8.5}, "monoid_cap must be an integer"),
+        (None, "a parameter file holds a JSON object"),
+    ],
+)
+def test_top_level_key_types_are_checked(tmp_path, capsys, edit, message):
+    path = tmp_path / "params.json"
+    data = json.loads((DATA / "params_s6.json").read_text())
+    path.write_text(json.dumps([data] if edit is None else {**data, **edit}))
+    assert main(["validate", "--params", str(path)]) == 3
+    assert message in capsys.readouterr().err
 
 
 def test_hash_in_an_attribute_name_is_rejected(tmp_path, capsys):

@@ -5,15 +5,22 @@ from fractions import Fraction
 import pytest
 
 from fai import (
+    Chain,
+    Connection,
+    ConstMultSet,
+    DiffSet,
     FAI,
     LContext,
     LSet,
     NotComplete,
+    Rotate,
+    Theory,
     Universe,
     UniverseMismatch,
     complete_set,
     down,
     downup,
+    generate_monoid,
     hasse_dot,
     holds_in,
     holds_in_context,
@@ -21,6 +28,7 @@ from fai import (
     is_complete,
     iter_lsets,
     minimize_sides,
+    models_enum,
     parse_lset,
     parse_theory,
     pseudo_intents,
@@ -29,6 +37,13 @@ from fai import (
     up,
 )
 from fai.errors import DegreeNotInChain, ParseError
+
+from scan_oracle import (
+    complete_by_scan,
+    minimize_sides_by_scan,
+    models_by_sweep,
+    pseudo_intents_by_scan,
+)
 
 F = Fraction
 
@@ -100,13 +115,12 @@ def test_intents_against_brute_force(holidays, settings, chain5, universe):
 
 
 def test_pseudo_intents_scan_orders_agree(holidays, settings):
-    a = pseudo_intents(holidays, settings[1], order="sum-lectic")
-    b = pseudo_intents(holidays, settings[1], order="lectic")
-    assert sorted(p.idx for p, _ in a) == sorted(p.idx for p, _ in b)
-    assert dict(a) == dict(b)
-    assert len(a) == 11
-    with pytest.raises(ValueError):
-        pseudo_intents(holidays, settings[1], order="by-size")
+    found = pseudo_intents(holidays, settings[1])
+    assert found == pseudo_intents_by_scan(holidays, settings[1], order="sum-lectic")
+    lectic = pseudo_intents_by_scan(holidays, settings[1], order="lectic")
+    assert sorted(p.idx for p, _ in found) == sorted(p.idx for p, _ in lectic)
+    assert dict(found) == dict(lectic)
+    assert len(found) == 11
 
 
 def test_complete_set_is_complete_and_minimal(holidays, settings, chain5, universe):
@@ -159,15 +173,54 @@ def test_minimize_sides(holidays, settings, chain5, universe):
 
 
 def test_completeness_oracle_agrees_with_public_check(holidays, settings, chain5, universe):
-    from fai.context import _CompletenessOracle
+    s = settings[1]
+    comp = complete_set(holidays, s)
+    for theory, complete in (
+        (comp, True),
+        (comp.without(3), False),
+        (parse_theory("k -> k\n", universe, chain5), False),
+        # context-false rules are rejected outright
+        (parse_theory(" -> k\n", universe, chain5), False),
+    ):
+        assert complete_by_scan(theory, holidays, s) == complete
+        assert is_complete(theory, holidays, s) == complete
 
-    oracle = _CompletenessOracle(holidays, settings[1])
-    comp = complete_set(holidays, settings[1])
-    assert oracle.check(comp)
-    assert not oracle.check(comp.without(3))
-    assert not oracle.check(parse_theory("k -> k\n", universe, chain5))
-    # context-false rules are rejected outright
-    assert not oracle.check(parse_theory(" -> k\n", universe, chain5))
+
+def _random_context_setting(rng, logic, n):
+    """A uniform n-degree chain, three attributes, two to four random rows,
+    and S generated by rotate(1) and a random diff-set or const-mult-set."""
+    chain = Chain([F(i, n - 1) for i in range(n)], logic)
+    universe = Universe(("x", "y", "z"))
+
+    def random_set():
+        return LSet(universe, chain, [rng.randrange(n) for _ in universe])
+
+    rows = [random_set() for _ in range(rng.randrange(2, 5))]
+    ctx = LContext(universe, chain, [f"o{i}" for i in range(len(rows))], rows)
+    const = rng.choice((DiffSet, ConstMultSet))(random_set())
+    gens = [Connection(Rotate(1), universe, chain), Connection(const, universe, chain)]
+    return ctx, generate_monoid(gens, universe, chain), random_set
+
+
+def test_nextclosure_matches_scan_oracle():
+    rng = random.Random(3301)
+    for logic in ("godel", "lukasiewicz"):
+        for n in (3, 4, 5):
+            for _ in range(6):
+                ctx, s, random_set = _random_context_setting(rng, logic, n)
+                comp = complete_set(ctx, s)
+                assert [(r.antecedent, r.consequent) for r in comp] == pseudo_intents_by_scan(
+                    ctx, s
+                )
+                base = reduce_to_base(comp, ctx, s)
+                assert models_enum(base, s) == models_by_sweep(base, s) == intents_enum(ctx, s)
+                other = Theory([FAI(random_set(), random_set()) for _ in range(3)])
+                assert models_enum(other, s) == models_by_sweep(other, s)
+                assert is_complete(base, ctx, s) and complete_by_scan(base, ctx, s)
+                for i in range(len(base)):
+                    dropped = base.without(i)
+                    assert is_complete(dropped, ctx, s) == complete_by_scan(dropped, ctx, s)
+                assert minimize_sides(base, ctx, s) == minimize_sides_by_scan(base, ctx, s)
 
 
 def test_hasse_dot_matches_transitive_reduction(holidays, settings):
