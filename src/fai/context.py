@@ -188,15 +188,6 @@ def complete_set(ctx: LContext, s: Parameterization, cap: int = 10**6) -> Theory
 # ------------------------------------------------------------- completeness
 
 
-def _complete_against(theory: Theory, ctx: LContext, s: Parameterization, comp: Theory) -> bool:
-    """Completeness given the context's complete set: every rule holds in the
-    context, so every intent is a model, and the theory entails every rule
-    of the complete set, so every model is an intent."""
-    return all(holds_in_context(ctx, r, s) for r in theory) and all(
-        entails(theory, r, s) for r in comp
-    )
-
-
 def is_complete(
     theory: Theory,
     ctx: LContext,
@@ -208,12 +199,16 @@ def is_complete(
 ) -> bool:
     """Whether the theory's least models agree with downup everywhere.
 
-    Full mode decides it by entailment of the complete set (``cap`` bounds
-    its enumeration); sampled mode compares least model and downup on the
-    rows, bottom, top, and seeded-random sets.
+    Full mode: every rule holds in the context, so every intent is a model,
+    and the theory entails every rule of the complete set (``cap`` bounds its
+    enumeration), so every model is an intent.  Sampled mode compares least
+    model and downup on the rows, bottom, top, and seeded-random sets.
     """
     if mode == "full":
-        return _complete_against(theory, ctx, s, complete_set(ctx, s, cap))
+        comp = complete_set(ctx, s, cap)
+        return all(holds_in_context(ctx, r, s) for r in theory) and all(
+            entails(theory, r, s) for r in comp
+        )
     if mode != "sampled":
         raise ValueError(f"unknown mode {mode!r}")
     universe, chain = ctx.universe, ctx.chain
@@ -248,12 +243,14 @@ def minimize_sides(theory: Theory, ctx: LContext, s: Parameterization, cap: int 
 
     Walks rules in order; within a rule, antecedent then consequent,
     attributes in universe order, stepping each degree down while the edited
-    theory remains complete for the context.
+    theory remains complete for the context.  The theory is complete before
+    every edit, so replacing rule r by r' keeps it complete iff r' holds in
+    the context (every intent stays a model) and the edited theory entails r
+    (no model is added).
     """
-    comp = complete_set(ctx, s, cap)
-    current = theory
-    if not _complete_against(current, ctx, s, comp):
+    if not is_complete(theory, ctx, s, cap=cap):
         raise NotComplete("minimize_sides needs a complete theory")
+    current = theory
     for i in range(len(current)):
         for side in ("antecedent", "consequent"):
             for y in range(len(ctx.universe)):
@@ -270,7 +267,7 @@ def minimize_sides(theory: Theory, ctx: LContext, s: Parameterization, cap: int 
                         else FAI(rule.antecedent, lowered)
                     )
                     edited = current.replaced(i, cand)
-                    if not _complete_against(edited, ctx, s, comp):
+                    if not (holds_in_context(ctx, cand, s) and entails(edited, rule, s)):
                         break
                     current = edited
     return current
@@ -286,12 +283,14 @@ def hasse_dot(sets, name: str = "lattice") -> str:
     for i, m in enumerate(nodes):
         label = render_lset(m).replace("\\", "\\\\").replace('"', '\\"')
         lines.append(f'  n{i} [label="{{{label}}}"];')
+    by_sum = sorted(range(len(nodes)), key=lambda j: sum(nodes[j].idx))
     for i, a in enumerate(nodes):
-        for j, b in enumerate(nodes):
-            if not a < b:
-                continue
-            if any(a < c and c < b for c in nodes):
-                continue
-            lines.append(f"  n{i} -> n{j};")
+        # b covers a unless some set lies between; any such set has a smaller
+        # degree sum, so it or a cover below it was met first
+        covers = []
+        for j in by_sum:
+            if a < nodes[j] and not any(nodes[c] < nodes[j] for c in covers):
+                covers.append(j)
+        lines.extend(f"  n{i} -> n{j};" for j in sorted(covers))
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -14,8 +14,9 @@ import itertools
 from .errors import CapExceeded, DegreeNotInChain, ParseError, UniverseMismatch
 from .lattice import Chain, parse_degree, render_degree
 
-# "#" starts a comment in theory files, so a name holding it would not parse back
-_FORBIDDEN = set("/,#\t\n\r ")
+# "#" starts a comment in theory files, and parsing strips whitespace and
+# splits lines at any line boundary, so a name holding these would not parse back
+_FORBIDDEN = set("/,#")
 
 
 class Universe:
@@ -28,7 +29,7 @@ class Universe:
         if len(set(attrs)) != len(attrs):
             raise ValueError("attribute names must be distinct")
         for name in attrs:
-            if not name or any(ch in _FORBIDDEN for ch in name) or "->" in name:
+            if not name or any(ch in _FORBIDDEN or ch.isspace() for ch in name) or "->" in name:
                 raise ValueError(f"bad attribute name {name!r}")
         self.attributes = attrs
         self.position = {name: i for i, name in enumerate(attrs)}

@@ -336,8 +336,12 @@ class Parameterization:
         return self._by_fp.get(conn.fingerprint)
 
     def compose_in(self, a: Connection, b: Connection) -> Connection:
-        """Composition resolved to the stored member of S."""
-        return self._by_fp[_compose_lower(a.lower_table, b.lower_table)]
+        """Composition resolved to the stored member of S, composing lower
+        tables only; InvariantError if S lacks it."""
+        member = self._by_fp.get(_compose_lower(a.lower_table, b.lower_table))
+        if member is None:
+            raise InvariantError("S is not closed under composition")
+        return member
 
     def lower_pairs(self, a: LSet, b: LSet):
         """The distinct (f(A).idx, f(B).idx) over <f, g> in S, in S's order,

@@ -15,7 +15,6 @@ from .fset import LSet, Universe, c_mult, parse_lset, render_lset, union
 from .gconn import (
     Connection,
     Parameterization,
-    compose,
     connection_from_descriptor,
     identity,
     term_to_descriptor,
@@ -329,10 +328,7 @@ def normalize_proof(proof: Proof, theory: Theory, s: Parameterization) -> Proof:
         elif node.kind == "hyp":
             out = _Node("applyf", formula, conn=f, p=node)
         elif node.kind == "applyf":
-            composed = s.resolve(compose(f, node.conn))
-            if composed is None:
-                raise InvariantError("S is not closed under composition")
-            out = _Node("applyf", formula, conn=composed, p=node.p)
+            out = _Node("applyf", formula, conn=s.compose_in(f, node.conn), p=node.p)
         elif node.kind == "cut":
             out = _Node("cut", formula, p=push(f, node.p), q=push(f, node.q), c=f.lower(node.c))
         else:
@@ -422,11 +418,23 @@ def _connection_from_ref(desc: dict, universe: Universe, chain: Chain) -> Connec
     return conn
 
 
+def _text(value, what: str) -> str:
+    if not isinstance(value, str):
+        raise ParseError(f"{what} must be a string, not {value!r}")
+    return value
+
+
 def proof_from_json(data: dict, universe: Universe, chain: Chain) -> Proof:
+    """The proof a JSON document describes; ParseError for any other shape."""
+    if not isinstance(data, dict):
+        raise ParseError(f"a proof file holds a JSON object, not {data!r}")
+    raw_steps = data.get("steps", [])
+    if not isinstance(raw_steps, list):
+        raise ParseError(f"steps must be a list, not {raw_steps!r}")
     steps = []
-    for k, raw in enumerate(data.get("steps", [])):
+    for k, raw in enumerate(raw_steps):
         try:
-            formula = parse_fai(raw["formula"], universe, chain)
+            formula = parse_fai(_text(raw["formula"], f"step {k} formula"), universe, chain)
             by = raw["by"]
             if by == "axiom":
                 just = Axiom()
@@ -436,7 +444,9 @@ def proof_from_json(data: dict, universe: Universe, chain: Chain) -> Proof:
                 i, j = by["cut"]
                 c = by.get("C")
                 just = Cut(
-                    int(i), int(j), parse_lset(c, universe, chain) if c is not None else None
+                    int(i),
+                    int(j),
+                    parse_lset(_text(c, f"step {k} C"), universe, chain) if c is not None else None,
                 )
             elif "applyF" in by:
                 just = ApplyF(int(by["applyF"]), _connection_from_ref(by["conn"], universe, chain))
@@ -446,8 +456,8 @@ def proof_from_json(data: dict, universe: Universe, chain: Chain) -> Proof:
                     int(i),
                     int(j),
                     _connection_from_ref(by["conn"], universe, chain),
-                    parse_lset(by["B"], universe, chain),
-                    parse_lset(by["C"], universe, chain),
+                    parse_lset(_text(by["B"], f"step {k} B"), universe, chain),
+                    parse_lset(_text(by["C"], f"step {k} C"), universe, chain),
                 )
             else:
                 raise ParseError(f"unknown justification {by!r}")
@@ -459,7 +469,7 @@ def proof_from_json(data: dict, universe: Universe, chain: Chain) -> Proof:
     proof = Proof(steps)
     stated = data.get("goal")
     if stated is not None:
-        expected = parse_fai(stated, universe, chain)
+        expected = parse_fai(_text(stated, "goal"), universe, chain)
         if proof.goal != expected:
             raise ParseError("stated goal differs from the last step")
     return proof

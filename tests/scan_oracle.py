@@ -38,9 +38,9 @@ def complete_by_scan(theory, ctx, s):
     )
 
 
-def minimize_sides_by_scan(theory, ctx, s):
+def minimize_sides_by_scan(theory, ctx, s, complete=complete_by_scan):
     """The side-minimizing walk of fai.minimize_sides, deciding each edit by
-    complete_by_scan."""
+    ``complete(theory, ctx, s)`` on the whole edited theory."""
     current = theory
     for i in range(len(current)):
         for side in ("antecedent", "consequent"):
@@ -57,7 +57,7 @@ def minimize_sides_by_scan(theory, ctx, s):
                         else FAI(rule.antecedent, lowered)
                     )
                     edited = current.replaced(i, cand)
-                    if not complete_by_scan(edited, ctx, s):
+                    if not complete(edited, ctx, s):
                         break
                     current = edited
     return current

@@ -150,6 +150,43 @@ def test_check_proof_goal_mismatch(capsys):
     assert "invalid:" in capsys.readouterr().out
 
 
+def _with_step(data, k, **fields):
+    steps = [dict(step) for step in data["steps"]]
+    steps[k].update(fields)
+    return {**data, "steps": steps}
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda d: [], "a proof file holds a JSON object, not []"),
+        (lambda d: "x", "a proof file holds a JSON object, not 'x'"),
+        (lambda d: {**d, "steps": 5}, "steps must be a list, not 5"),
+        (lambda d: {**d, "goal": 3}, "goal must be a string, not 3"),
+        (lambda d: _with_step(d, 0, formula=7), "step 0 formula must be a string, not 7"),
+        (
+            lambda d: _with_step(d, 4, by={"cut": [0, 0], "C": 5}),
+            "step 4 C must be a string, not 5",
+        ),
+        (
+            lambda d: _with_step(d, 4, by={"cut": [0, 0], "C": ["a"]}),
+            "step 4 C must be a string, not ['a']",
+        ),
+        (
+            lambda d: _with_step(
+                d, 4, by={"cutF": [0, 0], "conn": {"kind": "rotate", "shift": 2}, "B": 5, "C": ""}
+            ),
+            "step 4 B must be a string, not 5",
+        ),
+    ],
+)
+def test_malformed_proof_files_exit_3(tmp_path, capsys, edit, message):
+    path = tmp_path / "proof.json"
+    path.write_text(json.dumps(edit(json.loads((DATA / "s6_proof.json").read_text()))))
+    assert main(["check-proof", "--params", P6, "--theory", BASE6, "--proof", str(path)]) == 3
+    assert message in capsys.readouterr().err
+
+
 def test_check_proof_cutf_flag(tmp_path, capsys, settings, chain5, universe):
     from test_proof import _cutf_example
 

@@ -170,6 +170,13 @@ def test_minimize_sides(holidays, settings, chain5, universe):
         assert after.consequent <= before.consequent
     with pytest.raises(NotComplete):
         minimize_sides(parse_theory("k -> k\n", universe, chain5), holidays, settings[6])
+    # on every S1-S6 base the walk equals the one deciding each edit by the
+    # full completeness check of the whole edited theory
+    for s in settings.values():
+        base = reduce_to_base(complete_set(holidays, s), holidays, s)
+        assert minimize_sides(base, holidays, s) == minimize_sides_by_scan(
+            base, holidays, s, complete=is_complete
+        )
 
 
 def test_completeness_oracle_agrees_with_public_check(holidays, settings, chain5, universe):
@@ -225,21 +232,23 @@ def test_nextclosure_matches_scan_oracle():
 
 def test_hasse_dot_matches_transitive_reduction(holidays, settings):
     networkx = pytest.importorskip("networkx")
-    intents = intents_enum(holidays, settings[5])
-    dot = hasse_dot(intents, name="intents")
-    nodes = re.findall(r'^  n(\d+) \[label="(.*)"\];$', dot, re.M)
-    edges = re.findall(r"^  n(\d+) -> n(\d+);$", dot, re.M)
-    assert len(nodes) == len(intents) == 21
+    for k, count in ((5, 21), (6, 65)):
+        intents = intents_enum(holidays, settings[k])
+        dot = hasse_dot(intents, name="intents")
+        nodes = re.findall(r'^  n(\d+) \[label="(.*)"\];$', dot, re.M)
+        edges = re.findall(r"^  n(\d+) -> n(\d+);$", dot, re.M)
+        assert len(nodes) == len(intents) == count
 
-    g = networkx.DiGraph()
-    g.add_nodes_from(range(len(intents)))
-    ordered = sorted(intents, key=lambda m: m.idx)
-    for i, a in enumerate(ordered):
-        for j, b in enumerate(ordered):
-            if a < b:
-                g.add_edge(i, j)
-    reduced = networkx.transitive_reduction(g)
-    assert sorted((int(a), int(b)) for a, b in edges) == sorted(reduced.edges())
+        g = networkx.DiGraph()
+        g.add_nodes_from(range(len(intents)))
+        ordered = sorted(intents, key=lambda m: m.idx)
+        for i, a in enumerate(ordered):
+            for j, b in enumerate(ordered):
+                if a < b:
+                    g.add_edge(i, j)
+        reduced = networkx.transitive_reduction(g)
+        # edges come out by source, then target, so the DOT bytes are stable
+        assert [(int(a), int(b)) for a, b in edges] == sorted(reduced.edges())
 
 
 def test_hasse_dot_escapes_quotes_and_backslashes(chain5):

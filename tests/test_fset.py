@@ -35,7 +35,7 @@ def test_universe_validation():
         Universe(())
     with pytest.raises(ValueError):
         Universe(("x", "x"))
-    for bad in ("a/b", "x,y", "p q", "a->b", "c\td", "e#x"):
+    for bad in ("a/b", "x,y", "p q", "a->b", "c\td", "e#x", "f\x0b", "\x85g", "h\u2028i"):
         with pytest.raises(ValueError):
             Universe(("ok", bad))
 
