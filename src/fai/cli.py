@@ -21,10 +21,16 @@ from .context import (
     minimize_sides,
     reduce_to_base,
 )
-from .errors import CapExceeded, FaiError, GoalMismatch, InvalidStep, NotProvable, ParseError
+from .errors import FaiError, GoalMismatch, InvalidStep, NotProvable, ParseError
 from .fset import Universe, parse_lset, render_lset
-from .gconn import generate_monoid, generators_from_descriptors, term_to_descriptor, verify_adjoint
-from .lattice import Chain, parse_degree, render_degree
+from .gconn import (
+    _degree_from,
+    generate_monoid,
+    generators_from_descriptors,
+    term_to_descriptor,
+    verify_adjoint,
+)
+from .lattice import Chain, render_degree
 from .proof import check_proof, proof_from_json, proof_to_json, prove
 from .semantics import (
     entail_degree,
@@ -75,15 +81,11 @@ def _load_setting(path: str):
             or (key == "attributes" and not all(isinstance(name, str) for name in value))
         ):
             raise ParseError(f"{key} must be {what}, not {value!r}")
-    chain = Chain([_fraction(d) for d in data["degrees"]], data["logic"])
+    chain = Chain([_degree_from(d) for d in data["degrees"]], data["logic"])
     universe = Universe(data["attributes"])
     gens = generators_from_descriptors(data.get("generators", []), universe, chain)
     cap = data.get("monoid_cap", 4096)
     return chain, universe, generate_monoid(gens, universe, chain, cap=cap)
-
-
-def _fraction(value) -> Fraction:
-    return parse_degree(value) if isinstance(value, str) else Fraction(value)
 
 
 def _load_context(path: str, chain: Chain, universe: Universe) -> LContext:
@@ -131,13 +133,9 @@ def cmd_validate(args) -> int:
     for i, conn in enumerate(s):
         term = _render_descriptor(term_to_descriptor(conn.term))
         print(f"  [{i}] {term}  fp={conn.fingerprint_hash()}")
-    try:
-        for conn in s:
-            verify_adjoint(conn.lower, conn.upper, universe, chain, cap=args.cap)
-    except CapExceeded:
-        print("adjointness: skipped (state space above --cap)")
-    else:
-        print(f"adjointness: verified for all {len(s)} members")
+    for conn in s:
+        verify_adjoint(conn)
+    print(f"adjointness: verified for all {len(s)} members")
     return 0
 
 
@@ -174,7 +172,7 @@ def _cmd_rules(args, reduce: bool) -> int:
     _note(f"S: {len(s)} connections")
     ctx = _load_context(args.context, chain, universe)
     theory = complete_set(ctx, s, cap=args.cap)
-    if reduce and not args.complete_only:
+    if reduce:
         theory = reduce_to_base(theory, ctx, s)
         if args.minimize_sides:
             theory = minimize_sides(theory, ctx, s, cap=args.cap)
@@ -248,11 +246,8 @@ def cmd_prove(args) -> int:
     except NotProvable as exc:
         print(f"not provable: {exc}")
         return 1
-    payload = json.dumps(proof_to_json(proof), indent=2) + "\n"
-    if args.out is None:
-        sys.stdout.write(payload)
-    else:
-        _emit(payload, args.out)
+    _emit(json.dumps(proof_to_json(proof), indent=2) + "\n", args.out)
+    if args.out is not None:
         print(f"proved in {len(proof)} steps")
     return 0
 
@@ -266,8 +261,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="JSON with degrees, logic, attributes, generators")
     common.add_argument("--cap", type=int, default=10**6, metavar="N",
                         help="abort past N closed sets (intents, models, or intents "
-                        "and pseudo-intents); validate: skip adjointness past "
-                        "N graded sets")
+                        "and pseudo-intents)")
 
     parser = argparse.ArgumentParser(
         prog="fai",
@@ -306,10 +300,6 @@ def _build_parser() -> argparse.ArgumentParser:
         if extra:
             p.add_argument("--minimize-sides", action="store_true",
                            help="also lower degrees inside the surviving rules")
-            p.add_argument("--complete-only", action="store_true",
-                           help="skip the redundancy pass")
-        else:
-            p.set_defaults(minimize_sides=False, complete_only=True)
         p.set_defaults(func=func)
 
     p = sub.add_parser("intents", parents=[common],

@@ -424,6 +424,12 @@ def _text(value, what: str) -> str:
     return value
 
 
+def _index(value, what: str) -> int:
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ParseError(f"{what} must be an integer, not {value!r}")
+    return value
+
+
 def proof_from_json(data: dict, universe: Universe, chain: Chain) -> Proof:
     """The proof a JSON document describes; ParseError for any other shape."""
     if not isinstance(data, dict):
@@ -439,22 +445,25 @@ def proof_from_json(data: dict, universe: Universe, chain: Chain) -> Proof:
             if by == "axiom":
                 just = Axiom()
             elif "hyp" in by:
-                just = Hyp(int(by["hyp"]))
+                just = Hyp(_index(by["hyp"], f"step {k} hyp index"))
             elif "cut" in by:
-                i, j = by["cut"]
+                i, j = (_index(v, f"step {k} cut index") for v in by["cut"])
                 c = by.get("C")
                 just = Cut(
-                    int(i),
-                    int(j),
+                    i,
+                    j,
                     parse_lset(_text(c, f"step {k} C"), universe, chain) if c is not None else None,
                 )
             elif "applyF" in by:
-                just = ApplyF(int(by["applyF"]), _connection_from_ref(by["conn"], universe, chain))
+                just = ApplyF(
+                    _index(by["applyF"], f"step {k} applyF index"),
+                    _connection_from_ref(by["conn"], universe, chain),
+                )
             elif "cutF" in by:
-                i, j = by["cutF"]
+                i, j = (_index(v, f"step {k} cutF index") for v in by["cutF"])
                 just = CutF(
-                    int(i),
-                    int(j),
+                    i,
+                    j,
                     _connection_from_ref(by["conn"], universe, chain),
                     parse_lset(_text(by["B"], f"step {k} B"), universe, chain),
                     parse_lset(_text(by["C"], f"step {k} C"), universe, chain),

@@ -3,13 +3,16 @@
 ``lower_idx`` and ``upper_idx`` interpret a connection term directly,
 walking composite terms recursively; ``pairwise_monoid`` closes generators
 under composition by composing every pair of members, round by round, until
-a round finds nothing new.  fai evaluates connections from their tables and
-finds the size of S first, so these serve as independent oracles.
+a round finds nothing new; ``verify_adjoint_by_sweep`` checks adjointness of
+two maps on every graded set.  fai evaluates connections from their tables,
+finds the size of S first and checks adjointness on the tables' entries, so
+these serve as independent oracles.
 """
 
 from functools import lru_cache
+import itertools
 
-from fai import CapExceeded, DualPair, identity
+from fai import CapExceeded, DualPair, LSet, NotAdjoint, identity, render_lset
 from fai.gconn import Compose, ConstMult, ConstMultSet, DiffSet, Identity, Rotate, compose
 
 
@@ -93,3 +96,32 @@ def pairwise_monoid(generators, universe, chain, cap=4096):
                     if len(elems) > cap:
                         raise CapExceeded(f"monoid exceeds {cap} connections")
     return elems
+
+
+def verify_adjoint_by_sweep(lower, upper, universe, chain, cap=10**6) -> bool:
+    """Check that two maps form an isotone Galois connection.
+
+    Equivalent to the pairwise biconditional f(A) <= B iff A <= g(B):
+    both maps monotone (checked over all covers) plus A <= g(f(A)) and
+    f(g(B)) <= B.  Raises NotAdjoint with a counterexample.
+    """
+    total = chain.n ** len(universe)
+    if total > cap:
+        raise CapExceeded(f"{total} sets exceed the verification cap {cap}")
+    size = len(universe)
+    for idx in itertools.product(range(chain.n), repeat=size):
+        a = LSet(universe, chain, idx)
+        fa = lower(a)
+        ga = upper(a)
+        if not a <= upper(fa):
+            raise NotAdjoint(f"A <= g(f(A)) fails at A = {render_lset(a)!r}")
+        if not lower(ga) <= a:
+            raise NotAdjoint(f"f(g(B)) <= B fails at B = {render_lset(a)!r}")
+        for y in range(size):
+            if idx[y] + 1 < chain.n:
+                b = a.with_index(y, idx[y] + 1)
+                if not fa <= lower(b):
+                    raise NotAdjoint(f"f not monotone between {render_lset(a)!r} and {render_lset(b)!r}")
+                if not ga <= upper(b):
+                    raise NotAdjoint(f"g not monotone between {render_lset(a)!r} and {render_lset(b)!r}")
+    return True

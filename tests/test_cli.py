@@ -178,6 +178,21 @@ def _with_step(data, k, **fields):
             ),
             "step 4 B must be a string, not 5",
         ),
+        (
+            lambda d: _with_step(d, 4, by={"cut": [2.5, 3]}),
+            "step 4 cut index must be an integer, not Fraction(5, 2)",
+        ),
+        (lambda d: _with_step(d, 0, by={"hyp": True}), "step 0 hyp index must be an integer, not True"),
+        (
+            lambda d: _with_step(d, 4, by={"applyF": 1.0, "conn": {"kind": "identity"}}),
+            "step 4 applyF index must be an integer, not Fraction(1, 1)",
+        ),
+        (
+            lambda d: _with_step(
+                d, 4, by={"cutF": [0, False], "conn": {"kind": "identity"}, "B": "", "C": ""}
+            ),
+            "step 4 cutF index must be an integer, not False",
+        ),
     ],
 )
 def test_malformed_proof_files_exit_3(tmp_path, capsys, edit, message):
@@ -277,6 +292,9 @@ def test_generators_not_a_list_is_a_parse_error(tmp_path, capsys):
         ({"monoid_cap": True}, "monoid_cap must be an integer, not True"),
         ({"monoid_cap": 8.5}, "monoid_cap must be an integer"),
         (None, "a parameter file holds a JSON object"),
+        ({"degrees": [0, None, 1]}, "cannot read degree None"),
+        ({"degrees": [0, [1], 1]}, "cannot read degree [1]"),
+        ({"degrees": [False, True]}, "cannot read degree False"),
     ],
 )
 def test_top_level_key_types_are_checked(tmp_path, capsys, edit, message):

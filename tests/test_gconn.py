@@ -105,10 +105,15 @@ def test_derive_upper_recovers_the_adjoint(small):
             assert derive_upper(conn, b) == conn.upper(b)
 
 
+def _mixed(lo, hi):
+    """lo's lower table paired with hi's upper table."""
+    return Connection(lo.term, lo.universe, lo.chain, _tables=(lo.lower_table, hi.upper_table))
+
+
 def test_every_generator_is_adjoint(small):
     universe, chain = small
     for conn in _generator_zoo(universe, chain):
-        assert verify_adjoint(conn.lower, conn.upper, universe, chain)
+        assert verify_adjoint(conn)
 
 
 def test_verify_adjoint_matches_brute_force(small):
@@ -124,30 +129,24 @@ def test_verify_adjoint_matches_brute_force(small):
     half = Connection(ConstMult(F(1, 2)), universe, chain)
     ident = identity(universe, chain)
     cases = [
-        (half.lower, half.upper, True),
-        (half.lower, ident.upper, False),
-        (ident.lower, half.upper, False),
+        (_mixed(half, half), True),
+        (_mixed(half, ident), False),
+        (_mixed(ident, half), False),
     ]
-    for lower, upper, expected in cases:
-        assert brute(lower, upper) == expected
+    for conn, expected in cases:
+        assert brute(conn.lower, conn.upper) == expected
         if expected:
-            assert verify_adjoint(lower, upper, universe, chain)
+            assert verify_adjoint(conn)
         else:
             with pytest.raises(NotAdjoint):
-                verify_adjoint(lower, upper, universe, chain)
+                verify_adjoint(conn)
 
 
 def test_verify_adjoint_rejects_mismatched_constants(chain5, universe):
     lo = Connection(ConstMult(F(1, 2)), universe, chain5)
     hi = Connection(ConstMult(F(1, 4)), universe, chain5)
     with pytest.raises(NotAdjoint):
-        verify_adjoint(lo.lower, hi.upper, universe, chain5)
-
-
-def test_verify_adjoint_cap(chain5, universe):
-    ident = identity(universe, chain5)
-    with pytest.raises(CapExceeded):
-        verify_adjoint(ident.lower, ident.upper, universe, chain5, cap=10)
+        verify_adjoint(_mixed(lo, hi))
 
 
 def test_parameterization_checks_monoid_axioms(chain5, universe):

@@ -1,8 +1,10 @@
-"""Connections evaluated from their tables against the term interpreter, and
-monoid generation against plain pairwise discovery."""
+"""Connections evaluated from their tables against the term interpreter,
+monoid generation against plain pairwise discovery, and the adjointness
+check on the tables against a sweep over every graded set."""
 
 from fractions import Fraction
 import itertools
+import random
 
 import pytest
 
@@ -18,7 +20,7 @@ from fai import (
 )
 from fai.gconn import DiffSet, Rotate, _fp_apply, _upper_apply
 
-from term_oracle import lower_idx, pairwise_monoid, upper_idx
+from term_oracle import lower_idx, pairwise_monoid, upper_idx, verify_adjoint_by_sweep
 
 F = Fraction
 
@@ -57,11 +59,14 @@ def test_tables_match_interpreter_on_the_worked_example(settings, chain5, univer
 # Godel at |L| = 5 gives |S| = 85; Lukasiewicz at |L| = 5 exceeds the default
 # cap, so it runs at |L| = 3 (|S| = 456); {0, 1} is the only finite chain
 # closed under the Goguen product (|S| = 81).
-@pytest.mark.parametrize("logic,degrees,size", [
+ROTATE_DIFF_MONOIDS = [
     ("godel", 5, 85),
     ("lukasiewicz", 3, 456),
     ("goguen", 2, 81),
-])
+]
+
+
+@pytest.mark.parametrize("logic,degrees,size", ROTATE_DIFF_MONOIDS)
 def test_tables_match_interpreter_on_rotate_diff_monoids(logic, degrees, size):
     gens, universe, chain = _rotate_diff_generators(logic, degrees)
     s = generate_monoid(gens, universe, chain)
@@ -95,7 +100,7 @@ def test_cap_exceeded_at_the_same_size(settings, chain5, universe):
 
 def test_verify_adjoint_rejects_a_corrupted_upper_table(settings, chain5, universe):
     for conn in settings[6]:
-        assert verify_adjoint(conn.lower, conn.upper, universe, chain5)
+        assert verify_adjoint(conn)
     conn = settings[6].connections[2]  # the diff-set generator
     rows = [list(row) for row in conn.upper_table]
     rows[3][2] = tuple(max(v - 1, 0) for v in rows[3][2])
@@ -104,4 +109,49 @@ def test_verify_adjoint_rejects_a_corrupted_upper_table(settings, chain5, univer
     bad = Connection(conn.term, universe, chain5, _tables=(conn.lower_table, corrupted))
     assert bad == conn  # equality only sees the lower table
     with pytest.raises(NotAdjoint):
-        verify_adjoint(bad.lower, bad.upper, universe, chain5)
+        verify_adjoint(bad)
+
+
+def _corrupted(conn, which, rng):
+    """conn with one entry of its lower (which = 0) or upper (1) table moved
+    to another degree."""
+    rows = [list(column) for column in (conn.lower_table, conn.upper_table)[which]]
+    y = rng.randrange(len(rows))
+    k = rng.randrange(len(rows[y]))
+    vector = list(rows[y][k])
+    z = rng.randrange(len(vector))
+    vector[z] = rng.choice([v for v in range(conn.chain.n) if v != vector[z]])
+    rows[y][k] = tuple(vector)
+    table = tuple(tuple(column) for column in rows)
+    tables = (table, conn.upper_table) if which == 0 else (conn.lower_table, table)
+    return Connection(conn.term, conn.universe, conn.chain, _tables=tables)
+
+
+def _verdict(check, *args):
+    try:
+        return check(*args)
+    except NotAdjoint:
+        return False
+
+
+# members sampled from each rotate + diff-set monoid; a sweep over the 3125
+# sets of the Godel one takes about 0.3 s
+SAMPLED = {"godel": 3, "lukasiewicz": 12, "goguen": 20}
+
+
+def test_table_check_agrees_with_the_sweep(settings):
+    rng = random.Random(20141)
+    conns = [conn for s in settings.values() for conn in s]
+    for logic, degrees, _ in ROTATE_DIFF_MONOIDS:
+        s = generate_monoid(*_rotate_diff_generators(logic, degrees))
+        conns += rng.sample(s.connections, SAMPLED[logic])
+    cases = [c for conn in conns for c in (conn, _corrupted(conn, 0, rng), _corrupted(conn, 1, rng))]
+    verdicts = []
+    for c in cases:
+        expected = _verdict(verify_adjoint_by_sweep, c.lower, c.upper, c.universe, c.chain)
+        assert _verdict(verify_adjoint, c) == expected, (c.term, c.lower_table, c.upper_table)
+        verdicts.append(expected)
+    # each of f and g determines the other, so a one-entry change to either
+    # table breaks adjointness: every member passes, every corruption fails
+    assert verdicts.count(True) == len(conns)
+    assert verdicts.count(False) == 2 * len(conns)
