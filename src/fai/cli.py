@@ -259,9 +259,12 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--params", required=True, metavar="FILE",
                         help="JSON with degrees, logic, attributes, generators")
-    common.add_argument("--cap", type=int, default=10**6, metavar="N",
-                        help="abort past N closed sets (intents, models, or intents "
-                        "and pseudo-intents)")
+
+    # only the commands that enumerate closed sets take --cap
+    enumerating = argparse.ArgumentParser(add_help=False, parents=[common])
+    enumerating.add_argument("--cap", type=int, default=10**6, metavar="N",
+                             help="abort past N closed sets (intents, models, or intents "
+                             "and pseudo-intents)")
 
     parser = argparse.ArgumentParser(
         prog="fai",
@@ -291,7 +294,7 @@ def _build_parser() -> argparse.ArgumentParser:
         ("base", cmd_base, True),
         ("complete-set", cmd_complete_set, False),
     ):
-        p = sub.add_parser(name, parents=[common],
+        p = sub.add_parser(name, parents=[enumerating],
                            help="non-redundant base from a context" if extra
                            else "pseudo-intent implications of a context")
         p.add_argument("--context", required=True, metavar="FILE")
@@ -302,7 +305,7 @@ def _build_parser() -> argparse.ArgumentParser:
                            help="also lower degrees inside the surviving rules")
         p.set_defaults(func=func)
 
-    p = sub.add_parser("intents", parents=[common],
+    p = sub.add_parser("intents", parents=[enumerating],
                        help="all context closures, in lectic order")
     p.add_argument("--context", required=True, metavar="FILE")
     p.add_argument("--dot", metavar="FILE", help="write the cover diagram as DOT")
@@ -310,7 +313,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", metavar="FILE")
     p.set_defaults(func=cmd_intents)
 
-    p = sub.add_parser("models", parents=[common],
+    p = sub.add_parser("models", parents=[enumerating],
                        help="all models of a theory, in lectic order")
     p.add_argument("--theory", required=True, metavar="FILE")
     p.add_argument("--dot", metavar="FILE", help="write the cover diagram as DOT")

@@ -13,7 +13,7 @@ import csv
 import io
 import random
 
-from .errors import NotComplete, ParseError, UniverseMismatch
+from .errors import NotClosureSystem, NotComplete, ParseError, UniverseMismatch
 from .fset import LSet, Universe, next_closures, render_lset
 from .gconn import Parameterization
 from .lattice import Chain, parse_degree
@@ -183,6 +183,40 @@ def complete_set(ctx: LContext, s: Parameterization, cap: int = 10**6) -> Theory
         [FAI(p, cl) for p, cl in pairs],
         [f"pseudo-intent #{i}" for i in range(len(pairs))],
     )
+
+
+def theory_of_system(models, s: Parameterization, cap: int = 10**6) -> Theory:
+    """A theory whose models are exactly the given S-closure system.
+
+    The input must contain the top set, be closed under pairwise
+    intersections and under every upper adjoint of S (NotClosureSystem
+    otherwise).  Then, in the context whose rows are the members, every
+    g(row) is a member and the identity is in S, so downup(A) is the least
+    member containing A and the intents are the members: the result is that
+    context's complete set, in the order of pseudo_intents.  ``cap`` bounds
+    the intents and pseudo-intents visited.
+    """
+    models = list(models)
+    if not models:
+        raise NotClosureSystem("a closure system contains at least the top set")
+    universe, chain = s.universe, s.chain
+    have = set(models)
+    if LSet.top(universe, chain) not in have:
+        raise NotClosureSystem("the top set is missing")
+    for a in models:
+        for b in models:
+            if a & b not in have:
+                raise NotClosureSystem(
+                    f"not intersection-closed: {render_lset(a)!r} and {render_lset(b)!r}"
+                )
+        for conn in s:
+            if conn.upper(a) not in have:
+                raise NotClosureSystem(
+                    f"not closed under an upper adjoint at {render_lset(a)!r}"
+                )
+    members = list(dict.fromkeys(models))
+    ctx = LContext(universe, chain, [str(i) for i in range(len(members))], members)
+    return complete_set(ctx, s, cap)
 
 
 # ------------------------------------------------------------- completeness

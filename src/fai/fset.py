@@ -9,7 +9,6 @@ when it is 1 and the whole item omitted when it is 0.
 from __future__ import annotations
 
 from fractions import Fraction
-import itertools
 
 from .errors import CapExceeded, DegreeNotInChain, ParseError, UniverseMismatch
 from .lattice import Chain, parse_degree, render_degree
@@ -210,21 +209,6 @@ def parse_lset(text: str, universe: Universe, chain: Chain) -> LSet:
         seen.add(name)
         idx[universe.position[name]] = chain.index_of(d)
     return LSet(universe, chain, idx)
-
-
-def iter_lsets(universe: Universe, chain: Chain):
-    """All LSets over the universe in ascending lectic order.
-
-    Lectic = lexicographic on degree vectors with the first attribute most
-    significant; A < B iff at the first attribute where they differ, A's
-    degree is smaller.  Proper containment implies lectic order.
-    """
-    for idx in itertools.product(range(chain.n), repeat=len(universe)):
-        yield LSet(universe, chain, idx)
-
-
-def lset_count(universe: Universe, chain: Chain) -> int:
-    return chain.n ** len(universe)
 
 
 def next_closures(universe: Universe, chain: Chain, close, cap: int):

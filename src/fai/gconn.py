@@ -239,19 +239,6 @@ def compose(outer: Connection, inner: Connection) -> Connection:
     return Connection(Compose(outer.term, inner.term), outer.universe, outer.chain, _tables=tables)
 
 
-def derive_upper(conn: Connection, b: LSet) -> LSet:
-    """Recover g from f alone: g(B)(y) = max {a : f({a/y}) <= B}."""
-    fp = conn.fingerprint
-    out = []
-    for y in range(len(conn.universe)):
-        best = 0
-        for a in range(1, conn.chain.n):
-            if all(v <= w for v, w in zip(fp[y][a - 1], b.idx)):
-                best = a
-        out.append(best)
-    return LSet(conn.universe, conn.chain, out)
-
-
 def verify_adjoint(conn: Connection) -> bool:
     """Check that a connection's two tables give an isotone Galois connection.
 
@@ -508,6 +495,9 @@ def _checked_descriptor(desc, allow_hedge: bool) -> str:
             raise ParseError(f"{kind} descriptor has a malformed {key!r}: {value!r}")
     if kind == "compose" and len(desc["terms"]) != 2:
         raise ParseError("compose descriptor needs exactly two terms")
+    if kind == "hedge" and not isinstance(desc.get("drop_vacuous", False), bool):
+        value = desc["drop_vacuous"]
+        raise ParseError(f"hedge descriptor has a malformed 'drop_vacuous': {value!r}")
     return kind
 
 
@@ -541,7 +531,7 @@ def generators_from_descriptors(descriptors, universe: Universe, chain: Chain):
         if _checked_descriptor(desc, allow_hedge=True) == "hedge":
             fps = [_degree_from(v) for v in desc["fixed_points"]]
             hedge = Hedge(chain, fps)
-            conns.extend(from_hedge(hedge, universe, drop_vacuous=bool(desc.get("drop_vacuous"))))
+            conns.extend(from_hedge(hedge, universe, drop_vacuous=desc.get("drop_vacuous", False)))
         else:
             conns.append(connection_from_descriptor(desc, universe, chain))
     return conns

@@ -11,13 +11,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import CapExceeded, InvariantError, NotClosureSystem, ParseError, UniverseMismatch
+from .errors import InvariantError, ParseError, UniverseMismatch
 from .fset import (
     LSet,
     Universe,
     c_mult,
-    iter_lsets,
-    lset_count,
     next_closures,
     parse_lset,
     render_lset,
@@ -219,48 +217,3 @@ def models_enum(theory: Theory, s: Parameterization, cap: int = 10**6):
     """All models of the theory, in lectic order: the fixed points of
     least_model; CapExceeded past ``cap`` models."""
     return list(next_closures(s.universe, s.chain, lambda m: least_model(theory, s, m), cap))
-
-
-def theory_of_system(models, s: Parameterization, cap: int = 10**6) -> Theory:
-    """A theory whose models are exactly the given S-closure system.
-
-    The input must contain the top set, be closed under pairwise
-    intersections and under every upper adjoint of S (NotClosureSystem
-    otherwise).  Emits A => C(A) for every A with C(A) != A, where C(A) is
-    the least member containing A.
-    """
-    models = list(models)
-    if not models:
-        raise NotClosureSystem("a closure system contains at least the top set")
-    universe, chain = s.universe, s.chain
-    total = lset_count(universe, chain)
-    if total > cap:
-        raise CapExceeded(f"{total} candidate sets exceed the cap {cap}")
-    have = set(models)
-    top = LSet.top(universe, chain)
-    if top not in have:
-        raise NotClosureSystem("the top set is missing")
-    for a in models:
-        for b in models:
-            if a & b not in have:
-                raise NotClosureSystem(
-                    f"not intersection-closed: {render_lset(a)!r} and {render_lset(b)!r}"
-                )
-        for conn in s:
-            if conn.upper(a) not in have:
-                raise NotClosureSystem(
-                    f"not closed under an upper adjoint at {render_lset(a)!r}"
-                )
-    rules = []
-    seen = set()
-    for a in iter_lsets(universe, chain):
-        closure = top
-        for m in models:
-            if a <= m:
-                closure = closure & m
-        if closure != a:
-            rule = FAI(a, closure)
-            if rule not in seen:
-                seen.add(rule)
-                rules.append(rule)
-    return Theory(rules)

@@ -1,11 +1,38 @@
 """Brute-force references kept for tests only.
 
 Each function sweeps all |L|^|Y| graded sets.  fai enumerates pseudo-intents
-and models with NextClosure and decides completeness by entailment of the
-complete set, so these serve as independent oracles.
+and models with NextClosure, decides completeness by entailment of the
+complete set and takes the theory of a closure system as the complete set of
+the context it spans, so these serve as independent oracles.
 """
 
-from fai import FAI, downup, iter_lsets, least_model
+import itertools
+
+from fai import (
+    FAI,
+    CapExceeded,
+    LSet,
+    NotClosureSystem,
+    Theory,
+    downup,
+    least_model,
+    render_lset,
+)
+
+
+def iter_lsets(universe, chain):
+    """All LSets over the universe in ascending lectic order.
+
+    Lectic = lexicographic on degree vectors with the first attribute most
+    significant; A < B iff at the first attribute where they differ, A's
+    degree is smaller.  Proper containment implies lectic order.
+    """
+    for idx in itertools.product(range(chain.n), repeat=len(universe)):
+        yield LSet(universe, chain, idx)
+
+
+def lset_count(universe, chain) -> int:
+    return chain.n ** len(universe)
 
 
 def pseudo_intents_by_scan(ctx, s, order="sum-lectic"):
@@ -61,3 +88,48 @@ def minimize_sides_by_scan(theory, ctx, s, complete=complete_by_scan):
                         break
                     current = edited
     return current
+
+
+def theory_of_system_by_sweep(models, s, cap=10**6):
+    """A theory whose models are exactly the given S-closure system.
+
+    The input must contain the top set, be closed under pairwise
+    intersections and under every upper adjoint of S (NotClosureSystem
+    otherwise).  Emits A => C(A) for every A with C(A) != A, where C(A) is
+    the least member containing A.
+    """
+    models = list(models)
+    if not models:
+        raise NotClosureSystem("a closure system contains at least the top set")
+    universe, chain = s.universe, s.chain
+    total = lset_count(universe, chain)
+    if total > cap:
+        raise CapExceeded(f"{total} candidate sets exceed the cap {cap}")
+    have = set(models)
+    top = LSet.top(universe, chain)
+    if top not in have:
+        raise NotClosureSystem("the top set is missing")
+    for a in models:
+        for b in models:
+            if a & b not in have:
+                raise NotClosureSystem(
+                    f"not intersection-closed: {render_lset(a)!r} and {render_lset(b)!r}"
+                )
+        for conn in s:
+            if conn.upper(a) not in have:
+                raise NotClosureSystem(
+                    f"not closed under an upper adjoint at {render_lset(a)!r}"
+                )
+    rules = []
+    seen = set()
+    for a in iter_lsets(universe, chain):
+        closure = top
+        for m in models:
+            if a <= m:
+                closure = closure & m
+        if closure != a:
+            rule = FAI(a, closure)
+            if rule not in seen:
+                seen.add(rule)
+                rules.append(rule)
+    return Theory(rules)

@@ -4,9 +4,10 @@
 walking composite terms recursively; ``pairwise_monoid`` closes generators
 under composition by composing every pair of members, round by round, until
 a round finds nothing new; ``verify_adjoint_by_sweep`` checks adjointness of
-two maps on every graded set.  fai evaluates connections from their tables,
-finds the size of S first and checks adjointness on the tables' entries, so
-these serve as independent oracles.
+two maps on every graded set; ``derive_upper`` recovers the upper map from
+the lower map's singleton images alone.  fai evaluates connections from their
+tables, finds the size of S first and checks adjointness on the tables'
+entries, so these serve as independent oracles.
 """
 
 from functools import lru_cache
@@ -125,3 +126,16 @@ def verify_adjoint_by_sweep(lower, upper, universe, chain, cap=10**6) -> bool:
                 if not ga <= upper(b):
                     raise NotAdjoint(f"g not monotone between {render_lset(a)!r} and {render_lset(b)!r}")
     return True
+
+
+def derive_upper(conn, b):
+    """Recover g from f alone: g(B)(y) = max {a : f({a/y}) <= B}."""
+    fp = conn.fingerprint
+    out = []
+    for y in range(len(conn.universe)):
+        best = 0
+        for a in range(1, conn.chain.n):
+            if all(v <= w for v, w in zip(fp[y][a - 1], b.idx)):
+                best = a
+        out.append(best)
+    return LSet(conn.universe, conn.chain, out)

@@ -35,7 +35,6 @@ from fai import (
     intents_enum,
     intersection,
     is_complete,
-    iter_lsets,
     least_model,
     models_enum,
     parse_fai,
@@ -52,7 +51,7 @@ from fai.errors import InvalidHedge, NotProvable
 from fai.proof import Axiom
 
 from conftest import DATA
-from scan_oracle import pseudo_intents_by_scan
+from scan_oracle import iter_lsets, pseudo_intents_by_scan
 
 F = Fraction
 

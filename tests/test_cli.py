@@ -295,6 +295,13 @@ def test_generators_not_a_list_is_a_parse_error(tmp_path, capsys):
         ({"degrees": [0, None, 1]}, "cannot read degree None"),
         ({"degrees": [0, [1], 1]}, "cannot read degree [1]"),
         ({"degrees": [False, True]}, "cannot read degree False"),
+        *(
+            (
+                {"generators": [{"kind": "hedge", "fixed_points": ["0", "1"], "drop_vacuous": v}]},
+                f"hedge descriptor has a malformed 'drop_vacuous': {v!r}",
+            )
+            for v in ("false", 0, None)
+        ),
     ],
 )
 def test_top_level_key_types_are_checked(tmp_path, capsys, edit, message):
@@ -309,6 +316,26 @@ def test_hash_in_an_attribute_name_is_rejected(tmp_path, capsys):
     params = _params_with(tmp_path, [], attributes=("k", "l", "a", "e#x"))
     assert main(["validate", "--params", params]) == 3
     assert "bad attribute name 'e#x'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["validate", "--params", P6],
+        ["closure", "--params", P6, "--theory", BASE6, "--set", "k"],
+        ["entail", "--params", P6, "--theory", BASE6, "--query", "k -> k"],
+        ["check-proof", "--params", P6, "--theory", BASE6, "--proof", PROOF6, "--goal", GOAL],
+        ["prove", "--params", P6, "--theory", BASE6, "--query", GOAL],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_cap_only_on_enumerating_commands(argv, capsys):
+    assert main(argv) in (0, 1)
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as err:
+        main([*argv, "--cap", "0"])
+    assert err.value.code == 2
+    assert "unrecognized arguments: --cap 0" in capsys.readouterr().err
 
 
 def test_usage_errors_exit_2():

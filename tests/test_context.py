@@ -26,7 +26,6 @@ from fai import (
     holds_in_context,
     intents_enum,
     is_complete,
-    iter_lsets,
     minimize_sides,
     models_enum,
     parse_lset,
@@ -34,15 +33,18 @@ from fai import (
     pseudo_intents,
     reduce_to_base,
     render_lset,
+    theory_of_system,
     up,
 )
 from fai.errors import DegreeNotInChain, ParseError
 
 from scan_oracle import (
     complete_by_scan,
+    iter_lsets,
     minimize_sides_by_scan,
     models_by_sweep,
     pseudo_intents_by_scan,
+    theory_of_system_by_sweep,
 )
 
 F = Fraction
@@ -228,6 +230,28 @@ def test_nextclosure_matches_scan_oracle():
                     dropped = base.without(i)
                     assert is_complete(dropped, ctx, s) == complete_by_scan(dropped, ctx, s)
                 assert minimize_sides(base, ctx, s) == minimize_sides_by_scan(base, ctx, s)
+
+
+def test_theory_of_system_is_the_complete_set_of_its_intents(holidays, settings):
+    for s in settings.values():
+        intents = intents_enum(holidays, s)
+        theory = theory_of_system(intents, s)
+        assert list(theory) == list(complete_set(holidays, s))
+        assert models_enum(theory, s) == intents
+
+
+def test_theory_of_system_matches_sweep_oracle():
+    rng = random.Random(3302)
+    for logic in ("godel", "lukasiewicz"):
+        for n in (3, 4, 5):
+            for _ in range(3):
+                ctx, s, random_set = _random_context_setting(rng, logic, n)
+                # one random rule: three mostly leave only the top set as model
+                rule = Theory([FAI(random_set(), random_set())])
+                for system in (intents_enum(ctx, s), models_enum(rule, s)):
+                    recovered = models_enum(theory_of_system(system, s), s)
+                    swept = models_enum(theory_of_system_by_sweep(system, s), s)
+                    assert recovered == system == swept
 
 
 def test_hasse_dot_matches_transitive_reduction(holidays, settings):

@@ -11,14 +11,14 @@ from fai import (
     c_mult,
     c_shift,
     intersection,
-    iter_lsets,
     leq,
-    lset_count,
     parse_lset,
     render_lset,
     subsethood,
     union,
 )
+
+from scan_oracle import iter_lsets, lset_count
 
 F = Fraction
 

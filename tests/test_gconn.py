@@ -18,18 +18,19 @@ from fai import (
     Universe,
     compose,
     connection_from_descriptor,
-    derive_upper,
     from_hedge,
     generate_monoid,
     generators_from_descriptors,
     globalization,
     identity,
-    iter_lsets,
     parse_lset,
     term_to_descriptor,
     verify_adjoint,
     Hedge,
 )
+
+from scan_oracle import iter_lsets
+from term_oracle import derive_upper
 
 F = Fraction
 

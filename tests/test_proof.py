@@ -30,7 +30,6 @@ from fai import (
     entails,
     expand_theory,
     identity,
-    iter_lsets,
     least_model,
     normalize_proof,
     parse_fai,
@@ -44,6 +43,7 @@ from fai import (
 from fai.errors import ParseError
 
 from conftest import DATA
+from scan_oracle import iter_lsets
 
 F = Fraction
 

@@ -1,9 +1,11 @@
 """Property tests: rendered sets and theories parse back to themselves for
 any legal attribute names and any chain degrees; every connection term is
-adjoint over all three logics; synthesized proofs check and normalize to a
-fixed point."""
+adjoint over all three logics; connection descriptors and proof files parse
+back to what was written; synthesized proofs check and normalize to a fixed
+point."""
 
 from fractions import Fraction
+import json
 
 from hypothesis import given, settings as hypothesis_settings
 from hypothesis import strategies as st
@@ -24,14 +26,19 @@ from fai import (
     Universe,
     check_proof,
     complete_set,
+    connection_from_descriptor,
+    generate_monoid,
     least_model,
     normalize_proof,
     parse_lset,
     parse_theory,
+    proof_from_json,
+    proof_to_json,
     prove,
     reduce_to_base,
     render_lset,
     render_theory,
+    term_to_descriptor,
     verify_adjoint,
 )
 
@@ -110,6 +117,32 @@ def terms(universe, chain):
 def test_every_term_is_adjoint(data, universe, chain):
     term = data.draw(terms(universe, chain))
     assert verify_adjoint(Connection(term, universe, chain))
+
+
+@given(st.data(), universes, logic_chains)
+@PROPERTY
+def test_descriptor_round_trip(data, universe, chain):
+    term = data.draw(terms(universe, chain))
+    desc = json.loads(json.dumps(term_to_descriptor(term)))
+    back = connection_from_descriptor(desc, universe, chain)
+    assert back == Connection(term, universe, chain) and back.term == term
+
+
+@given(st.data(), universes, logic_chains)
+@PROPERTY
+def test_proof_file_round_trip(data, universe, chain):
+    term = data.draw(terms(universe, chain))
+    gens = [Connection(Rotate(1), universe, chain), Connection(term, universe, chain)]
+    s = generate_monoid(gens, universe, chain)
+    sets = lsets(universe, chain)
+    a = data.draw(sets)
+    # antecedents below A fire at least under the identity, so proofs of
+    # A => least model take hypothesis, F and Cut steps
+    rules = st.builds(lambda x, b: FAI(a & x, b), sets, sets)
+    theory = Theory(data.draw(st.lists(rules, min_size=1, max_size=3)))
+    proof = prove(theory, s, FAI(a, least_model(theory, s, a)))
+    back = proof_from_json(json.loads(json.dumps(proof_to_json(proof))), universe, chain)
+    assert back.steps == proof.steps and back.goal == proof.goal
 
 
 @pytest.fixture(scope="module")

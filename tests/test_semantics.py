@@ -23,7 +23,6 @@ from fai import (
     identity,
     identity_hedge,
     is_model,
-    iter_lsets,
     least_model,
     models_enum,
     parse_fai,
@@ -35,6 +34,8 @@ from fai import (
     theory_of_system,
     truth_degree,
 )
+
+from scan_oracle import iter_lsets
 
 F = Fraction
 
