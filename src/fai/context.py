@@ -14,10 +14,10 @@ import io
 import random
 
 from .errors import NotClosureSystem, NotComplete, ParseError, UniverseMismatch
-from .fset import LSet, Universe, next_closures, render_lset
+from .fset import LSet, Universe, forward_chain, next_closures, render_lset
 from .gconn import Parameterization
 from .lattice import Chain, parse_degree
-from .semantics import FAI, Theory, _idx_leq, entails, least_model
+from .semantics import FAI, Theory, entails, least_model
 
 
 class LContext:
@@ -154,23 +154,16 @@ def pseudo_intents(ctx: LContext, s: Parameterization, cap: int = 10**6):
     above it is closed.  ``cap`` bounds the intents and pseudo-intents
     visited.
     """
-    found = []
-
-    def close(m: LSet) -> LSet:
-        cur = m.idx
-        changed = True
-        while changed:
-            changed = False
-            for q, qcl in found:
-                if cur != q.idx and _idx_leq(q.idx, cur) and not _idx_leq(qcl.idx, cur):
-                    cur = tuple(map(max, cur, qcl.idx))
-                    changed = True
-        return LSet(m.universe, m.chain, cur)
-
-    for m in next_closures(ctx.universe, ctx.chain, close, cap):
+    found, rules = [], []
+    # Ganter's operator is forward chaining over the (Q, C(Q)) pairs found
+    # so far.  Q <= M alone stands for "Q properly inside M": NextClosure
+    # closes only sets lectically above every set it has emitted, so no set
+    # the chaining visits equals a found Q.
+    for m in next_closures(ctx.universe, ctx.chain, lambda a: forward_chain(rules, a)[0], cap):
         cl = downup(ctx, m, s)
         if cl != m:
             found.append((m, cl))
+            rules.append((m.idx, cl.idx))
     found.sort(key=lambda pair: (sum(pair[0].degrees()), pair[0].idx))
     return found
 
@@ -188,34 +181,20 @@ def complete_set(ctx: LContext, s: Parameterization, cap: int = 10**6) -> Theory
 def theory_of_system(models, s: Parameterization, cap: int = 10**6) -> Theory:
     """A theory whose models are exactly the given S-closure system.
 
-    The input must contain the top set, be closed under pairwise
-    intersections and under every upper adjoint of S (NotClosureSystem
-    otherwise).  Then, in the context whose rows are the members, every
-    g(row) is a member and the identity is in S, so downup(A) is the least
-    member containing A and the intents are the members: the result is that
-    context's complete set, in the order of pseudo_intents.  ``cap`` bounds
-    the intents and pseudo-intents visited.
+    In the context whose rows are the members, every member is an intent
+    (the identity is in S), and every intent is a meet of images g(member)
+    over <f, g> in S, the top set being the empty meet.  So the members form
+    an S-closure system (top present, closed under meets and under every
+    upper adjoint of S) exactly when every intent is a member;
+    NotClosureSystem names the first that is not.  Then the intents are the
+    members and the result is that context's complete set, in the order of
+    pseudo_intents.  ``cap`` bounds the intents and pseudo-intents visited.
     """
-    models = list(models)
-    if not models:
-        raise NotClosureSystem("a closure system contains at least the top set")
-    universe, chain = s.universe, s.chain
-    have = set(models)
-    if LSet.top(universe, chain) not in have:
-        raise NotClosureSystem("the top set is missing")
-    for a in models:
-        for b in models:
-            if a & b not in have:
-                raise NotClosureSystem(
-                    f"not intersection-closed: {render_lset(a)!r} and {render_lset(b)!r}"
-                )
-        for conn in s:
-            if conn.upper(a) not in have:
-                raise NotClosureSystem(
-                    f"not closed under an upper adjoint at {render_lset(a)!r}"
-                )
-    members = list(dict.fromkeys(models))
-    ctx = LContext(universe, chain, [str(i) for i in range(len(members))], members)
+    members = dict.fromkeys(models)
+    ctx = LContext(s.universe, s.chain, [str(i) for i in range(len(members))], members)
+    for m in intents_enum(ctx, s, cap):
+        if m not in members:
+            raise NotClosureSystem(f"not an S-closure system: {render_lset(m)!r} is missing")
     return complete_set(ctx, s, cap)
 
 

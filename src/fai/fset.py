@@ -9,8 +9,9 @@ when it is 1 and the whole item omitted when it is 0.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import le
 
-from .errors import CapExceeded, DegreeNotInChain, ParseError, UniverseMismatch
+from .errors import CapExceeded, DegreeNotInChain, InvariantError, ParseError, UniverseMismatch
 from .lattice import Chain, parse_degree, render_degree
 
 # "#" starts a comment in theory files, and parsing strips whitespace and
@@ -55,7 +56,7 @@ class Universe:
 class LSet:
     """An immutable graded set: one chain degree per attribute."""
 
-    __slots__ = ("universe", "chain", "idx", "_hash")
+    __slots__ = ("universe", "chain", "idx")
 
     def __init__(self, universe: Universe, chain: Chain, idx):
         idx = tuple(idx)
@@ -67,7 +68,6 @@ class LSet:
         object.__setattr__(self, "universe", universe)
         object.__setattr__(self, "chain", chain)
         object.__setattr__(self, "idx", idx)
-        object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("LSet is immutable")
@@ -113,11 +113,8 @@ class LSet:
         )
 
     def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            h = hash((self.idx, self.universe.attributes, self.chain.degrees))
-            object.__setattr__(self, "_hash", h)
-        return h
+        # equal sets have equal idx; __eq__ still tells universes and chains apart
+        return hash(self.idx)
 
     def __le__(self, other: "LSet") -> bool:
         return leq(self, other)
@@ -237,6 +234,37 @@ def next_closures(universe: Universe, chain: Chain, close, cap: int):
             if cand.idx[:i] == a[:i]:
                 cur = cand
                 break
+
+
+def forward_chain(pairs, start: LSet, until: LSet | None = None):
+    """Saturate ``start`` under (lhs, rhs) index-vector pairs.
+
+    Each pass walks the pairs in order and fires every pair whose lhs lies
+    inside the current vector and whose rhs does not: the vector becomes its
+    union with rhs, at once, so later pairs of the same pass see it.  Passes
+    repeat until one fires nothing, or until ``until`` lies inside the
+    vector at the start of a pass.  Returns the final set and the firings as
+    (pair index, before, after) index vectors, in firing order.  Every pass
+    that fires raises a degree, so past chain.n * |Y| + 1 passes the pairs
+    are malformed: InvariantError.
+    """
+    cur = start.idx
+    stop = None if until is None else until.idx
+    fired = []
+    for _ in range(start.chain.n * len(start.universe) + 1):
+        if stop is not None and all(map(le, stop, cur)):
+            break
+        n_fired = len(fired)
+        for k, (lhs, rhs) in enumerate(pairs):
+            if all(map(le, lhs, cur)) and not all(map(le, rhs, cur)):
+                nxt = tuple(map(max, cur, rhs))
+                fired.append((k, cur, nxt))
+                cur = nxt
+        if len(fired) == n_fired:
+            break
+    else:
+        raise InvariantError("forward chaining failed to stabilize within the |L|*|Y| bound")
+    return LSet(start.universe, start.chain, cur), fired
 
 
 def render_lset(a: LSet) -> str:

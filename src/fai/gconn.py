@@ -386,8 +386,10 @@ def generate_monoid(generators, universe: Universe, chain: Chain, cap: int = 409
     The size of S is known beforehand from a breadth-first search, so the
     discovery stops at S's last member instead of running a final round
     that only confirms closure.  Raises CapExceeded when the monoid grows
-    past cap members.
+    past cap members; the identity alone exceeds a cap below 1.
     """
+    if cap < 1:
+        raise CapExceeded(f"monoid exceeds {cap} connections")
     elems = [identity(universe, chain)]
     fps = {elems[0].fingerprint}
     for g in generators:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import GoalMismatch, InvalidStep, InvariantError, NotProvable, ParseError
-from .fset import LSet, Universe, c_mult, parse_lset, render_lset, union
+from .fset import LSet, Universe, c_mult, forward_chain, parse_lset, render_lset, union
 from .gconn import (
     Connection,
     Parameterization,
@@ -198,28 +198,27 @@ def prove(theory: Theory, s: Parameterization, goal: FAI) -> Proof:
     if goal.consequent <= goal.antecedent:
         return Proof([ProofStep(goal, Axiom())])
 
-    # replay the saturation, recording which (rule, connection) pairs fire
-    fires = []
-    cur = goal.antecedent
-    changed = True
-    while changed and not goal.consequent <= cur:
-        changed = False
-        for ri, rule in enumerate(theory):
-            for conn in s:
-                fa = conn.lower(rule.antecedent)
-                fb = conn.lower(rule.consequent)
-                if fa <= cur and not fb <= cur:
-                    fires.append((ri, conn, fb, cur, union(cur, fb)))
-                    cur = union(cur, fb)
-                    changed = True
-    if not goal.consequent <= cur:
+    # replay the least-model iteration over the image of every (rule,
+    # member) pair, rule-major in S's order; dropping duplicate images
+    # would let a later pair fire in an earlier pass and change the proof
+    sources = [(ri, conn) for ri in range(len(theory)) for conn in s]
+    images = [
+        (conn.lower(theory[ri].antecedent).idx, conn.lower(theory[ri].consequent).idx)
+        for ri, conn in sources
+    ]
+    closure, fired = forward_chain(images, goal.antecedent, until=goal.consequent)
+    if not goal.consequent <= closure:
         raise InvariantError("the replayed saturation stopped below the entailed goal")
+    fires = [
+        (*sources[k], LSet(s.universe, s.chain, before), LSet(s.universe, s.chain, after))
+        for k, before, after in fired
+    ]
 
     ident = identity(s.universe, s.chain)
     steps: list[ProofStep] = []
     image_step: dict = {}
     hyp_step: dict = {}
-    for ri, conn, fb, before, after in fires:
+    for ri, conn, before, after in fires:
         key = (ri, conn.fingerprint)
         if key in image_step:
             continue
@@ -237,7 +236,7 @@ def prove(theory: Theory, s: Parameterization, goal: FAI) -> Proof:
     bottom = LSet.bottom(s.universe, s.chain)
     current = len(steps)
     steps.append(ProofStep(FAI(goal.antecedent, goal.antecedent), Axiom()))
-    for ri, conn, fb, before, after in fires:
+    for ri, conn, before, after in fires:
         pi = image_step[(ri, conn.fingerprint)]
         ax = len(steps)
         steps.append(ProofStep(FAI(after, after), Axiom()))
@@ -246,7 +245,6 @@ def prove(theory: Theory, s: Parameterization, goal: FAI) -> Proof:
         nxt = len(steps)
         steps.append(ProofStep(FAI(goal.antecedent, after), Cut(current, grow, bottom)))
         current = nxt
-    closure = fires[-1][4] if fires else goal.antecedent
     ax = len(steps)
     steps.append(ProofStep(FAI(closure, goal.consequent), Axiom()))
     steps.append(ProofStep(goal, Cut(current, ax, bottom)))

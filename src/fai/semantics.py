@@ -11,11 +11,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InvariantError, ParseError, UniverseMismatch
+from .errors import ParseError, UniverseMismatch
 from .fset import (
     LSet,
     Universe,
     c_mult,
+    forward_chain,
     next_closures,
     parse_lset,
     render_lset,
@@ -127,10 +128,7 @@ def render_theory(theory: Theory) -> str:
 
 def holds_in(m: LSet, fai: FAI, s: Parameterization) -> bool:
     """True iff for every <f,g> in S: f(A) <= M implies f(B) <= M."""
-    for conn in s:
-        if conn.lower(fai.antecedent) <= m and not conn.lower(fai.consequent) <= m:
-            return False
-    return True
+    return is_model(m, Theory([fai]), s)
 
 
 def hedge_truth_degree(m: LSet, fai: FAI, hedge: Hedge) -> Fraction:
@@ -164,12 +162,9 @@ def _compiled(theory: Theory, s: Parameterization):
     return pairs
 
 
-def _idx_leq(a, b) -> bool:
-    return all(x <= y for x, y in zip(a, b))
-
-
 def is_model(m: LSet, theory: Theory, s: Parameterization) -> bool:
-    return all(holds_in(m, rule, s) for rule in theory)
+    """A model is its own least model: no rule image f(A) => f(B) fires on it."""
+    return least_model(theory, s, m) == m
 
 
 def t_step(m: LSet, theory: Theory, s: Parameterization) -> LSet:
@@ -178,7 +173,7 @@ def t_step(m: LSet, theory: Theory, s: Parameterization) -> LSet:
     Fired pairs are judged against the input M, not the growing result."""
     cur = list(m.idx)
     for fa, fb in _compiled(theory, s):
-        if _idx_leq(fa, m.idx):
+        if all(x <= y for x, y in zip(fa, m.idx)):
             for y, v in enumerate(fb):
                 if v > cur[y]:
                     cur[y] = v
@@ -186,21 +181,11 @@ def t_step(m: LSet, theory: Theory, s: Parameterization) -> LSet:
 
 
 def least_model(theory: Theory, s: Parameterization, m: LSet) -> LSet:
-    """Least model of the theory containing M: saturate t_step."""
-    pairs = _compiled(theory, s)
-    cur = list(m.idx)
-    bound = m.chain.n * len(m.universe) + 1
-    for _ in range(bound):
-        changed = False
-        for fa, fb in pairs:
-            if _idx_leq(fa, cur):
-                for y, v in enumerate(fb):
-                    if v > cur[y]:
-                        cur[y] = v
-                        changed = True
-        if not changed:
-            return LSet(m.universe, m.chain, cur)
-    raise InvariantError("t_step failed to stabilize within the |L|*|Y| bound")
+    """Least model of the theory containing M: forward chaining from M over
+    the compiled rule images, which saturates t_step."""
+    if m.universe != s.universe or m.chain != s.chain:
+        raise UniverseMismatch("the set lives over another universe or chain than S")
+    return forward_chain(_compiled(theory, s), m)[0]
 
 
 def entails(theory: Theory, fai: FAI, s: Parameterization) -> bool:

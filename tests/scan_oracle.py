@@ -1,22 +1,38 @@
 """Brute-force references kept for tests only.
 
-Each function sweeps all |L|^|Y| graded sets.  fai enumerates pseudo-intents
-and models with NextClosure, decides completeness by entailment of the
-complete set and takes the theory of a closure system as the complete set of
-the context it spans, so these serve as independent oracles.
+Every function but ``prove_by_replay`` sweeps all |L|^|Y| graded sets.
+fai enumerates pseudo-intents and models with NextClosure, decides
+completeness by entailment of the complete set and takes the theory of a
+closure system as the complete set of the context it spans, so these serve
+as independent oracles.  ``prove_by_replay`` is ``prove`` as it was before
+it shared the forward-chaining engine: its own saturation loop over LSets,
+re-deriving every (rule, connection) image on every pass.
 """
 
 import itertools
 
 from fai import (
     FAI,
+    ApplyF,
+    Axiom,
     CapExceeded,
+    Cut,
+    Hyp,
+    InvariantError,
     LSet,
     NotClosureSystem,
+    NotProvable,
+    Parameterization,
+    Proof,
+    ProofStep,
     Theory,
     downup,
+    entails,
+    identity,
     least_model,
+    render_fai,
     render_lset,
+    union,
 )
 
 
@@ -133,3 +149,74 @@ def theory_of_system_by_sweep(models, s, cap=10**6):
                 seen.add(rule)
                 rules.append(rule)
     return Theory(rules)
+
+
+def prove_by_replay(theory: Theory, s: Parameterization, goal: FAI) -> Proof:
+    """Synthesize a proof of the goal, or raise NotProvable.
+
+    Emits the F-before-Cut normal form: a hypothesis plus F step for every
+    (rule, connection) pair the saturation fires, then Cut steps growing
+    A => N along the least-model iteration, and one axiom Cut extracting the
+    goal from the closure.
+    """
+    if not entails(theory, goal, s):
+        raise NotProvable(f"{render_fai(goal)!r} is not entailed")
+    for ri, rule in enumerate(theory):
+        if rule == goal:
+            return Proof([ProofStep(goal, Hyp(ri))])
+    if goal.consequent <= goal.antecedent:
+        return Proof([ProofStep(goal, Axiom())])
+
+    # replay the saturation, recording which (rule, connection) pairs fire
+    fires = []
+    cur = goal.antecedent
+    changed = True
+    while changed and not goal.consequent <= cur:
+        changed = False
+        for ri, rule in enumerate(theory):
+            for conn in s:
+                fa = conn.lower(rule.antecedent)
+                fb = conn.lower(rule.consequent)
+                if fa <= cur and not fb <= cur:
+                    fires.append((ri, conn, fb, cur, union(cur, fb)))
+                    cur = union(cur, fb)
+                    changed = True
+    if not goal.consequent <= cur:
+        raise InvariantError("the replayed saturation stopped below the entailed goal")
+
+    ident = identity(s.universe, s.chain)
+    steps: list[ProofStep] = []
+    image_step: dict = {}
+    hyp_step: dict = {}
+    for ri, conn, fb, before, after in fires:
+        key = (ri, conn.fingerprint)
+        if key in image_step:
+            continue
+        if ri not in hyp_step:
+            hyp_step[ri] = len(steps)
+            steps.append(ProofStep(theory[ri], Hyp(ri)))
+        if conn.fingerprint == ident.fingerprint:
+            image_step[key] = hyp_step[ri]
+        else:
+            rule = theory[ri]
+            img = FAI(conn.lower(rule.antecedent), conn.lower(rule.consequent))
+            image_step[key] = len(steps)
+            steps.append(ProofStep(img, ApplyF(hyp_step[ri], conn)))
+
+    bottom = LSet.bottom(s.universe, s.chain)
+    current = len(steps)
+    steps.append(ProofStep(FAI(goal.antecedent, goal.antecedent), Axiom()))
+    for ri, conn, fb, before, after in fires:
+        pi = image_step[(ri, conn.fingerprint)]
+        ax = len(steps)
+        steps.append(ProofStep(FAI(after, after), Axiom()))
+        grow = len(steps)
+        steps.append(ProofStep(FAI(before, after), Cut(pi, ax, before)))
+        nxt = len(steps)
+        steps.append(ProofStep(FAI(goal.antecedent, after), Cut(current, grow, bottom)))
+        current = nxt
+    closure = fires[-1][4] if fires else goal.antecedent
+    ax = len(steps)
+    steps.append(ProofStep(FAI(closure, goal.consequent), Axiom()))
+    steps.append(ProofStep(goal, Cut(current, ax, bottom)))
+    return Proof(steps)

@@ -302,6 +302,9 @@ def test_generators_not_a_list_is_a_parse_error(tmp_path, capsys):
             )
             for v in ("false", 0, None)
         ),
+        # with no generators S is the identity alone, which a cap below 1 excludes
+        ({"monoid_cap": 0, "generators": []}, "monoid exceeds 0 connections"),
+        ({"monoid_cap": -1, "generators": []}, "monoid exceeds -1 connections"),
     ],
 )
 def test_top_level_key_types_are_checked(tmp_path, capsys, edit, message):

@@ -12,6 +12,7 @@ from fai import (
     FAI,
     LContext,
     LSet,
+    NotClosureSystem,
     NotComplete,
     Rotate,
     Theory,
@@ -238,6 +239,17 @@ def test_theory_of_system_is_the_complete_set_of_its_intents(holidays, settings)
         theory = theory_of_system(intents, s)
         assert list(theory) == list(complete_set(holidays, s))
         assert models_enum(theory, s) == intents
+
+
+def test_theory_of_system_names_the_first_missing_intent():
+    ch = Chain([F(0), F(1, 2), F(1)], "godel")
+    u = Universe(("x", "y", "z"))
+    s = generate_monoid([], u, ch)
+    members = [LSet.top(u, ch), parse_lset("x, y", u, ch), parse_lset("x, z", u, ch)]
+    with pytest.raises(NotClosureSystem, match="'x' is missing"):
+        theory_of_system(members, s)  # their meet
+    with pytest.raises(NotClosureSystem, match="'x, y, z' is missing"):
+        theory_of_system([], s)  # the top set, the empty meet
 
 
 def test_theory_of_system_matches_sweep_oracle():

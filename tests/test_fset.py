@@ -6,6 +6,7 @@ import pytest
 from fai import (
     Chain,
     FaiError,
+    InvariantError,
     LSet,
     Universe,
     c_mult,
@@ -18,6 +19,7 @@ from fai import (
     union,
 )
 
+from fai.fset import forward_chain
 from scan_oracle import iter_lsets, lset_count
 
 F = Fraction
@@ -137,3 +139,30 @@ def test_mixed_universe_operations_are_rejected(chain5, universe):
     b = LSet.bottom(other, chain5)
     with pytest.raises(Exception):
         union(a, b)
+
+
+def test_forward_chain_fires_in_order_and_stops(chain3):
+    u = Universe(("x", "y", "z"))
+    x = LSet(u, chain3, (2, 0, 0))
+    # y => z is listed before x => y, so it fires only in the second pass;
+    # x => x never fires, its right side being inside already
+    pairs = [((0, 2, 0), (0, 0, 2)), ((2, 0, 0), (0, 2, 0)), ((2, 0, 0), (2, 0, 0))]
+    closed, fired = forward_chain(pairs, x)
+    assert closed == LSet(u, chain3, (2, 2, 2))
+    assert fired == [(1, (2, 0, 0), (2, 2, 0)), (0, (2, 2, 0), (2, 2, 2))]
+    # listed the other way round, both fire in one pass
+    _, fired = forward_chain(pairs[1::-1], x)
+    assert fired == [(0, (2, 0, 0), (2, 2, 0)), (1, (2, 2, 0), (2, 2, 2))]
+    # until is checked before each pass
+    stopped, fired = forward_chain(pairs, x, until=LSet(u, chain3, (0, 2, 0)))
+    assert stopped == LSet(u, chain3, (2, 2, 0)) and len(fired) == 1
+    assert forward_chain(pairs, x, until=x) == (x, [])
+
+
+def test_forward_chain_bounds_its_passes(chain3):
+    u = Universe(("x",))
+    # malformed pairs climbing past the chain, one firing per pass: more
+    # than chain.n * |Y| + 1 = 4 passes
+    pairs = [((k,), (k + 1,)) for k in reversed(range(6))]
+    with pytest.raises(InvariantError):
+        forward_chain(pairs, LSet.bottom(u, chain3))

@@ -12,11 +12,14 @@ from fai import (
     ConstMult,
     Cut,
     CutF,
+    DiffSet,
     FAI,
     GoalMismatch,
     Hyp,
     InvalidStep,
     InvariantError,
+    LContext,
+    LSet,
     NotProvable,
     Parameterization,
     Proof,
@@ -26,11 +29,14 @@ from fai import (
     Universe,
     check_proof,
     complete_set,
+    downup,
     entail_degree,
     entails,
     expand_theory,
+    generate_monoid,
     identity,
     least_model,
+    minimize_sides,
     normalize_proof,
     parse_fai,
     parse_lset,
@@ -39,11 +45,12 @@ from fai import (
     proof_to_json,
     provability_degree,
     prove,
+    reduce_to_base,
 )
 from fai.errors import ParseError
 
 from conftest import DATA
-from scan_oracle import iter_lsets
+from scan_oracle import iter_lsets, prove_by_replay
 
 F = Fraction
 
@@ -230,6 +237,60 @@ def test_synthesized_proofs_check(base6, holidays, settings, chain5, universe):
     for goal in goals:
         proof = prove(base6, s, goal)
         assert check_proof(proof, base6, s, goal=goal)
+
+
+def _same_proof_as_replay(theory, s, goal):
+    """prove and the replay oracle give the same steps, or both refuse;
+    returns the proof's length (0 when refused)."""
+    try:
+        expected = prove_by_replay(theory, s, goal)
+    except NotProvable:
+        with pytest.raises(NotProvable):
+            prove(theory, s, goal)
+        return 0
+    assert prove(theory, s, goal).steps == expected.steps
+    return len(expected)
+
+
+def test_prove_matches_replay_oracle_on_the_worked_example(
+    base6, holidays, settings, chain5, universe
+):
+    # goals: the worked one and every complete-set rule, from the S6 base
+    # and from each setting's minimized base
+    lengths = []
+    for s in settings.values():
+        comp = complete_set(holidays, s)
+        minimized = minimize_sides(reduce_to_base(comp, holidays, s), holidays, s)
+        for theory in (base6, minimized):
+            for goal in (parse_fai(GOAL, universe, chain5), *comp):
+                lengths.append(_same_proof_as_replay(theory, s, goal))
+    assert 26 in lengths and max(lengths) > 26
+
+
+def test_prove_matches_replay_oracle_on_a_large_monoid():
+    # rotate(2) and a difference by one step at two attributes: |S| = 85
+    ch = Chain([F(k, 4) for k in range(5)], "godel")
+    u = Universe([f"y{k}" for k in range(5)])
+    rng = random.Random(85)
+    step = LSet(u, ch, [1, 0, 1, 0, 0])
+    s = generate_monoid([Connection(Rotate(2), u, ch), Connection(DiffSet(step), u, ch)], u, ch)
+    assert len(s) == 85
+    rows = [LSet(u, ch, [rng.choice((1, 2, 3, 4, 4)) for _ in range(5)]) for _ in range(8)]
+    ctx = LContext(u, ch, [f"o{k}" for k in range(8)], rows)
+    rules = []
+    while len(rules) < 16:
+        a = LSet(u, ch, [rng.choice((0, 0, 1, 2, 3, 4)) for _ in range(5)])
+        closed = downup(ctx, a, s)
+        if closed != a:
+            rules.append(FAI(a, closed))
+    theory = Theory(rules)
+    lengths = []
+    while len(lengths) < 25:
+        a = LSet(u, ch, [rng.choice((0, 0, 1, 2, 3, 4)) for _ in range(5)])
+        closed = least_model(theory, s, a)
+        if closed != a:
+            lengths.append(_same_proof_as_replay(theory, s, FAI(a, closed)))
+    assert min(lengths) > 1
 
 
 def test_synthesis_emits_the_normal_form(base6, settings, chain5, universe):

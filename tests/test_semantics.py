@@ -15,6 +15,7 @@ from fai import (
     ParseError,
     Theory,
     Universe,
+    UniverseMismatch,
     entail_degree,
     entails,
     from_hedge,
@@ -141,6 +142,20 @@ def test_t_step_and_least_model(small):
     assert t_step(closed, th, s) == closed
     assert is_model(closed, th, s)
     assert m <= closed
+
+
+def test_model_checks_reject_a_set_over_another_universe(small):
+    universe, chain = small
+    s = _ident_only(universe, chain)
+    th = parse_theory("x -> y\n", universe, chain)
+    for other in (Universe(("p", "q", "r")), Universe(("x", "y"))):
+        m = LSet.top(other, chain)
+        with pytest.raises(UniverseMismatch):
+            holds_in(m, th[0], s)
+        with pytest.raises(UniverseMismatch):
+            is_model(m, th, s)
+        with pytest.raises(UniverseMismatch):
+            least_model(th, s, m)
 
 
 def test_least_model_is_least(small):
