@@ -263,8 +263,8 @@ def _build_parser() -> argparse.ArgumentParser:
     # only the commands that enumerate closed sets take --cap
     enumerating = argparse.ArgumentParser(add_help=False, parents=[common])
     enumerating.add_argument("--cap", type=int, default=10**6, metavar="N",
-                             help="abort past N closed sets (intents, models, or intents "
-                             "and pseudo-intents)")
+                             help="abort past N closed sets: models for models, intents "
+                             "plus pseudo-intents for intents, complete-set and base")
 
     parser = argparse.ArgumentParser(
         prog="fai",

@@ -13,7 +13,7 @@ import csv
 import io
 import random
 
-from .errors import NotClosureSystem, NotComplete, ParseError, UniverseMismatch
+from .errors import CapExceeded, NotClosureSystem, NotComplete, ParseError, UniverseMismatch
 from .fset import LSet, Universe, forward_chain, next_closures, render_lset
 from .gconn import Parameterization
 from .lattice import Chain, parse_degree
@@ -36,6 +36,7 @@ class LContext:
             if r.universe != universe or r.chain != chain:
                 raise UniverseMismatch("row over a different universe/chain")
         self._images = {}
+        self._passes = {}
 
     @classmethod
     def from_csv(cls, text: str, chain: Chain, universe: Universe | None = None) -> "LContext":
@@ -136,10 +137,54 @@ def holds_in_context(ctx: LContext, fai: FAI, s: Parameterization) -> bool:
 # ------------------------------------------------------------ intent listing
 
 
+def _ganter_pass(ctx: LContext, s: Parameterization, cap: int):
+    """Every set Ganter's algorithm visits, in ascending lectic order, paired
+    with its context closure, which is the set itself for an intent; kept on
+    the context, computed once per S.
+
+    The sets closed under adding C(Q) for every pseudo-intent Q properly
+    inside them are the intents and the pseudo-intents, and NextClosure lists
+    them in lectic order, which extends containment, so every Q is found
+    before any set above it is closed.  CapExceeded, naming the intents and
+    pseudo-intents among the first ``cap`` sets, past ``cap`` sets; a kept
+    pass is held to the same bound.
+    """
+    visited = ctx._passes.get(s)
+    if visited is None:
+        visited, rules = [], []
+        # Ganter's operator is forward chaining over the (Q, C(Q)) pairs found
+        # so far.  Q <= M alone stands for "Q properly inside M": NextClosure
+        # closes only sets lectically above every set it has emitted, so no
+        # set the chaining visits equals a found Q.
+        closed = next_closures(ctx.universe, ctx.chain, lambda a: forward_chain(rules, a)[0], cap)
+        try:
+            for m in closed:
+                cl = downup(ctx, m, s)
+                if cl == m:
+                    cl = m  # the views tell intents by ``cl is m``
+                else:
+                    rules.append((m.idx, cl.idx))
+                visited.append((m, cl))
+        except CapExceeded:
+            raise _over_cap(visited, cap) from None
+        visited = ctx._passes[s] = tuple(visited)
+    if len(visited) > cap:
+        raise _over_cap(visited[: max(cap, 0)], cap)
+    return visited
+
+
+def _over_cap(visited, cap: int) -> CapExceeded:
+    pseudo = sum(cl is not m for m, cl in visited)
+    return CapExceeded(
+        f"more than {cap} closed sets: {len(visited) - pseudo} intents and "
+        f"{pseudo} pseudo-intents visited"
+    )
+
+
 def intents_enum(ctx: LContext, s: Parameterization, cap: int = 10**6):
-    """All downup fixed points, in ascending lectic order; CapExceeded past
-    ``cap`` intents."""
-    return list(next_closures(ctx.universe, ctx.chain, lambda m: downup(ctx, m, s), cap))
+    """All downup fixed points, in ascending lectic order.  ``cap`` bounds
+    the intents and pseudo-intents visited."""
+    return [m for m, cl in _ganter_pass(ctx, s, cap) if cl is m]
 
 
 def pseudo_intents(ctx: LContext, s: Parameterization, cap: int = 10**6):
@@ -147,23 +192,10 @@ def pseudo_intents(ctx: LContext, s: Parameterization, cap: int = 10**6):
     then lectic order.
 
     P qualifies iff P is not closed and Q's closure lands inside P for every
-    pseudo-intent Q properly below P.  Ganter's algorithm: the sets closed
-    under adding C(Q) for every pseudo-intent Q properly inside them are the
-    intents and the pseudo-intents, and NextClosure lists them in lectic
-    order, which extends containment, so every Q is found before any set
-    above it is closed.  ``cap`` bounds the intents and pseudo-intents
-    visited.
+    pseudo-intent Q properly below P.  ``cap`` bounds the intents and
+    pseudo-intents visited.
     """
-    found, rules = [], []
-    # Ganter's operator is forward chaining over the (Q, C(Q)) pairs found
-    # so far.  Q <= M alone stands for "Q properly inside M": NextClosure
-    # closes only sets lectically above every set it has emitted, so no set
-    # the chaining visits equals a found Q.
-    for m in next_closures(ctx.universe, ctx.chain, lambda a: forward_chain(rules, a)[0], cap):
-        cl = downup(ctx, m, s)
-        if cl != m:
-            found.append((m, cl))
-            rules.append((m.idx, cl.idx))
+    found = [(m, cl) for m, cl in _ganter_pass(ctx, s, cap) if cl is not m]
     found.sort(key=lambda pair: (sum(pair[0].degrees()), pair[0].idx))
     return found
 

@@ -167,10 +167,16 @@ def is_model(m: LSet, theory: Theory, s: Parameterization) -> bool:
     return least_model(theory, s, m) == m
 
 
+def _check_universe(m: LSet, s: Parameterization) -> None:
+    if m.universe != s.universe or m.chain != s.chain:
+        raise UniverseMismatch("the set lives over another universe or chain than S")
+
+
 def t_step(m: LSet, theory: Theory, s: Parameterization) -> LSet:
     """One round of the immediate-consequence operator:
     M union all f(B) for rules A => B and f with f(A) <= M.
     Fired pairs are judged against the input M, not the growing result."""
+    _check_universe(m, s)
     cur = list(m.idx)
     for fa, fb in _compiled(theory, s):
         if all(x <= y for x, y in zip(fa, m.idx)):
@@ -183,8 +189,7 @@ def t_step(m: LSet, theory: Theory, s: Parameterization) -> LSet:
 def least_model(theory: Theory, s: Parameterization, m: LSet) -> LSet:
     """Least model of the theory containing M: forward chaining from M over
     the compiled rule images, which saturates t_step."""
-    if m.universe != s.universe or m.chain != s.chain:
-        raise UniverseMismatch("the set lives over another universe or chain than S")
+    _check_universe(m, s)
     return forward_chain(_compiled(theory, s), m)[0]
 
 

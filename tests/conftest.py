@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+import fai.context
 from fai import Chain, LContext, Universe, generate_monoid, generators_from_descriptors
 
 DATA = Path(__file__).resolve().parent.parent / "data"
@@ -40,3 +41,22 @@ def settings(chain5, universe):
         i: monoid_from_params(f"params_s{i}.json", universe, chain5)
         for i in range(1, 7)
     }
+
+
+@pytest.fixture
+def fresh_holidays(chain5, universe):
+    """Makes the worked example's context anew, with no Ganter pass kept on it."""
+    return lambda: LContext.from_csv((DATA / "holidays.csv").read_text(), chain5, universe)
+
+
+@pytest.fixture
+def pass_calls(monkeypatch):
+    """The argument tuples of every NextClosure run fai.context starts."""
+    calls, real = [], fai.context.next_closures
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(fai.context, "next_closures", counting)
+    return calls

@@ -99,13 +99,26 @@ def test_complete_set_counts(capsys):
     assert "# rules: 10" in capsys.readouterr().out
 
 
-def test_base_minimize_sides(capsys, chain5, universe):
+def test_base_minimize_sides(capsys, chain5, universe, pass_calls):
     rc = main(["base", "--params", P6, "--context", CTX, "--minimize-sides"])
     assert rc == 0
     out = capsys.readouterr().out
     assert "# rules: 5" in out
     rules = parse_theory(out, universe, chain5)
     assert parse_fai("l -> e", universe, chain5) in rules.rules
+    # the base and minimize_sides' completeness check share one Ganter pass
+    assert len(pass_calls) == 1
+
+
+@pytest.mark.parametrize("command", ["intents", "complete-set", "base"])
+def test_cap_counts_intents_and_pseudo_intents(command, capsys):
+    # S1 has 22 intents and 11 pseudo-intents, and each command visits all 33
+    argv = [command, "--params", P1, "--context", CTX]
+    assert main([*argv, "--cap", "33"]) == 0
+    capsys.readouterr()
+    assert main([*argv, "--cap", "25"]) == 3
+    err = capsys.readouterr().err
+    assert "more than 25 closed sets: 17 intents and 8 pseudo-intents visited" in err
 
 
 def test_intents_listing_and_dot(tmp_path, capsys):

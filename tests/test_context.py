@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from fai import (
+    CapExceeded,
     Chain,
     Connection,
     ConstMultSet,
@@ -231,6 +232,45 @@ def test_nextclosure_matches_scan_oracle():
                     dropped = base.without(i)
                     assert is_complete(dropped, ctx, s) == complete_by_scan(dropped, ctx, s)
                 assert minimize_sides(base, ctx, s) == minimize_sides_by_scan(base, ctx, s)
+
+
+def test_one_pass_serves_the_mine_pipeline(pass_calls, fresh_holidays, settings):
+    ctx, s = fresh_holidays(), settings[6]
+    intents = intents_enum(ctx, s)
+    complete = complete_set(ctx, s)
+    base = reduce_to_base(complete, ctx, s)
+    assert is_complete(base, ctx, s)
+    minimize_sides(base, ctx, s)
+    assert (len(intents), len(complete), len(pass_calls)) == (65, 9, 1)
+    # the pass is kept per S: another S runs its own
+    intents_enum(ctx, settings[1])
+    assert len(pass_calls) == 2
+
+
+def test_one_pass_serves_theory_of_system(pass_calls, holidays, settings):
+    intents = intents_enum(holidays, settings[6])
+    pass_calls.clear()
+    theory_of_system(intents, settings[6])
+    assert len(pass_calls) == 1
+
+
+def test_a_kept_pass_is_held_to_a_smaller_cap(fresh_holidays, settings):
+    s = settings[1]
+    fresh = fresh_holidays()
+    with pytest.raises(CapExceeded) as first:
+        intents_enum(fresh, s, cap=5)
+    kept = fresh_holidays()
+    assert len(complete_set(kept, s)) == 11
+    for enumerate_ in (intents_enum, pseudo_intents, complete_set):
+        with pytest.raises(CapExceeded) as again:
+            enumerate_(kept, s, cap=5)
+        # the same answer as a pass that stops at the cap
+        assert str(again.value) == str(first.value)
+    assert str(first.value) == "more than 5 closed sets: 3 intents and 2 pseudo-intents visited"
+    # 22 intents plus 11 pseudo-intents: a cap of 33 holds them all
+    assert len(intents_enum(kept, s, cap=33)) == 22
+    with pytest.raises(CapExceeded, match="21 intents and 11 pseudo-intents visited"):
+        intents_enum(kept, s, cap=32)
 
 
 def test_theory_of_system_is_the_complete_set_of_its_intents(holidays, settings):

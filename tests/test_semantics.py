@@ -158,6 +158,21 @@ def test_model_checks_reject_a_set_over_another_universe(small):
             least_model(th, s, m)
 
 
+def test_t_step_rejects_a_set_over_another_universe(small):
+    universe, chain = small
+    pair = Universe(("x", "y"))
+    s2, th2 = _ident_only(pair, chain), parse_theory("x -> y\n", pair, chain)
+    s3, th3 = _ident_only(universe, chain), parse_theory("x -> y\n", universe, chain)
+    other_chain = Chain([F(0), F(1)], "godel")
+    for m, th, s in (
+        (parse_lset("x", universe, chain), th2, s2),  # a longer set: zip used to cut it short
+        (LSet.top(Universe(("p", "q", "r")), chain), th3, s3),
+        (LSet.top(universe, other_chain), th3, s3),
+    ):
+        with pytest.raises(UniverseMismatch):
+            t_step(m, th, s)
+
+
 def test_least_model_is_least(small):
     universe, chain = small
     s = _ident_only(universe, chain)
