@@ -124,8 +124,7 @@ def _render_descriptor(desc: dict) -> str:
 # ---------------------------------------------------------------- commands
 
 
-def cmd_validate(args) -> int:
-    chain, universe, s = _load_setting(args.params)
+def cmd_validate(args, chain, universe, s) -> int:
     degrees = ", ".join(render_degree(d) for d in chain.degrees)
     print(f"chain: {chain.n} degrees ({degrees}), logic {chain.logic}")
     print(f"attributes: {', '.join(universe.attributes)}")
@@ -139,9 +138,7 @@ def cmd_validate(args) -> int:
     return 0
 
 
-def cmd_closure(args) -> int:
-    chain, universe, s = _load_setting(args.params)
-    _note(f"S: {len(s)} connections")
+def cmd_closure(args, chain, universe, s) -> int:
     m = parse_lset(args.set, universe, chain)
     if (args.theory is None) == (args.context is None):
         print("error: closure needs exactly one of --theory or --context", file=sys.stderr)
@@ -154,9 +151,7 @@ def cmd_closure(args) -> int:
     return 0
 
 
-def cmd_entail(args) -> int:
-    chain, universe, s = _load_setting(args.params)
-    _note(f"S: {len(s)} connections")
+def cmd_entail(args, chain, universe, s) -> int:
     theory = _load_theory(args.theory, universe, chain)
     query = parse_fai(args.query, universe, chain)
     degree = entail_degree(theory, query, s)
@@ -167,12 +162,11 @@ def cmd_entail(args) -> int:
     return 0 if degree == 1 else 1
 
 
-def _cmd_rules(args, reduce: bool) -> int:
-    chain, universe, s = _load_setting(args.params)
-    _note(f"S: {len(s)} connections")
+def cmd_rules(args, chain, universe, s) -> int:
+    """complete-set, and base, which also reduces the complete set."""
     ctx = _load_context(args.context, chain, universe)
     theory = complete_set(ctx, s, cap=args.cap)
-    if reduce:
+    if args.command == "base":
         theory = reduce_to_base(theory, ctx, s)
         if args.minimize_sides:
             theory = minimize_sides(theory, ctx, s, cap=args.cap)
@@ -183,14 +177,6 @@ def _cmd_rules(args, reduce: bool) -> int:
     _emit(render_theory(theory), args.out)
     print(f"# rules: {len(theory)}")
     return 0
-
-
-def cmd_base(args) -> int:
-    return _cmd_rules(args, reduce=True)
-
-
-def cmd_complete_set(args) -> int:
-    return _cmd_rules(args, reduce=False)
 
 
 def _cmd_listing(args, sets, what: str) -> int:
@@ -206,23 +192,17 @@ def _cmd_listing(args, sets, what: str) -> int:
     return 0
 
 
-def cmd_intents(args) -> int:
-    chain, universe, s = _load_setting(args.params)
-    _note(f"S: {len(s)} connections")
+def cmd_intents(args, chain, universe, s) -> int:
     ctx = _load_context(args.context, chain, universe)
     return _cmd_listing(args, intents_enum(ctx, s, cap=args.cap), "intents")
 
 
-def cmd_models(args) -> int:
-    chain, universe, s = _load_setting(args.params)
-    _note(f"S: {len(s)} connections")
+def cmd_models(args, chain, universe, s) -> int:
     theory = _load_theory(args.theory, universe, chain)
     return _cmd_listing(args, models_enum(theory, s, cap=args.cap), "models")
 
 
-def cmd_check_proof(args) -> int:
-    chain, universe, s = _load_setting(args.params)
-    _note(f"S: {len(s)} connections")
+def cmd_check_proof(args, chain, universe, s) -> int:
     theory = _load_theory(args.theory, universe, chain)
     data = json.loads(_read(args.proof), parse_float=Fraction)
     proof = proof_from_json(data, universe, chain)
@@ -236,9 +216,7 @@ def cmd_check_proof(args) -> int:
     return 0
 
 
-def cmd_prove(args) -> int:
-    chain, universe, s = _load_setting(args.params)
-    _note(f"S: {len(s)} connections")
+def cmd_prove(args, chain, universe, s) -> int:
     theory = _load_theory(args.theory, universe, chain)
     goal = parse_fai(args.query, universe, chain)
     try:
@@ -290,10 +268,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_entail)
 
-    for name, func, extra in (
-        ("base", cmd_base, True),
-        ("complete-set", cmd_complete_set, False),
-    ):
+    for name, extra in (("base", True), ("complete-set", False)):
         p = sub.add_parser(name, parents=[enumerating],
                            help="non-redundant base from a context" if extra
                            else "pseudo-intent implications of a context")
@@ -303,7 +278,7 @@ def _build_parser() -> argparse.ArgumentParser:
         if extra:
             p.add_argument("--minimize-sides", action="store_true",
                            help="also lower degrees inside the surviving rules")
-        p.set_defaults(func=func)
+        p.set_defaults(func=cmd_rules)
 
     p = sub.add_parser("intents", parents=[enumerating],
                        help="all context closures, in lectic order")
@@ -343,7 +318,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        chain, universe, s = _load_setting(args.params)
+        if args.command != "validate":
+            _note(f"S: {len(s)} connections")
+        return args.func(args, chain, universe, s)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -14,7 +14,7 @@ import io
 import random
 
 from .errors import CapExceeded, NotClosureSystem, NotComplete, ParseError, UniverseMismatch
-from .fset import LSet, Universe, forward_chain, next_closures, render_lset
+from .fset import LSet, Universe, forward_chain, meet_above, next_closures, render_lset, same_space
 from .gconn import Parameterization
 from .lattice import Chain, parse_degree
 from .semantics import FAI, Theory, entails, least_model
@@ -33,8 +33,7 @@ class LContext:
         if len(set(self.objects)) != len(self.objects):
             raise ValueError("object names must be distinct")
         for r in self.rows:
-            if r.universe != universe or r.chain != chain:
-                raise UniverseMismatch("row over a different universe/chain")
+            same_space(r, universe, chain)
         self._images = {}
         self._passes = {}
 
@@ -119,14 +118,8 @@ def down(ctx: LContext, g: LSet, s: Parameterization):
 
 def downup(ctx: LContext, g: LSet, s: Parameterization) -> LSet:
     """The context closure: intersection of all g(I_x) containing the set."""
-    cur = [ctx.chain.n - 1] * len(ctx.universe)
-    gidx = g.idx
-    for iidx in _row_images(ctx, s):
-        if all(x <= y for x, y in zip(gidx, iidx)):
-            for y, v in enumerate(iidx):
-                if v < cur[y]:
-                    cur[y] = v
-    return LSet(ctx.universe, ctx.chain, cur)
+    same_space(g, ctx.universe, ctx.chain)
+    return LSet(ctx.universe, ctx.chain, meet_above(g.idx, _row_images(ctx, s), ctx.chain.n - 1))
 
 
 def holds_in_context(ctx: LContext, fai: FAI, s: Parameterization) -> bool:

@@ -4,6 +4,9 @@ An LSet assigns each attribute a degree from a chain; it is stored as a tuple
 of chain indices in universe order.  The literal grammar is
 ``0.75/a, e`` — comma-separated items, ``degree/name`` with the degree omitted
 when it is 1 and the whole item omitted when it is 0.
+
+Only this module compares, joins or meets index vectors, or checks that
+operands share a universe and chain; the rest of fai calls its kernels.
 """
 
 from __future__ import annotations
@@ -132,30 +135,68 @@ class LSet:
         return f"LSet({render_lset(self)!r})"
 
 
-def _check_compatible(a: LSet, b: LSet) -> None:
-    if a.universe != b.universe or a.chain != b.chain:
+def same_space(x, universe: Universe, chain: Chain) -> None:
+    """UniverseMismatch unless x (set, connection, S or context) lives over them."""
+    if (x.universe is not universe or x.chain is not chain) and (
+        x.universe != universe or x.chain != chain
+    ):
         raise UniverseMismatch("operands live over different universes or chains")
+
+
+def idx_leq(a, b) -> bool:
+    """Containment of index vectors: a[y] <= b[y] at every position."""
+    return all(map(le, a, b))
+
+
+def idx_join(rows, size: int) -> tuple:
+    """Entrywise maximum of a sequence of index vectors; bottom if empty."""
+    if len(rows) > 1:
+        return tuple(map(max, *rows))
+    return rows[0] if rows else (0,) * size
+
+
+def idx_meet(rows, size: int, top: int) -> tuple:
+    """Entrywise minimum of a sequence of index vectors; top if empty."""
+    if len(rows) > 1:
+        return tuple(map(min, *rows))
+    return rows[0] if rows else (top,) * size
+
+
+def meet_above(g, rows, top: int) -> tuple:
+    """The meet of the rows that contain g (containment inlined: hot loop)."""
+    return idx_meet([r for r in rows if all(map(le, g, r))], len(g), top)
+
+
+def lower_image(table, idx) -> tuple:
+    """f(A): the join of the rows f({a/y}) = table[y][a - 1] that A picks."""
+    return idx_join([table[y][a - 1] for y, a in enumerate(idx) if a], len(idx))
+
+
+def upper_image(table, idx) -> tuple:
+    """g(B): the meet of the rows g(top but b at y) = table[y][b] that B picks."""
+    top = len(table[0])  # one row per degree below the top
+    return idx_meet([table[y][b] for y, b in enumerate(idx) if b != top], len(idx), top)
 
 
 def leq(a: LSet, b: LSet) -> bool:
     """Full containment: a(y) <= b(y) for every attribute."""
-    _check_compatible(a, b)
-    return all(x <= y for x, y in zip(a.idx, b.idx))
+    same_space(b, a.universe, a.chain)
+    return idx_leq(a.idx, b.idx)
 
 
 def union(a: LSet, b: LSet) -> LSet:
-    _check_compatible(a, b)
-    return LSet(a.universe, a.chain, tuple(map(max, a.idx, b.idx)))
+    same_space(b, a.universe, a.chain)
+    return LSet(a.universe, a.chain, idx_join((a.idx, b.idx), len(a.idx)))
 
 
 def intersection(a: LSet, b: LSet) -> LSet:
-    _check_compatible(a, b)
-    return LSet(a.universe, a.chain, tuple(map(min, a.idx, b.idx)))
+    same_space(b, a.universe, a.chain)
+    return LSet(a.universe, a.chain, idx_meet((a.idx, b.idx), len(a.idx), a.chain.n - 1))
 
 
 def subsethood(a: LSet, b: LSet) -> Fraction:
     """Degree to which a is contained in b: min over y of a(y) -> b(y)."""
-    _check_compatible(a, b)
+    same_space(b, a.universe, a.chain)
     chain = a.chain
     s = chain.n - 1
     for x, y in zip(a.idx, b.idx):

@@ -21,9 +21,17 @@ from .errors import (
     NotAdjoint,
     NotAMonoid,
     ParseError,
-    UniverseMismatch,
 )
-from .fset import LSet, Universe, parse_lset, render_lset
+from .fset import (
+    LSet,
+    Universe,
+    idx_leq,
+    lower_image,
+    parse_lset,
+    render_lset,
+    same_space,
+    upper_image,
+)
 from .lattice import Chain, DualPair, Hedge, parse_degree, render_degree
 
 
@@ -77,34 +85,18 @@ class Compose:
 # index vector of f({a/y}); f(A) is the union of the rows picked by A.  An
 # upper table holds, per y and degree index b below the top, the index
 # vector of g(top with b at y); g(B) is the intersection of the rows picked
-# by B, and g(top) is the top set.
-
-
-def _fp_apply(fp, idx):
-    """Image of the set with index vector idx under the lower map given by fp."""
-    rows = [fp[y][a - 1] for y, a in enumerate(idx) if a]
-    if len(rows) > 1:
-        return tuple(map(max, *rows))
-    return rows[0] if rows else (0,) * len(idx)
-
-
-def _upper_apply(table, idx):
-    """Image of the set with index vector idx under the upper map given by table."""
-    top = len(table[0])  # one row per degree below the top
-    rows = [table[y][b] for y, b in enumerate(idx) if b != top]
-    if len(rows) > 1:
-        return tuple(map(min, *rows))
-    return rows[0] if rows else (top,) * len(idx)
+# by B, and g(top) is the top set.  fset's lower_image and upper_image apply
+# them.
 
 
 def _compose_lower(outer, inner):
     """Lower table of outer o inner: outer's lower map on inner's rows."""
-    return tuple(tuple(_fp_apply(outer, row) for row in rows) for rows in inner)
+    return tuple(tuple(lower_image(outer, row) for row in rows) for rows in inner)
 
 
 def _compose_upper(outer, inner):
     """Upper table of outer o inner: inner's upper map on outer's rows."""
-    return tuple(tuple(_upper_apply(inner, row) for row in rows) for rows in outer)
+    return tuple(tuple(upper_image(inner, row) for row in rows) for rows in outer)
 
 
 def _generator_maps(term, universe: Universe, chain: Chain):
@@ -118,8 +110,7 @@ def _generator_maps(term, universe: Universe, chain: Chain):
             lambda idx: tuple(chain.residuum_i(c, i) for i in idx),
         )
     if isinstance(term, (ConstMultSet, DiffSet)):
-        if term.C.universe != universe or term.C.chain != chain:
-            raise UniverseMismatch("generator constant set over a different universe/chain")
+        same_space(term.C, universe, chain)
         cs = term.C.idx
         if isinstance(term, ConstMultSet):
             return (
@@ -183,19 +174,15 @@ class Connection:
 
     # -- evaluation --
 
-    def _check(self, a: LSet) -> None:
-        if a.universe != self.universe or a.chain != self.chain:
-            raise UniverseMismatch("argument over a different universe/chain")
-
     def lower(self, a: LSet) -> LSet:
         if a.universe is not self.universe or a.chain is not self.chain:
-            self._check(a)
-        return LSet(self.universe, self.chain, _fp_apply(self.lower_table, a.idx))
+            same_space(a, self.universe, self.chain)
+        return LSet(self.universe, self.chain, lower_image(self.lower_table, a.idx))
 
     def upper(self, b: LSet) -> LSet:
         if b.universe is not self.universe or b.chain is not self.chain:
-            self._check(b)
-        return LSet(self.universe, self.chain, _upper_apply(self.upper_table, b.idx))
+            same_space(b, self.universe, self.chain)
+        return LSet(self.universe, self.chain, upper_image(self.upper_table, b.idx))
 
     # -- extensional identity --
 
@@ -230,8 +217,7 @@ def identity(universe: Universe, chain: Chain) -> Connection:
 
 def compose(outer: Connection, inner: Connection) -> Connection:
     """<f1,g1> o <f2,g2>: lower A |-> f1(f2(A)), upper B |-> g2(g1(B))."""
-    if outer.universe != inner.universe or outer.chain != inner.chain:
-        raise UniverseMismatch("cannot compose connections over different universes")
+    same_space(inner, outer.universe, outer.chain)
     tables = (
         _compose_lower(outer.lower_table, inner.lower_table),
         _compose_upper(outer.upper_table, inner.upper_table),
@@ -283,8 +269,7 @@ class Parameterization:
         self.universe = conns[0].universe
         self.chain = conns[0].chain
         for c in conns:
-            if c.universe != self.universe or c.chain != self.chain:
-                raise UniverseMismatch("connections over different universes/chains")
+            same_space(c, self.universe, self.chain)
         deduped = []
         fps = {}
         for c in conns:
@@ -336,7 +321,7 @@ class Parameterization:
             seen = {}
             for conn in self.connections:
                 fa, fb = conn.lower(a).idx, conn.lower(b).idx
-                if not all(x <= y for x, y in zip(fb, fa)):
+                if not idx_leq(fb, fa):
                     seen[fa, fb] = None
             pairs = self._pairs[key] = tuple(seen)
         return pairs
@@ -393,8 +378,7 @@ def generate_monoid(generators, universe: Universe, chain: Chain, cap: int = 409
     elems = [identity(universe, chain)]
     fps = {elems[0].fingerprint}
     for g in generators:
-        if g.universe != universe or g.chain != chain:
-            raise UniverseMismatch("generator over a different universe/chain")
+        same_space(g, universe, chain)
         if g.fingerprint not in fps:
             fps.add(g.fingerprint)
             elems.append(g)

@@ -11,15 +11,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ParseError, UniverseMismatch
+from .errors import ParseError
 from .fset import (
     LSet,
     Universe,
     c_mult,
     forward_chain,
+    idx_join,
+    idx_leq,
     next_closures,
     parse_lset,
     render_lset,
+    same_space,
     subsethood,
 )
 from .gconn import Parameterization
@@ -34,11 +37,7 @@ class FAI:
     consequent: LSet
 
     def __post_init__(self):
-        if (
-            self.antecedent.universe != self.consequent.universe
-            or self.antecedent.chain != self.consequent.chain
-        ):
-            raise UniverseMismatch("the two sides live over different universes/chains")
+        same_space(self.consequent, self.antecedent.universe, self.antecedent.chain)
 
     def __repr__(self) -> str:
         return f"FAI({render_fai(self)!r})"
@@ -133,6 +132,7 @@ def holds_in(m: LSet, fai: FAI, s: Parameterization) -> bool:
 
 def hedge_truth_degree(m: LSet, fai: FAI, hedge: Hedge) -> Fraction:
     """The hedge-style degree S(A,M)* -> S(B,M)."""
+    same_space(fai.antecedent, m.universe, hedge.chain)
     chain = m.chain
     sa = chain.index_of(subsethood(fai.antecedent, m))
     sb = chain.index_of(subsethood(fai.consequent, m))
@@ -167,29 +167,19 @@ def is_model(m: LSet, theory: Theory, s: Parameterization) -> bool:
     return least_model(theory, s, m) == m
 
 
-def _check_universe(m: LSet, s: Parameterization) -> None:
-    if m.universe != s.universe or m.chain != s.chain:
-        raise UniverseMismatch("the set lives over another universe or chain than S")
-
-
 def t_step(m: LSet, theory: Theory, s: Parameterization) -> LSet:
     """One round of the immediate-consequence operator:
     M union all f(B) for rules A => B and f with f(A) <= M.
     Fired pairs are judged against the input M, not the growing result."""
-    _check_universe(m, s)
-    cur = list(m.idx)
-    for fa, fb in _compiled(theory, s):
-        if all(x <= y for x, y in zip(fa, m.idx)):
-            for y, v in enumerate(fb):
-                if v > cur[y]:
-                    cur[y] = v
-    return LSet(m.universe, m.chain, cur)
+    same_space(m, s.universe, s.chain)
+    fired = [fb for fa, fb in _compiled(theory, s) if idx_leq(fa, m.idx)]
+    return LSet(m.universe, m.chain, idx_join([m.idx, *fired], len(m.idx)))
 
 
 def least_model(theory: Theory, s: Parameterization, m: LSet) -> LSet:
     """Least model of the theory containing M: forward chaining from M over
     the compiled rule images, which saturates t_step."""
-    _check_universe(m, s)
+    same_space(m, s.universe, s.chain)
     return forward_chain(_compiled(theory, s), m)[0]
 
 

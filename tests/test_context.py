@@ -80,21 +80,46 @@ def test_downup_of_bottom(chain5, universe, holidays, settings):
     assert closed == parse_lset("0.25/k, 0.25/l, 0.25/a, 0.25/e", universe, chain5)
 
 
+def test_downup_rejects_a_set_over_another_universe(chain5, universe, holidays, settings):
+    other_chain = Chain([F(0), F(1, 3), F(1, 2), F(2, 3), F(1)], "godel")
+    for g in (
+        parse_lset("0.5/k, 0.5/l", Universe(("k", "l")), chain5),  # zip used to cut it short
+        LSet.top(Universe(("p", "q", "r", "s")), chain5),
+        LSet.top(universe, other_chain),
+    ):
+        with pytest.raises(UniverseMismatch):
+            downup(holidays, g, settings[6])
+
+
 def test_rows_are_closed(holidays, settings):
     for s in settings.values():
         for r in holidays.rows:
             assert downup(holidays, r, s) == r
 
 
-def test_derivation_adjunction(chain5, universe, holidays, settings):
+def _ladder_context(seed: int):
+    """A seeded context shaped like a rung of the synthetic ladder: |Y| = 6,
+    |L| = 3, six random rows, S spanned by rotate(2) and a diff-set."""
+    rng = random.Random(seed)
+    chain = Chain([F(0), F(1, 2), F(1)], "godel")
+    universe = Universe([f"y{k}" for k in range(6)])
+    const = LSet(universe, chain, [2, 1, 0, 1, 0, 0])
+    gens = [Connection(Rotate(2), universe, chain), Connection(DiffSet(const), universe, chain)]
+    rows = [LSet(universe, chain, [rng.randrange(3) for _ in range(6)]) for _ in range(6)]
+    ctx = LContext(universe, chain, [f"o{k}" for k in range(6)], rows)
+    return ctx, generate_monoid(gens, universe, chain)
+
+
+def test_derivation_adjunction(holidays, settings):
     rng = random.Random(5)
-    s = settings[6]
-    for _ in range(40):
-        g = LSet(universe, chain5, tuple(rng.randrange(5) for _ in range(4)))
-        pairs = down(holidays, g, s)
-        assert up(holidays, pairs, s) == downup(holidays, g, s)
-        for name, conn in pairs:
-            assert g <= conn.upper(holidays.row(name))
+    for ctx, s in ((holidays, settings[6]), _ladder_context(0)):
+        n, size = ctx.chain.n, len(ctx.universe)
+        for _ in range(40):
+            g = LSet(ctx.universe, ctx.chain, tuple(rng.randrange(n) for _ in range(size)))
+            pairs = down(ctx, g, s)
+            assert up(ctx, pairs, s) == downup(ctx, g, s)
+            for name, conn in pairs:
+                assert g <= conn.upper(ctx.row(name))
 
 
 def test_context_truth_equals_truth_in_every_row(chain5, universe, holidays, settings):

@@ -1,5 +1,8 @@
 import itertools
+import random
 from fractions import Fraction
+from functools import reduce
+from operator import and_, or_
 
 import pytest
 
@@ -19,7 +22,15 @@ from fai import (
     union,
 )
 
-from fai.fset import forward_chain
+from fai.fset import (
+    forward_chain,
+    idx_join,
+    idx_leq,
+    idx_meet,
+    lower_image,
+    meet_above,
+    upper_image,
+)
 from scan_oracle import iter_lsets, lset_count
 
 F = Fraction
@@ -166,3 +177,34 @@ def test_forward_chain_bounds_its_passes(chain3):
     pairs = [((k,), (k + 1,)) for k in reversed(range(6))]
     with pytest.raises(InvariantError):
         forward_chain(pairs, LSet.bottom(u, chain3))
+
+
+def test_vector_kernels_agree_with_the_lset_operators():
+    rng = random.Random(0)
+    for _ in range(300):
+        n, size = rng.randint(2, 6), rng.randint(1, 6)
+        chain = Chain([F(i, n - 1) for i in range(n)], "godel")
+        u = Universe([f"y{k}" for k in range(size)])
+        bottom, top = LSet.bottom(u, chain), LSet.top(u, chain)
+
+        def draw():
+            return LSet(u, chain, [rng.randrange(n) for _ in range(size)])
+
+        a, b = draw(), draw()
+        assert idx_leq(a.idx, b.idx) == (a <= b)
+        assert idx_leq(a.idx, a.idx) and idx_leq(a.idx, (a | b).idx)
+        # families of every size from empty to four, the single row included
+        for family in ([], [a], [a, b], [draw() for _ in range(rng.randint(3, 4))]):
+            rows = [m.idx for m in family]
+            assert idx_join(rows, size) == reduce(or_, family, bottom).idx
+            assert idx_meet(rows, size, n - 1) == reduce(and_, family, top).idx
+            above = [m for m in family if a <= m]
+            assert meet_above(a.idx, rows, n - 1) == reduce(and_, above, top).idx
+        # a table row per attribute and degree: a singleton (co-singleton) table
+        # for lower_image (upper_image); each picks rows by the vector's entries
+        table = [[draw() for _ in range(n - 1)] for _ in range(size)]
+        flat = tuple(tuple(m.idx for m in row) for row in table)
+        picked = [table[y][i - 1] for y, i in enumerate(a.idx) if i]
+        assert lower_image(flat, a.idx) == reduce(or_, picked, bottom).idx
+        picked = [table[y][i] for y, i in enumerate(a.idx) if i != n - 1]
+        assert upper_image(flat, a.idx) == reduce(and_, picked, top).idx

@@ -91,12 +91,12 @@ def test_composition_order(chain5, universe):
 
 def test_lower_determined_by_fingerprint(small):
     universe, chain = small
-    from fai.gconn import _fp_apply
+    from fai.fset import lower_image
 
     for conn in _generator_zoo(universe, chain):
         fp = conn.fingerprint
         for m in iter_lsets(universe, chain):
-            assert _fp_apply(fp, m.idx) == conn.lower(m).idx
+            assert lower_image(fp, m.idx) == conn.lower(m).idx
 
 
 def test_derive_upper_recovers_the_adjoint(small):

@@ -19,6 +19,7 @@ from fai import (
     entail_degree,
     entails,
     from_hedge,
+    globalization,
     hedge_truth_degree,
     holds_in,
     identity,
@@ -117,8 +118,6 @@ def test_truth_degree_is_the_largest_true_weakening(small):
 
 def test_hedge_truth_equals_monoid_truth(small):
     universe, chain = small
-    from fai import globalization
-
     rng = random.Random(11)
     sets = list(iter_lsets(universe, chain))
     for hedge in (Hedge(chain, [F(1, 2), F(1)]), globalization(chain)):
@@ -156,6 +155,11 @@ def test_model_checks_reject_a_set_over_another_universe(small):
             is_model(m, th, s)
         with pytest.raises(UniverseMismatch):
             least_model(th, s, m)
+    # a hedge over another chain, shorter or of the same length
+    m = LSet.top(universe, chain)
+    for other in (Chain([F(0), F(1)], "godel"), Chain([F(0), F(1, 3), F(1)], "godel")):
+        with pytest.raises(UniverseMismatch):
+            hedge_truth_degree(m, th[0], globalization(other))
 
 
 def test_t_step_rejects_a_set_over_another_universe(small):

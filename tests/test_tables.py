@@ -18,7 +18,8 @@ from fai import (
     generate_monoid,
     verify_adjoint,
 )
-from fai.gconn import DiffSet, Rotate, _fp_apply, _upper_apply
+from fai.fset import lower_image, upper_image
+from fai.gconn import DiffSet, Rotate
 
 from term_oracle import lower_idx, pairwise_monoid, upper_idx, verify_adjoint_by_sweep
 
@@ -43,8 +44,8 @@ def _assert_tables_match_interpreter(s, universe, chain):
     for idx in itertools.product(range(chain.n), repeat=len(universe)):
         memo = {}
         for conn in s:
-            assert _fp_apply(conn.lower_table, idx) == lower_idx(conn.term, idx, chain, memo)
-            assert _upper_apply(conn.upper_table, idx) == upper_idx(conn.term, idx, chain, memo)
+            assert lower_image(conn.lower_table, idx) == lower_idx(conn.term, idx, chain, memo)
+            assert upper_image(conn.upper_table, idx) == upper_idx(conn.term, idx, chain, memo)
 
 
 def test_tables_match_interpreter_on_the_worked_example(settings, chain5, universe):
