@@ -233,6 +233,17 @@ def cmd_prove(args, chain, universe, s) -> int:
 # ---------------------------------------------------------------- wiring
 
 
+def _cap(text: str) -> int:
+    """A --cap value: a count of closed sets, so not negative."""
+    try:
+        cap = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if cap < 0:
+        raise argparse.ArgumentTypeError(f"must not be negative: {text!r}")
+    return cap
+
+
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--params", required=True, metavar="FILE",
@@ -240,7 +251,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     # only the commands that enumerate closed sets take --cap
     enumerating = argparse.ArgumentParser(add_help=False, parents=[common])
-    enumerating.add_argument("--cap", type=int, default=10**6, metavar="N",
+    enumerating.add_argument("--cap", type=_cap, default=10**6, metavar="N",
                              help="abort past N closed sets: models for models, intents "
                              "plus pseudo-intents for intents, complete-set and base")
 

@@ -14,7 +14,16 @@ import io
 import random
 
 from .errors import CapExceeded, NotClosureSystem, NotComplete, ParseError, UniverseMismatch
-from .fset import LSet, Universe, forward_chain, meet_above, next_closures, render_lset, same_space
+from .fset import (
+    LSet,
+    Universe,
+    forward_chain,
+    meet_above,
+    next_closures,
+    render_lset,
+    same_space,
+    scale,
+)
 from .gconn import Parameterization
 from .lattice import Chain, parse_degree
 from .semantics import FAI, Theory, entails, least_model
@@ -88,12 +97,13 @@ class LContext:
 
 
 def _row_images(ctx: LContext, s: Parameterization):
-    """The distinct index vectors of g(I_x) over objects x and <f, g> in S;
-    kept on the context, computed once per S."""
+    """The distinct masks of g(I_x) over objects x and <f, g> in S; kept on
+    the context, computed once per S."""
     images = ctx._images.get(s)
     if images is None:
+        encode = scale(len(ctx.universe), ctx.chain.n).encode
         images = ctx._images[s] = tuple(
-            dict.fromkeys(conn.upper(r).idx for r in ctx.rows for conn in s)
+            dict.fromkeys(encode(conn.upper(r).idx) for r in ctx.rows for conn in s)
         )
     return images
 
@@ -119,7 +129,9 @@ def down(ctx: LContext, g: LSet, s: Parameterization):
 def downup(ctx: LContext, g: LSet, s: Parameterization) -> LSet:
     """The context closure: intersection of all g(I_x) containing the set."""
     same_space(g, ctx.universe, ctx.chain)
-    return LSet(ctx.universe, ctx.chain, meet_above(g.idx, _row_images(ctx, s), ctx.chain.n - 1))
+    sc = scale(len(ctx.universe), ctx.chain.n)
+    closure = meet_above(sc.encode(g.idx), _row_images(ctx, s), sc.top)
+    return LSet(ctx.universe, ctx.chain, sc.decode(closure))
 
 
 def holds_in_context(ctx: LContext, fai: FAI, s: Parameterization) -> bool:
@@ -145,19 +157,22 @@ def _ganter_pass(ctx: LContext, s: Parameterization, cap: int):
     visited = ctx._passes.get(s)
     if visited is None:
         visited, rules = [], []
-        # Ganter's operator is forward chaining over the (Q, C(Q)) pairs found
-        # so far.  Q <= M alone stands for "Q properly inside M": NextClosure
-        # closes only sets lectically above every set it has emitted, so no
-        # set the chaining visits equals a found Q.
+        sc = scale(len(ctx.universe), ctx.chain.n)
+        rows = _row_images(ctx, s)
+        # Ganter's operator is forward chaining over the (Q, C(Q)) mask pairs
+        # found so far.  Q <= M alone stands for "Q properly inside M":
+        # NextClosure closes only sets lectically above every set it has
+        # emitted, so no set the chaining visits equals a found Q.
         closed = next_closures(ctx.universe, ctx.chain, lambda a: forward_chain(rules, a)[0], cap)
         try:
             for m in closed:
-                cl = downup(ctx, m, s)
-                if cl == m:
-                    cl = m  # the views tell intents by ``cl is m``
+                q = sc.encode(m.idx)
+                cl = meet_above(q, rows, sc.top)
+                if cl == q:
+                    visited.append((m, m))  # the views tell intents by ``cl is m``
                 else:
-                    rules.append((m.idx, cl.idx))
-                visited.append((m, cl))
+                    rules.append((q, cl))
+                    visited.append((m, LSet(ctx.universe, ctx.chain, sc.decode(cl))))
         except CapExceeded:
             raise _over_cap(visited, cap) from None
         visited = ctx._passes[s] = tuple(visited)

@@ -1,18 +1,32 @@
 """Graded attribute sets over a fixed finite universe.
 
 An LSet assigns each attribute a degree from a chain; it is stored as a tuple
-of chain indices in universe order.  The literal grammar is
-``0.75/a, e`` — comma-separated items, ``degree/name`` with the degree omitted
-when it is 1 and the whole item omitted when it is 0.
+of chain indices in universe order, and ``LSet.idx`` is its public form.  The
+literal grammar is ``0.75/a, e`` — comma-separated items, ``degree/name``
+with the degree omitted when it is 1 and the whole item omitted when it is 0.
 
-Only this module compares, joins or meets index vectors, or checks that
-operands share a universe and chain; the rest of fai calls its kernels.
+The closure kernels run on the ordinal scale of a graded set (Ganter & Wille,
+*Formal Concept Analysis*, 1999, section 1.3): over a chain of n degrees, a
+set A is the int with bit (y, k) set for every 1 <= k <= A(y), n - 1 bits per
+attribute, laid out attribute by attribute with the first attribute in the
+most significant bits.  Then A <= B is ``a & b == a``, union is ``|`` and
+intersection is ``&``, all exact, and comparing two masks as ints compares
+the sets lectically.  A ``Scale`` per (|Y|, n) encodes and decodes by table.
+The context closure (``meet_above``), rule images (``lower_mask``) and
+forward chaining run on masks; an LSet is decoded only where one is handed
+out.  ``prove`` alone still builds its (rule, member) images as LSets,
+through ``Connection.lower``, and encodes them (see fai.proof).
+
+Only this module compares, joins or meets index vectors, encodes or
+decodes masks, or checks that operands share a universe and chain; the rest
+of fai calls its kernels and tests masks with ``&`` and ``|`` inline.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import le
+from functools import lru_cache
+from operator import getitem, le
 
 from .errors import CapExceeded, DegreeNotInChain, InvariantError, ParseError, UniverseMismatch
 from .lattice import Chain, parse_degree, render_degree
@@ -143,11 +157,6 @@ def same_space(x, universe: Universe, chain: Chain) -> None:
         raise UniverseMismatch("operands live over different universes or chains")
 
 
-def idx_leq(a, b) -> bool:
-    """Containment of index vectors: a[y] <= b[y] at every position."""
-    return all(map(le, a, b))
-
-
 def idx_join(rows, size: int) -> tuple:
     """Entrywise maximum of a sequence of index vectors; bottom if empty."""
     if len(rows) > 1:
@@ -162,11 +171,6 @@ def idx_meet(rows, size: int, top: int) -> tuple:
     return rows[0] if rows else (top,) * size
 
 
-def meet_above(g, rows, top: int) -> tuple:
-    """The meet of the rows that contain g (containment inlined: hot loop)."""
-    return idx_meet([r for r in rows if all(map(le, g, r))], len(g), top)
-
-
 def lower_image(table, idx) -> tuple:
     """f(A): the join of the rows f({a/y}) = table[y][a - 1] that A picks."""
     return idx_join([table[y][a - 1] for y, a in enumerate(idx) if a], len(idx))
@@ -178,10 +182,64 @@ def upper_image(table, idx) -> tuple:
     return idx_meet([table[y][b] for y, b in enumerate(idx) if b != top], len(idx), top)
 
 
+class Scale:
+    """The ordinal scale of graded sets over ``size`` attributes and a chain
+    of ``n`` degrees: the tables that encode an index vector as a mask and
+    decode it back.  ``top`` is the mask of the top set."""
+
+    __slots__ = ("shifts", "codes", "block", "top")
+
+    def __init__(self, size: int, n: int):
+        width = n - 1
+        self.shifts = tuple((size - 1 - y) * width for y in range(size))
+        # codes[y][k]: the bits (y, 1) .. (y, k), so a mask is a sum of codes
+        self.codes = tuple(tuple(((1 << k) - 1) << sh for k in range(n)) for sh in self.shifts)
+        self.block = (1 << width) - 1
+        self.top = (1 << (size * width)) - 1
+
+    def encode(self, idx) -> int:
+        return sum(map(getitem, self.codes, idx))
+
+    def decode(self, mask: int) -> tuple:
+        block, out = self.block, []
+        for sh in self.shifts:
+            out.append(((mask >> sh) & block).bit_length())
+        return tuple(out)
+
+    def lower_masks(self, table) -> tuple:
+        """The mask form of a lower table: per attribute y and degree index
+        k, the mask of f({k/y}), 0 at k = 0; ``lower_mask`` applies it."""
+        return tuple((0, *map(self.encode, rows)) for rows in table)
+
+
+@lru_cache(maxsize=None)
+def scale(size: int, n: int) -> Scale:
+    """The one Scale per attribute count and chain length."""
+    return Scale(size, n)
+
+
+def meet_above(g: int, rows, top: int) -> int:
+    """The meet of the row masks that contain the mask g; top if none does."""
+    meet = top
+    for r in rows:
+        if g & r == g:
+            meet &= r
+    return meet
+
+
+def lower_mask(masks, idx) -> int:
+    """f(A) as a mask: the join of the images f({A(y)/y}) that the index
+    vector A picks from a mask table (``Scale.lower_masks``)."""
+    image = 0
+    for row, k in zip(masks, idx):
+        image |= row[k]
+    return image
+
+
 def leq(a: LSet, b: LSet) -> bool:
     """Full containment: a(y) <= b(y) for every attribute."""
     same_space(b, a.universe, a.chain)
-    return idx_leq(a.idx, b.idx)
+    return all(map(le, a.idx, b.idx))
 
 
 def union(a: LSet, b: LSet) -> LSet:
@@ -278,34 +336,36 @@ def next_closures(universe: Universe, chain: Chain, close, cap: int):
 
 
 def forward_chain(pairs, start: LSet, until: LSet | None = None):
-    """Saturate ``start`` under (lhs, rhs) index-vector pairs.
+    """Saturate ``start`` under (lhs, rhs) mask pairs.
 
     Each pass walks the pairs in order and fires every pair whose lhs lies
-    inside the current vector and whose rhs does not: the vector becomes its
+    inside the current mask and whose rhs does not: the mask becomes its
     union with rhs, at once, so later pairs of the same pass see it.  Passes
-    repeat until one fires nothing, or until ``until`` lies inside the
-    vector at the start of a pass.  Returns the final set and the firings as
-    (pair index, before, after) index vectors, in firing order.  Every pass
-    that fires raises a degree, so past chain.n * |Y| + 1 passes the pairs
-    are malformed: InvariantError.
+    repeat until one fires nothing, or until ``until`` lies inside the mask
+    at the start of a pass.  Returns the final set and the firings as (pair
+    index, before, after) masks, in firing order.  Every pass that fires
+    raises a degree, so past chain.n * |Y| + 1 passes the pairs are
+    malformed: InvariantError.
     """
-    cur = start.idx
-    stop = None if until is None else until.idx
+    universe, chain = start.universe, start.chain
+    sc = scale(len(universe), chain.n)
+    cur = sc.encode(start.idx)
+    stop = None if until is None else sc.encode(until.idx)
     fired = []
-    for _ in range(start.chain.n * len(start.universe) + 1):
-        if stop is not None and all(map(le, stop, cur)):
+    for _ in range(chain.n * len(universe) + 1):
+        if stop is not None and stop & cur == stop:
             break
         n_fired = len(fired)
         for k, (lhs, rhs) in enumerate(pairs):
-            if all(map(le, lhs, cur)) and not all(map(le, rhs, cur)):
-                nxt = tuple(map(max, cur, rhs))
+            if lhs & cur == lhs and rhs & cur != rhs:
+                nxt = cur | rhs
                 fired.append((k, cur, nxt))
                 cur = nxt
         if len(fired) == n_fired:
             break
     else:
         raise InvariantError("forward chaining failed to stabilize within the |L|*|Y| bound")
-    return LSet(start.universe, start.chain, cur), fired
+    return LSet(universe, chain, sc.decode(cur)), fired
 
 
 def render_lset(a: LSet) -> str:

@@ -25,11 +25,12 @@ from .errors import (
 from .fset import (
     LSet,
     Universe,
-    idx_leq,
     lower_image,
+    lower_mask,
     parse_lset,
     render_lset,
     same_space,
+    scale,
     upper_image,
 )
 from .lattice import Chain, DualPair, Hedge, parse_degree, render_degree
@@ -99,6 +100,15 @@ def _compose_upper(outer, inner):
     return tuple(tuple(upper_image(inner, row) for row in rows) for rows in outer)
 
 
+def _dual(chain: Chain) -> DualPair:
+    """The chain's dual pair, built the first time a diff-set term needs it
+    and kept on the chain."""
+    dual = chain._dual
+    if dual is None:
+        dual = chain._dual = DualPair(chain)
+    return dual
+
+
 def _generator_maps(term, universe: Universe, chain: Chain):
     """The lower and upper map of a non-composite term, on index vectors."""
     if isinstance(term, Identity):
@@ -117,7 +127,7 @@ def _generator_maps(term, universe: Universe, chain: Chain):
                 lambda idx: tuple(chain.tnorm_i(c, i) for c, i in zip(cs, idx)),
                 lambda idx: tuple(chain.residuum_i(c, i) for c, i in zip(cs, idx)),
             )
-        dual = DualPair(chain)
+        dual = _dual(chain)
         return (
             lambda idx: tuple(dual.ominus_i(i, c) for i, c in zip(idx, cs)),
             lambda idx: tuple(dual.oplus_i(c, i) for c, i in zip(cs, idx)),
@@ -155,13 +165,16 @@ def _term_tables(term, universe: Universe, chain: Chain):
 class Connection:
     """A term bound to a universe and chain, with the tables of its two maps.
 
-    lower/upper evaluate the two adjoint maps from lower_table and
-    upper_table, which are built independently, each from its own map's
-    formula.  The fingerprint is the lower table; equality and hashing use
-    it.
+    lower_table and upper_table are built independently, each from its own
+    map's formula.  upper evaluates from upper_table; lower evaluates from
+    lower_masks, the mask form of lower_table (one image per bit), built the
+    first time it is needed.  The fingerprint is the lower table; equality
+    and hashing use it.
     """
 
-    __slots__ = ("term", "universe", "chain", "lower_table", "upper_table", "_hash")
+    __slots__ = (
+        "term", "universe", "chain", "lower_table", "upper_table", "_scale", "_masks", "_hash"
+    )
 
     def __init__(self, term, universe: Universe, chain: Chain, _tables=None):
         self.term = term
@@ -170,14 +183,23 @@ class Connection:
         if _tables is None:
             _tables = _term_tables(term, universe, chain)
         self.lower_table, self.upper_table = _tables
+        self._scale = scale(len(universe), chain.n)
+        self._masks = None
         self._hash = None
 
     # -- evaluation --
 
+    @property
+    def lower_masks(self):
+        if self._masks is None:
+            self._masks = self._scale.lower_masks(self.lower_table)
+        return self._masks
+
     def lower(self, a: LSet) -> LSet:
         if a.universe is not self.universe or a.chain is not self.chain:
             same_space(a, self.universe, self.chain)
-        return LSet(self.universe, self.chain, lower_image(self.lower_table, a.idx))
+        image = lower_mask(self.lower_masks, a.idx)
+        return LSet(self.universe, self.chain, self._scale.decode(image))
 
     def upper(self, b: LSet) -> LSet:
         if b.universe is not self.universe or b.chain is not self.chain:
@@ -313,15 +335,18 @@ class Parameterization:
         return member
 
     def lower_pairs(self, a: LSet, b: LSet):
-        """The distinct (f(A).idx, f(B).idx) over <f, g> in S, in S's order,
+        """The distinct (f(A), f(B)) masks over <f, g> in S, in S's order,
         leaving out those with f(B) <= f(A); memoized per (A, B)."""
         key = (a, b)
         pairs = self._pairs.get(key)
         if pairs is None:
+            same_space(a, self.universe, self.chain)
+            same_space(b, self.universe, self.chain)
             seen = {}
             for conn in self.connections:
-                fa, fb = conn.lower(a).idx, conn.lower(b).idx
-                if not idx_leq(fb, fa):
+                masks = conn.lower_masks
+                fa, fb = lower_mask(masks, a.idx), lower_mask(masks, b.idx)
+                if fb & fa != fb:
                     seen[fa, fb] = None
             pairs = self._pairs[key] = tuple(seen)
         return pairs

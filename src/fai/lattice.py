@@ -97,6 +97,7 @@ class Chain:
         self.logic = logic
         self.n = len(degrees)
         self._index = {d: i for i, d in enumerate(degrees)}
+        self._dual = None  # the DualPair, built by fai.gconn when a diff-set first needs it
 
         n = self.n
         self._tnorm = [[0] * n for _ in range(n)]

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import GoalMismatch, InvalidStep, InvariantError, NotProvable, ParseError
-from .fset import LSet, Universe, c_mult, forward_chain, parse_lset, render_lset, union
+from .fset import LSet, Universe, c_mult, forward_chain, parse_lset, render_lset, scale, union
 from .gconn import (
     Connection,
     Parameterization,
@@ -200,17 +200,27 @@ def prove(theory: Theory, s: Parameterization, goal: FAI) -> Proof:
 
     # replay the least-model iteration over the image of every (rule,
     # member) pair, rule-major in S's order; dropping duplicate images
-    # would let a later pair fire in an earlier pass and change the proof
+    # would let a later pair fire in an earlier pass and change the proof.
+    # The images are built anew on each call, through Connection.lower (the
+    # README says why they are not yet read off the mask tables and kept)
+    sc = scale(len(s.universe), s.chain.n)
     sources = [(ri, conn) for ri in range(len(theory)) for conn in s]
     images = [
-        (conn.lower(theory[ri].antecedent).idx, conn.lower(theory[ri].consequent).idx)
+        (
+            sc.encode(conn.lower(theory[ri].antecedent).idx),
+            sc.encode(conn.lower(theory[ri].consequent).idx),
+        )
         for ri, conn in sources
     ]
     closure, fired = forward_chain(images, goal.antecedent, until=goal.consequent)
     if not goal.consequent <= closure:
         raise InvariantError("the replayed saturation stopped below the entailed goal")
     fires = [
-        (*sources[k], LSet(s.universe, s.chain, before), LSet(s.universe, s.chain, after))
+        (
+            *sources[k],
+            LSet(s.universe, s.chain, sc.decode(before)),
+            LSet(s.universe, s.chain, sc.decode(after)),
+        )
         for k, before, after in fired
     ]
 

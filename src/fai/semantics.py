@@ -17,12 +17,11 @@ from .fset import (
     Universe,
     c_mult,
     forward_chain,
-    idx_join,
-    idx_leq,
     next_closures,
     parse_lset,
     render_lset,
     same_space,
+    scale,
     subsethood,
 )
 from .gconn import Parameterization
@@ -154,8 +153,8 @@ def truth_degree(m: LSet, fai: FAI, s: Parameterization) -> Fraction:
 
 
 def _compiled(theory: Theory, s: Parameterization):
-    """The (f(A).idx, f(B).idx) pairs of every rule A => B and <f, g> in S
-    that can fire; each rule's pairs are compiled once per S and kept there."""
+    """The (f(A), f(B)) mask pairs of every rule A => B and <f, g> in S that
+    can fire; each rule's pairs are compiled once per S and kept there."""
     pairs = []
     for rule in theory:
         pairs.extend(s.lower_pairs(rule.antecedent, rule.consequent))
@@ -172,8 +171,12 @@ def t_step(m: LSet, theory: Theory, s: Parameterization) -> LSet:
     M union all f(B) for rules A => B and f with f(A) <= M.
     Fired pairs are judged against the input M, not the growing result."""
     same_space(m, s.universe, s.chain)
-    fired = [fb for fa, fb in _compiled(theory, s) if idx_leq(fa, m.idx)]
-    return LSet(m.universe, m.chain, idx_join([m.idx, *fired], len(m.idx)))
+    sc = scale(len(s.universe), s.chain.n)
+    before = after = sc.encode(m.idx)
+    for fa, fb in _compiled(theory, s):
+        if fa & before == fa:
+            after |= fb
+    return LSet(m.universe, m.chain, sc.decode(after))
 
 
 def least_model(theory: Theory, s: Parameterization, m: LSet) -> LSet:

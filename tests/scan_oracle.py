@@ -7,9 +7,12 @@ closure system as the complete set of the context it spans, so these serve
 as independent oracles.  ``prove_by_replay`` is ``prove`` as it was before
 it shared the forward-chaining engine: its own saturation loop over LSets,
 re-deriving every (rule, connection) image on every pass.
+``idx_meet_above`` is the context closure's kernel as it was on index
+vectors, before fai encoded graded sets as masks.
 """
 
 import itertools
+from operator import le
 
 from fai import (
     FAI,
@@ -49,6 +52,13 @@ def iter_lsets(universe, chain):
 
 def lset_count(universe, chain) -> int:
     return chain.n ** len(universe)
+
+
+def idx_meet_above(g, rows, top):
+    """The entrywise minimum of the index vectors in rows that contain the
+    index vector g; all top if none does."""
+    above = [r for r in rows if all(map(le, g, r))]
+    return tuple(min(column) for column in zip(*above)) if above else (top,) * len(g)
 
 
 def pseudo_intents_by_scan(ctx, s, order="sum-lectic"):

@@ -121,6 +121,15 @@ def test_cap_counts_intents_and_pseudo_intents(command, capsys):
     assert "more than 25 closed sets: 17 intents and 8 pseudo-intents visited" in err
 
 
+@pytest.mark.parametrize("command", ["intents", "models", "complete-set", "base"])
+def test_negative_cap_is_a_usage_error(command, capsys):
+    source = ["--theory", COMPLETE1] if command == "models" else ["--context", CTX]
+    with pytest.raises(SystemExit) as err:
+        main([command, "--params", P1, *source, "--cap", "-5"])
+    assert err.value.code == 2
+    assert "argument --cap: must not be negative: '-5'" in capsys.readouterr().err
+
+
 def test_intents_listing_and_dot(tmp_path, capsys):
     dot = tmp_path / "lattice.dot"
     rc = main(["intents", "--params", P5, "--context", CTX, "--dot", str(dot)])

@@ -25,13 +25,14 @@ from fai import (
 from fai.fset import (
     forward_chain,
     idx_join,
-    idx_leq,
     idx_meet,
     lower_image,
+    lower_mask,
     meet_above,
+    scale,
     upper_image,
 )
-from scan_oracle import iter_lsets, lset_count
+from scan_oracle import idx_meet_above, iter_lsets, lset_count
 
 F = Fraction
 
@@ -154,16 +155,21 @@ def test_mixed_universe_operations_are_rejected(chain5, universe):
 
 def test_forward_chain_fires_in_order_and_stops(chain3):
     u = Universe(("x", "y", "z"))
+    enc = scale(len(u), chain3.n).encode
     x = LSet(u, chain3, (2, 0, 0))
     # y => z is listed before x => y, so it fires only in the second pass;
     # x => x never fires, its right side being inside already
-    pairs = [((0, 2, 0), (0, 0, 2)), ((2, 0, 0), (0, 2, 0)), ((2, 0, 0), (2, 0, 0))]
+    pairs = [
+        (enc((0, 2, 0)), enc((0, 0, 2))),
+        (enc((2, 0, 0)), enc((0, 2, 0))),
+        (enc((2, 0, 0)), enc((2, 0, 0))),
+    ]
     closed, fired = forward_chain(pairs, x)
     assert closed == LSet(u, chain3, (2, 2, 2))
-    assert fired == [(1, (2, 0, 0), (2, 2, 0)), (0, (2, 2, 0), (2, 2, 2))]
+    assert fired == [(1, enc((2, 0, 0)), enc((2, 2, 0))), (0, enc((2, 2, 0)), enc((2, 2, 2)))]
     # listed the other way round, both fire in one pass
     _, fired = forward_chain(pairs[1::-1], x)
-    assert fired == [(0, (2, 0, 0), (2, 2, 0)), (1, (2, 2, 0), (2, 2, 2))]
+    assert fired == [(0, enc((2, 0, 0)), enc((2, 2, 0))), (1, enc((2, 2, 0)), enc((2, 2, 2)))]
     # until is checked before each pass
     stopped, fired = forward_chain(pairs, x, until=LSet(u, chain3, (0, 2, 0)))
     assert stopped == LSet(u, chain3, (2, 2, 0)) and len(fired) == 1
@@ -172,9 +178,9 @@ def test_forward_chain_fires_in_order_and_stops(chain3):
 
 def test_forward_chain_bounds_its_passes(chain3):
     u = Universe(("x",))
-    # malformed pairs climbing past the chain, one firing per pass: more
-    # than chain.n * |Y| + 1 = 4 passes
-    pairs = [((k,), (k + 1,)) for k in reversed(range(6))]
+    # malformed pairs climbing past the chain's two bits (k bits to k + 1),
+    # one firing per pass: more than chain.n * |Y| + 1 = 4 passes
+    pairs = [((1 << k) - 1, (1 << (k + 1)) - 1) for k in reversed(range(6))]
     with pytest.raises(InvariantError):
         forward_chain(pairs, LSet.bottom(u, chain3))
 
@@ -186,25 +192,37 @@ def test_vector_kernels_agree_with_the_lset_operators():
         chain = Chain([F(i, n - 1) for i in range(n)], "godel")
         u = Universe([f"y{k}" for k in range(size)])
         bottom, top = LSet.bottom(u, chain), LSet.top(u, chain)
+        sc = scale(size, n)
 
         def draw():
             return LSet(u, chain, [rng.randrange(n) for _ in range(size)])
 
         a, b = draw(), draw()
-        assert idx_leq(a.idx, b.idx) == (a <= b)
-        assert idx_leq(a.idx, a.idx) and idx_leq(a.idx, (a | b).idx)
+        ma, mb = sc.encode(a.idx), sc.encode(b.idx)
+        # masks: a round trip, containment by ``&``, union by ``|``, meet by ``&``
+        assert sc.decode(ma) == a.idx and sc.decode(mb) == b.idx
+        assert sc.encode(bottom.idx) == 0 and sc.encode(top.idx) == sc.top
+        assert (ma & mb == ma) == (a <= b)
+        assert sc.decode(ma | mb) == (a | b).idx
+        assert sc.decode(ma & mb) == (a & b).idx
+        # the masks' int order is the lectic order of the vectors
+        assert (ma < mb) == (a.idx < b.idx)
         # families of every size from empty to four, the single row included
         for family in ([], [a], [a, b], [draw() for _ in range(rng.randint(3, 4))]):
             rows = [m.idx for m in family]
             assert idx_join(rows, size) == reduce(or_, family, bottom).idx
             assert idx_meet(rows, size, n - 1) == reduce(and_, family, top).idx
             above = [m for m in family if a <= m]
-            assert meet_above(a.idx, rows, n - 1) == reduce(and_, above, top).idx
+            assert idx_meet_above(a.idx, rows, n - 1) == reduce(and_, above, top).idx
+            masks = [sc.encode(r) for r in rows]
+            assert sc.decode(meet_above(ma, masks, sc.top)) == idx_meet_above(a.idx, rows, n - 1)
         # a table row per attribute and degree: a singleton (co-singleton) table
-        # for lower_image (upper_image); each picks rows by the vector's entries
+        # for lower_image and lower_mask (upper_image); each picks rows by the
+        # vector's entries
         table = [[draw() for _ in range(n - 1)] for _ in range(size)]
         flat = tuple(tuple(m.idx for m in row) for row in table)
         picked = [table[y][i - 1] for y, i in enumerate(a.idx) if i]
         assert lower_image(flat, a.idx) == reduce(or_, picked, bottom).idx
+        assert sc.decode(lower_mask(sc.lower_masks(flat), a.idx)) == lower_image(flat, a.idx)
         picked = [table[y][i] for y, i in enumerate(a.idx) if i != n - 1]
         assert upper_image(flat, a.idx) == reduce(and_, picked, top).idx

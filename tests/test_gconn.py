@@ -234,3 +234,20 @@ def test_constant_set_universe_mismatch(chain5, universe):
     c = parse_lset("p", other, chain5)
     with pytest.raises(Exception):
         Connection(ConstMultSet(c), universe, chain5)
+
+
+def test_diff_sets_over_one_chain_share_one_dual_pair(monkeypatch):
+    import fai.gconn
+
+    chain = Chain([F(0), F(1, 2), F(1)], "lukasiewicz")
+    universe = Universe(("x", "y"))
+    built, real = [], fai.gconn.DualPair
+
+    def counting(c):
+        built.append(real(c))
+        return built[-1]
+
+    monkeypatch.setattr(fai.gconn, "DualPair", counting)
+    for text in ("x", "0.5/y"):
+        Connection(DiffSet(parse_lset(text, universe, chain)), universe, chain)
+    assert len(built) == 1 and chain._dual is built[0]

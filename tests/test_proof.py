@@ -240,15 +240,18 @@ def test_synthesized_proofs_check(base6, holidays, settings, chain5, universe):
 
 
 def _same_proof_as_replay(theory, s, goal):
-    """prove and the replay oracle give the same steps, or both refuse;
-    returns the proof's length (0 when refused)."""
+    """prove and the replay oracle give the same steps, byte for byte in
+    their JSON form, or both refuse; returns the proof's length (0 when
+    refused)."""
     try:
         expected = prove_by_replay(theory, s, goal)
     except NotProvable:
         with pytest.raises(NotProvable):
             prove(theory, s, goal)
         return 0
-    assert prove(theory, s, goal).steps == expected.steps
+    found = prove(theory, s, goal)
+    assert found.steps == expected.steps
+    assert json.dumps(proof_to_json(found)) == json.dumps(proof_to_json(expected))
     return len(expected)
 
 
@@ -267,26 +270,34 @@ def test_prove_matches_replay_oracle_on_the_worked_example(
     assert 26 in lengths and max(lengths) > 26
 
 
-def test_prove_matches_replay_oracle_on_a_large_monoid():
-    # rotate(2) and a difference by one step at two attributes: |S| = 85
+@pytest.mark.parametrize("seed", [0, 7, 85])
+def test_prove_matches_replay_oracle_on_a_large_monoid(seed):
+    # shaped like the query benchmark: rotate(2) and a difference by one
+    # step at two seeded attributes (|S| = 85), rows leaning to the top
+    # degree and 16 context-sound rules A => C(A)
     ch = Chain([F(k, 4) for k in range(5)], "godel")
     u = Universe([f"y{k}" for k in range(5)])
-    rng = random.Random(85)
-    step = LSet(u, ch, [1, 0, 1, 0, 0])
+    rng = random.Random(seed)
+    steps = rng.sample(range(5), 2)
+    step = LSet(u, ch, [1 if k in steps else 0 for k in range(5)])
     s = generate_monoid([Connection(Rotate(2), u, ch), Connection(DiffSet(step), u, ch)], u, ch)
     assert len(s) == 85
     rows = [LSet(u, ch, [rng.choice((1, 2, 3, 4, 4)) for _ in range(5)]) for _ in range(8)]
     ctx = LContext(u, ch, [f"o{k}" for k in range(8)], rows)
-    rules = []
+
+    def draw():
+        return LSet(u, ch, [rng.choice((0, 0, 1, 2, 3, 4)) for _ in range(5)])
+
+    rules = {}
     while len(rules) < 16:
-        a = LSet(u, ch, [rng.choice((0, 0, 1, 2, 3, 4)) for _ in range(5)])
+        a = draw()
         closed = downup(ctx, a, s)
         if closed != a:
-            rules.append(FAI(a, closed))
-    theory = Theory(rules)
+            rules.setdefault(a, FAI(a, closed))
+    theory = Theory(list(rules.values()))
     lengths = []
     while len(lengths) < 25:
-        a = LSet(u, ch, [rng.choice((0, 0, 1, 2, 3, 4)) for _ in range(5)])
+        a = draw()
         closed = least_model(theory, s, a)
         if closed != a:
             lengths.append(_same_proof_as_replay(theory, s, FAI(a, closed)))
