@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import random
 
 from .errors import CapExceeded, NotClosureSystem, NotComplete, ParseError, UniverseMismatch
@@ -23,10 +24,11 @@ from .fset import (
     render_lset,
     same_space,
     scale,
+    upper_image,
 )
 from .gconn import Parameterization
 from .lattice import Chain, parse_degree
-from .semantics import FAI, Theory, entails, least_model
+from .semantics import FAI, Theory, compiled_pairs, concat_pairs, least_model
 
 
 class LContext:
@@ -101,9 +103,12 @@ def _row_images(ctx: LContext, s: Parameterization):
     the context, computed once per S."""
     images = ctx._images.get(s)
     if images is None:
+        same_space(s, ctx.universe, ctx.chain)
         encode = scale(len(ctx.universe), ctx.chain.n).encode
         images = ctx._images[s] = tuple(
-            dict.fromkeys(encode(conn.upper(r).idx) for r in ctx.rows for conn in s)
+            dict.fromkeys(
+                encode(upper_image(conn.upper_table, r.idx)) for r in ctx.rows for conn in s
+            )
         )
     return images
 
@@ -136,8 +141,21 @@ def downup(ctx: LContext, g: LSet, s: Parameterization) -> LSet:
 
 def holds_in_context(ctx: LContext, fai: FAI, s: Parameterization) -> bool:
     """True iff the formula holds in every row, i.e. B <= downup(A)."""
-    return fai.consequent <= downup(ctx, fai.antecedent, s)
+    same_space(fai.antecedent, ctx.universe, ctx.chain)
+    sc = scale(len(ctx.universe), ctx.chain.n)
+    a, b = _sides(fai, sc)
+    return b & meet_above(a, _row_images(ctx, s), sc.top) == b
 
+
+def _sides(fai: FAI, sc) -> tuple:
+    """The masks of a formula's antecedent and consequent."""
+    return sc.encode(fai.antecedent.idx), sc.encode(fai.consequent.idx)
+
+
+def _entailed(pairs, a: int, b: int, sc) -> bool:
+    """Whether forward chaining from the mask A over the pairs reaches the
+    mask B; it stops there, as entailment needs no more."""
+    return b & forward_chain(pairs, a, sc, until=b)[0] == b
 
 # ------------------------------------------------------------ intent listing
 
@@ -163,11 +181,13 @@ def _ganter_pass(ctx: LContext, s: Parameterization, cap: int):
         # found so far.  Q <= M alone stands for "Q properly inside M":
         # NextClosure closes only sets lectically above every set it has
         # emitted, so no set the chaining visits equals a found Q.
-        closed = next_closures(ctx.universe, ctx.chain, lambda a: forward_chain(rules, a)[0], cap)
+        closed = next_closures(
+            ctx.universe, ctx.chain, lambda a: forward_chain(rules, a, sc)[0], cap
+        )
         try:
-            for m in closed:
-                q = sc.encode(m.idx)
+            for q in closed:
                 cl = meet_above(q, rows, sc.top)
+                m = LSet(ctx.universe, ctx.chain, sc.decode(q))
                 if cl == q:
                     visited.append((m, m))  # the views tell intents by ``cl is m``
                 else:
@@ -201,10 +221,14 @@ def pseudo_intents(ctx: LContext, s: Parameterization, cap: int = 10**6):
 
     P qualifies iff P is not closed and Q's closure lands inside P for every
     pseudo-intent Q properly below P.  ``cap`` bounds the intents and
-    pseudo-intents visited.
+    pseudo-intents visited.  The degree sum is kept exact as an integer:
+    each degree's numerator over the lcm of the chain's denominators.
     """
+    degrees = ctx.chain.degrees
+    scale_by = math.lcm(*(d.denominator for d in degrees))
+    weight = [d.numerator * (scale_by // d.denominator) for d in degrees]
     found = [(m, cl) for m, cl in _ganter_pass(ctx, s, cap) if cl is not m]
-    found.sort(key=lambda pair: (sum(pair[0].degrees()), pair[0].idx))
+    found.sort(key=lambda pair: (sum(weight[i] for i in pair[0].idx), pair[0].idx))
     return found
 
 
@@ -254,13 +278,16 @@ def is_complete(
 
     Full mode: every rule holds in the context, so every intent is a model,
     and the theory entails every rule of the complete set (``cap`` bounds its
-    enumeration), so every model is an intent.  Sampled mode compares least
-    model and downup on the rows, bottom, top, and seeded-random sets.
+    enumeration), so every model is an intent; the theory is compiled once
+    for all of them.  Sampled mode compares least model and downup on the
+    rows, bottom, top, and seeded-random sets.
     """
     if mode == "full":
         comp = complete_set(ctx, s, cap)
+        pairs = concat_pairs(compiled_pairs(theory, s))
+        sc = scale(len(ctx.universe), ctx.chain.n)
         return all(holds_in_context(ctx, r, s) for r in theory) and all(
-            entails(theory, r, s) for r in comp
+            _entailed(pairs, *_sides(r, sc), sc) for r in comp
         )
     if mode != "sampled":
         raise ValueError(f"unknown mode {mode!r}")
@@ -279,16 +306,19 @@ def reduce_to_base(theory: Theory, ctx: LContext, s: Parameterization) -> Theory
 
     For a complete input the result is a base: completeness is preserved by
     removing entailed rules, and each survivor fails entailment from the rest.
+    The theory is compiled once; "the rest" leaves out one rule's pairs.
     """
-    current = theory
-    i = 0
-    while i < len(current):
-        trimmed = current.without(i)
-        if entails(trimmed, current[i], s):
-            current = trimmed
+    compiled = compiled_pairs(theory, s)
+    sc = scale(len(s.universe), s.chain.n)
+    kept = list(range(len(theory)))
+    k = 0
+    while k < len(kept):
+        rest = concat_pairs(compiled[:k] + compiled[k + 1 :])
+        if _entailed(rest, *_sides(theory[kept[k]], sc), sc):
+            del kept[k], compiled[k]
         else:
-            i += 1
-    return current
+            k += 1
+    return Theory([theory[i] for i in kept], [theory.labels[i] for i in kept])
 
 
 def minimize_sides(theory: Theory, ctx: LContext, s: Parameterization, cap: int = 10**6) -> Theory:
@@ -299,16 +329,19 @@ def minimize_sides(theory: Theory, ctx: LContext, s: Parameterization, cap: int 
     theory remains complete for the context.  The theory is complete before
     every edit, so replacing rule r by r' keeps it complete iff r' holds in
     the context (every intent stays a model) and the edited theory entails r
-    (no model is added).
+    (no model is added).  The theory is compiled once, and an edit
+    recompiles only the rule it changes.
     """
     if not is_complete(theory, ctx, s, cap=cap):
         raise NotComplete("minimize_sides needs a complete theory")
-    current = theory
-    for i in range(len(current)):
+    sc = scale(len(ctx.universe), ctx.chain.n)
+    rows = _row_images(ctx, s)
+    rules, compiled = list(theory), compiled_pairs(theory, s)
+    for i in range(len(rules)):
         for side in ("antecedent", "consequent"):
             for y in range(len(ctx.universe)):
                 while True:
-                    rule = current[i]
+                    rule = rules[i]
                     lset = getattr(rule, side)
                     v = lset.idx[y]
                     if v == 0:
@@ -319,11 +352,15 @@ def minimize_sides(theory: Theory, ctx: LContext, s: Parameterization, cap: int 
                         if side == "antecedent"
                         else FAI(rule.antecedent, lowered)
                     )
-                    edited = current.replaced(i, cand)
-                    if not (holds_in_context(ctx, cand, s) and entails(edited, rule, s)):
+                    a, b = _sides(cand, sc)
+                    if b & meet_above(a, rows, sc.top) != b:
                         break
-                    current = edited
-    return current
+                    edited = compiled[:]
+                    edited[i] = s.lower_pairs(cand.antecedent, cand.consequent)
+                    if not _entailed(concat_pairs(edited), *_sides(rule, sc), sc):
+                        break
+                    rules[i], compiled = cand, edited
+    return Theory(rules, theory.labels)
 
 
 # ---------------------------------------------------------------- rendering

@@ -11,11 +11,13 @@ set A is the int with bit (y, k) set for every 1 <= k <= A(y), n - 1 bits per
 attribute, laid out attribute by attribute with the first attribute in the
 most significant bits.  Then A <= B is ``a & b == a``, union is ``|`` and
 intersection is ``&``, all exact, and comparing two masks as ints compares
-the sets lectically.  A ``Scale`` per (|Y|, n) encodes and decodes by table.
-The context closure (``meet_above``), rule images (``lower_mask``) and
-forward chaining run on masks; an LSet is decoded only where one is handed
-out.  ``prove`` alone still builds its (rule, member) images as LSets,
-through ``Connection.lower``, and encodes them (see fai.proof).
+the sets lectically.  A ``Scale`` per (|Y|, n) encodes and decodes by table
+and composes connections' lower mask tables.  The context closure
+(``meet_above``), rule images (``lower_mask``), NextClosure
+(``next_closures``) and forward chaining (``forward_chain``) take and return
+masks; an LSet is decoded only where one is handed out.  ``prove`` alone
+still builds its (rule, member) images as LSets, through
+``Connection.lower``, and encodes them (see fai.proof).
 
 Only this module compares, joins or meets index vectors, encodes or
 decodes masks, or checks that operands share a universe and chain; the rest
@@ -171,11 +173,6 @@ def idx_meet(rows, size: int, top: int) -> tuple:
     return rows[0] if rows else (top,) * size
 
 
-def lower_image(table, idx) -> tuple:
-    """f(A): the join of the rows f({a/y}) = table[y][a - 1] that A picks."""
-    return idx_join([table[y][a - 1] for y, a in enumerate(idx) if a], len(idx))
-
-
 def upper_image(table, idx) -> tuple:
     """g(B): the meet of the rows g(top but b at y) = table[y][b] that B picks."""
     top = len(table[0])  # one row per degree below the top
@@ -210,6 +207,28 @@ class Scale:
         """The mask form of a lower table: per attribute y and degree index
         k, the mask of f({k/y}), 0 at k = 0; ``lower_mask`` applies it."""
         return tuple((0, *map(self.encode, rows)) for rows in table)
+
+    def lower_table(self, masks) -> tuple:
+        """The lower table a mask table is the form of (``lower_masks``
+        inverted)."""
+        return tuple(tuple(map(self.decode, row[1:])) for row in masks)
+
+    def compose(self, outer, inner) -> tuple:
+        """The mask table of f . h from those of f (outer) and h (inner):
+        f applied to every image h({k/y}), one attribute z at a time, the
+        degree at z being the bit length of the image's block at z."""
+        block = self.block
+        picks = tuple(zip(outer, self.shifts))
+        table = []
+        for row in inner:
+            images = [0]  # h({0/y}) is empty, and so is its image
+            for m in row[1:]:
+                image = 0
+                for images_z, sh in picks:
+                    image |= images_z[((m >> sh) & block).bit_length()]
+                images.append(image)
+            table.append(tuple(images))
+        return tuple(table)
 
 
 @lru_cache(maxsize=None)
@@ -308,52 +327,57 @@ def parse_lset(text: str, universe: Universe, chain: Chain) -> LSet:
 
 
 def next_closures(universe: Universe, chain: Chain, close, cap: int):
-    """The fixed points of the closure operator ``close``, in ascending
-    lectic order (Ganter's NextClosure on graded sets).
+    """The fixed points of the closure operator ``close`` on masks, in
+    ascending lectic order (Ganter's NextClosure on graded sets).
 
-    From the current closed set A, for attribute positions i from last to
-    first, close (A before i) + {next degree above A at i} and accept the
-    first closure agreeing with A before i.  ``close`` is called afresh at
-    each step, so it may depend on what the caller did with earlier
-    fixed points.  CapExceeded once more than ``cap`` sets would be emitted.
+    From the current closed mask A, for attribute positions i from last to
+    first, close A's part before i plus the next degree above A(i) at i,
+    and accept the first closure agreeing with A before i.  With s the
+    offset of the first bit above i's block, A's part before i is
+    ``a >> s << s`` and agreement is ``cand >> s == a >> s``; a block b one
+    degree up is ``(b << 1) | 1``.  Int order is lectic order, so the masks
+    come out in the order the sets would.  ``close`` is called afresh at
+    each step, so it may depend on what the caller did with earlier fixed
+    points.  CapExceeded once more than ``cap`` sets would be emitted.
     """
-    size, top = len(universe), chain.n - 1
-    cur = close(LSet.bottom(universe, chain))
+    sc = scale(len(universe), chain.n)
+    block, width = sc.block, chain.n - 1
+    positions = [(sh, sh + width) for sh in reversed(sc.shifts)]
+    cur = close(0)
     emitted = 0
     while cur is not None:
         emitted += 1
         if emitted > cap:
             raise CapExceeded(f"more than {cap} closed sets")
         yield cur
-        a, cur = cur.idx, None
-        for i in range(size - 1, -1, -1):
-            if a[i] == top:
+        a, cur = cur, None
+        for sh, s in positions:
+            blk = (a >> sh) & block
+            if blk == block:
                 continue
-            cand = close(LSet(universe, chain, a[:i] + (a[i] + 1,) + (0,) * (size - i - 1)))
-            if cand.idx[:i] == a[:i]:
+            prefix = a >> s
+            cand = close((prefix << s) | (((blk << 1) | 1) << sh))
+            if cand >> s == prefix:
                 cur = cand
                 break
 
 
-def forward_chain(pairs, start: LSet, until: LSet | None = None):
-    """Saturate ``start`` under (lhs, rhs) mask pairs.
+def forward_chain(pairs, start: int, sc: Scale, until: int | None = None):
+    """Saturate the mask ``start`` under (lhs, rhs) mask pairs on scale ``sc``.
 
     Each pass walks the pairs in order and fires every pair whose lhs lies
     inside the current mask and whose rhs does not: the mask becomes its
     union with rhs, at once, so later pairs of the same pass see it.  Passes
     repeat until one fires nothing, or until ``until`` lies inside the mask
-    at the start of a pass.  Returns the final set and the firings as (pair
-    index, before, after) masks, in firing order.  Every pass that fires
-    raises a degree, so past chain.n * |Y| + 1 passes the pairs are
-    malformed: InvariantError.
+    at the start of a pass.  Returns the final mask and the firings as
+    (pair index, before, after) masks, in firing order.  Every pass that
+    fires sets a bit of the scale, so past one pass per bit and one more the
+    pairs are malformed: InvariantError.
     """
-    universe, chain = start.universe, start.chain
-    sc = scale(len(universe), chain.n)
-    cur = sc.encode(start.idx)
-    stop = None if until is None else sc.encode(until.idx)
+    cur = start
     fired = []
-    for _ in range(chain.n * len(universe) + 1):
-        if stop is not None and stop & cur == stop:
+    for _ in range(sc.top.bit_length() + 1):
+        if until is not None and until & cur == until:
             break
         n_fired = len(fired)
         for k, (lhs, rhs) in enumerate(pairs):
@@ -364,8 +388,8 @@ def forward_chain(pairs, start: LSet, until: LSet | None = None):
         if len(fired) == n_fired:
             break
     else:
-        raise InvariantError("forward chaining failed to stabilize within the |L|*|Y| bound")
-    return LSet(universe, chain, sc.decode(cur)), fired
+        raise InvariantError("forward chaining failed to stabilize within one pass per scale bit")
+    return cur, fired
 
 
 def render_lset(a: LSet) -> str:

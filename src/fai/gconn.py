@@ -7,6 +7,8 @@ equal exactly when their fingerprints agree.  Dually the upper map preserves
 intersections, so it is determined by its images of the sets that are 1 at
 every attribute but one.  A connection carries both tables and evaluates
 both maps from them; its term is kept for descriptors and display only.
+Lower tables compose in their mask form (``Scale.compose``), and a monoid
+keys its members by it.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from .errors import (
 from .fset import (
     LSet,
     Universe,
-    lower_image,
     lower_mask,
     parse_lset,
     render_lset,
@@ -83,16 +84,12 @@ class Compose:
 # ---------------------------------------------------------------- tables
 #
 # A lower table holds, per attribute position y and degree index a >= 1, the
-# index vector of f({a/y}); f(A) is the union of the rows picked by A.  An
-# upper table holds, per y and degree index b below the top, the index
-# vector of g(top with b at y); g(B) is the intersection of the rows picked
-# by B, and g(top) is the top set.  fset's lower_image and upper_image apply
-# them.
-
-
-def _compose_lower(outer, inner):
-    """Lower table of outer o inner: outer's lower map on inner's rows."""
-    return tuple(tuple(lower_image(outer, row) for row in rows) for rows in inner)
+# index vector of f({a/y}); f(A) is the union of the rows picked by A.  Its
+# mask form (``Scale.lower_masks``) holds the same images as masks, and
+# fset's lower_mask applies it.  An upper table holds, per y and degree index
+# b below the top, the index vector of g(top with b at y); g(B) is the
+# intersection of the rows picked by B, and g(top) is the top set.  fset's
+# upper_image applies it.
 
 
 def _compose_upper(outer, inner):
@@ -142,11 +139,13 @@ def _generator_maps(term, universe: Universe, chain: Chain):
 
 
 def _term_tables(term, universe: Universe, chain: Chain):
-    """(lower table, upper table) of a term; a composite composes its factors'."""
+    """(lower mask table, upper table) of a term; a composite composes its
+    factors'."""
+    sc = scale(len(universe), chain.n)
     if isinstance(term, Compose):
         outer = _term_tables(term.outer, universe, chain)
         inner = _term_tables(term.inner, universe, chain)
-        return _compose_lower(outer[0], inner[0]), _compose_upper(outer[1], inner[1])
+        return sc.compose(outer[0], inner[0]), _compose_upper(outer[1], inner[1])
     lower, upper = _generator_maps(term, universe, chain)
     size, top = len(universe), chain.n - 1
 
@@ -159,41 +158,41 @@ def _term_tables(term, universe: Universe, chain: Chain):
     upper_table = tuple(
         tuple(upper(point(y, b, top)) for b in range(top)) for y in range(size)
     )
-    return lower_table, upper_table
+    return sc.lower_masks(lower_table), upper_table
 
 
 class Connection:
     """A term bound to a universe and chain, with the tables of its two maps.
 
-    lower_table and upper_table are built independently, each from its own
+    The lower and upper tables are built independently, each from its own
     map's formula.  upper evaluates from upper_table; lower evaluates from
-    lower_masks, the mask form of lower_table (one image per bit), built the
-    first time it is needed.  The fingerprint is the lower table; equality
-    and hashing use it.
+    lower_masks, the mask form of lower_table (one image per bit).  The
+    fingerprint is the lower table; equality and hashing use it.
+
+    ``_tables`` gives (lower table, upper table) outright; ``_masks`` gives
+    (lower mask table, upper table), and the lower table is decoded from it.
+    By default both come from the term.
     """
 
     __slots__ = (
-        "term", "universe", "chain", "lower_table", "upper_table", "_scale", "_masks", "_hash"
+        "term", "universe", "chain", "lower_table", "upper_table", "lower_masks", "_scale",
+        "_hash",
     )
 
-    def __init__(self, term, universe: Universe, chain: Chain, _tables=None):
+    def __init__(self, term, universe: Universe, chain: Chain, _tables=None, _masks=None):
         self.term = term
         self.universe = universe
         self.chain = chain
+        sc = self._scale = scale(len(universe), chain.n)
         if _tables is None:
-            _tables = _term_tables(term, universe, chain)
-        self.lower_table, self.upper_table = _tables
-        self._scale = scale(len(universe), chain.n)
-        self._masks = None
+            self.lower_masks, self.upper_table = _masks or _term_tables(term, universe, chain)
+            self.lower_table = sc.lower_table(self.lower_masks)
+        else:
+            self.lower_table, self.upper_table = _tables
+            self.lower_masks = sc.lower_masks(self.lower_table)
         self._hash = None
 
     # -- evaluation --
-
-    @property
-    def lower_masks(self):
-        if self._masks is None:
-            self._masks = self._scale.lower_masks(self.lower_table)
-        return self._masks
 
     def lower(self, a: LSet) -> LSet:
         if a.universe is not self.universe or a.chain is not self.chain:
@@ -240,11 +239,11 @@ def identity(universe: Universe, chain: Chain) -> Connection:
 def compose(outer: Connection, inner: Connection) -> Connection:
     """<f1,g1> o <f2,g2>: lower A |-> f1(f2(A)), upper B |-> g2(g1(B))."""
     same_space(inner, outer.universe, outer.chain)
-    tables = (
-        _compose_lower(outer.lower_table, inner.lower_table),
+    masks = (
+        outer._scale.compose(outer.lower_masks, inner.lower_masks),
         _compose_upper(outer.upper_table, inner.upper_table),
     )
-    return Connection(Compose(outer.term, inner.term), outer.universe, outer.chain, _tables=tables)
+    return Connection(Compose(outer.term, inner.term), outer.universe, outer.chain, _masks=masks)
 
 
 def verify_adjoint(conn: Connection) -> bool:
@@ -281,7 +280,8 @@ class Parameterization:
     """A finite monoid S of connections over one universe and chain.
 
     Construction checks that the identity belongs to S and that S is closed
-    under composition (up to extensional equality).
+    under composition (up to extensional equality).  Members are keyed by
+    their lower mask tables, which composition produces.
     """
 
     def __init__(self, connections, check: bool = True):
@@ -292,23 +292,21 @@ class Parameterization:
         self.chain = conns[0].chain
         for c in conns:
             same_space(c, self.universe, self.chain)
-        deduped = []
-        fps = {}
+        members = {}
         for c in conns:
-            if c.fingerprint not in fps:
-                fps[c.fingerprint] = c
-                deduped.append(c)
-        self.connections = tuple(deduped)
-        self._by_fp = fps
+            members.setdefault(c.lower_masks, c)
+        self.connections = tuple(members.values())
+        self._members = members
+        self._scale = scale(len(self.universe), self.chain.n)
         self._hash = None
         self._pairs = {}
         if check:
-            ident = identity(self.universe, self.chain)
-            if ident.fingerprint not in fps:
+            if identity(self.universe, self.chain).lower_masks not in members:
                 raise NotAMonoid("the identity connection is missing")
+            compose_masks = self._scale.compose
             for a in self.connections:
                 for b in self.connections:
-                    if _compose_lower(a.lower_table, b.lower_table) not in fps:
+                    if compose_masks(a.lower_masks, b.lower_masks) not in members:
                         raise NotAMonoid(
                             f"not closed under composition: {a!r} o {b!r} escapes S"
                         )
@@ -320,16 +318,16 @@ class Parameterization:
         return iter(self.connections)
 
     def __contains__(self, conn: Connection) -> bool:
-        return conn.fingerprint in self._by_fp
+        return conn.lower_masks in self._members
 
     def resolve(self, conn: Connection) -> Connection:
         """The member of S extensionally equal to conn, or None."""
-        return self._by_fp.get(conn.fingerprint)
+        return self._members.get(conn.lower_masks)
 
     def compose_in(self, a: Connection, b: Connection) -> Connection:
         """Composition resolved to the stored member of S, composing lower
-        tables only; InvariantError if S lacks it."""
-        member = self._by_fp.get(_compose_lower(a.lower_table, b.lower_table))
+        mask tables only; InvariantError if S lacks it."""
+        member = self._members.get(self._scale.compose(a.lower_masks, b.lower_masks))
         if member is None:
             raise InvariantError("S is not closed under composition")
         return member
@@ -356,29 +354,31 @@ class Parameterization:
             isinstance(other, Parameterization)
             and self.universe == other.universe
             and self.chain == other.chain
-            and set(self._by_fp) == set(other._by_fp)
+            and set(self._members) == set(other._members)
         )
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash((self.universe, self.chain, frozenset(self._by_fp)))
+            self._hash = hash((self.universe, self.chain, frozenset(self._members)))
         return self._hash
 
     def __repr__(self) -> str:
         return f"Parameterization({len(self.connections)} connections)"
 
 
-def _monoid_size(identity_table, generator_tables, cap: int) -> int:
-    """|S| for the monoid the generators span: breadth first from the
-    identity, composing each member with the generators only (every member
-    is a word in them).  Raises CapExceeded past cap members."""
-    seen = {identity_table}
-    frontier = [identity_table]
+def _monoid_size(identity_masks, generator_masks, sc, cap: int) -> int:
+    """|S| for the monoid the generators span, from lower mask tables on
+    scale ``sc``: breadth first from the identity, composing each member
+    with the generators only (every member is a word in them).  Raises
+    CapExceeded past cap members."""
+    compose_masks = sc.compose
+    seen = {identity_masks}
+    frontier = [identity_masks]
     while frontier:
         found = []
-        for fp in frontier:
-            for gen in generator_tables:
-                img = _compose_lower(fp, gen)
+        for masks in frontier:
+            for gen in generator_masks:
+                img = compose_masks(masks, gen)
                 if img not in seen:
                     seen.add(img)
                     if len(seen) > cap:
@@ -395,29 +395,33 @@ def generate_monoid(generators, universe: Universe, chain: Chain, cap: int = 409
     discovery composes every pair of members found so far, round by round.
     The size of S is known beforehand from a breadth-first search, so the
     discovery stops at S's last member instead of running a final round
-    that only confirms closure.  Raises CapExceeded when the monoid grows
-    past cap members; the identity alone exceeds a cap below 1.
+    that only confirms closure.  Both compose lower mask tables; a new
+    member's lower table is decoded once.  Raises CapExceeded when the
+    monoid grows past cap members; the identity alone exceeds a cap below 1.
     """
     if cap < 1:
         raise CapExceeded(f"monoid exceeds {cap} connections")
+    sc = scale(len(universe), chain.n)
     elems = [identity(universe, chain)]
-    fps = {elems[0].fingerprint}
+    seen = {elems[0].lower_masks}
     for g in generators:
         same_space(g, universe, chain)
-        if g.fingerprint not in fps:
-            fps.add(g.fingerprint)
+        if g.lower_masks not in seen:
+            seen.add(g.lower_masks)
             elems.append(g)
-    size = _monoid_size(elems[0].fingerprint, [g.fingerprint for g in elems[1:]], cap)
+    size = _monoid_size(elems[0].lower_masks, [g.lower_masks for g in elems[1:]], sc, cap)
+    compose_masks = sc.compose
     while len(elems) < size:
         found = len(elems)
         for a in list(elems):
             for b in list(elems):
-                fp = _compose_lower(a.lower_table, b.lower_table)
-                if fp in fps:
+                masks = compose_masks(a.lower_masks, b.lower_masks)
+                if masks in seen:
                     continue
-                fps.add(fp)
+                seen.add(masks)
                 upper = _compose_upper(a.upper_table, b.upper_table)
-                elems.append(Connection(Compose(a.term, b.term), universe, chain, _tables=(fp, upper)))
+                term = Compose(a.term, b.term)
+                elems.append(Connection(term, universe, chain, _masks=(masks, upper)))
                 if len(elems) == size:
                     return Parameterization(elems, check=False)
         if len(elems) == found:

@@ -20,7 +20,7 @@ from .gconn import (
     term_to_descriptor,
 )
 from .lattice import Chain
-from .semantics import FAI, Theory, entails, parse_fai, render_fai
+from .semantics import FAI, Theory, entail_degree, entails, parse_fai, render_fai
 
 
 # ---------------------------------------------------------------- structure
@@ -212,9 +212,11 @@ def prove(theory: Theory, s: Parameterization, goal: FAI) -> Proof:
         )
         for ri, conn in sources
     ]
-    closure, fired = forward_chain(images, goal.antecedent, until=goal.consequent)
-    if not goal.consequent <= closure:
+    want = sc.encode(goal.consequent.idx)
+    reached, fired = forward_chain(images, sc.encode(goal.antecedent.idx), sc, until=want)
+    if want & reached != want:
         raise InvariantError("the replayed saturation stopped below the entailed goal")
+    closure = LSet(s.universe, s.chain, sc.decode(reached))
     fires = [
         (
             *sources[k],
@@ -262,16 +264,18 @@ def prove(theory: Theory, s: Parameterization, goal: FAI) -> Proof:
 
 
 def provability_degree(theory: Theory, s: Parameterization, fai: FAI):
-    """The greatest c for which A => c*B has a proof (c = 0 always does)."""
-    chain = s.chain
-    for c in range(chain.n - 1, -1, -1):
-        candidate = FAI(fai.antecedent, c_mult(chain.degrees[c], fai.consequent))
-        try:
-            prove(theory, s, candidate)
-        except NotProvable:
-            continue
-        return chain.degrees[c]
-    raise InvariantError("A => 0*B is always provable")
+    """The greatest c for which A => c*B has a proof (c = 0 always does).
+
+    By completeness that is the entailment degree, the greatest c with
+    c*B inside the least model of A; one proof at that degree confirms it,
+    and InvariantError reports it failing.
+    """
+    c = entail_degree(theory, fai, s)
+    try:
+        prove(theory, s, FAI(fai.antecedent, c_mult(c, fai.consequent)))
+    except NotProvable:
+        raise InvariantError(f"A => {c}*B is entailed but has no proof") from None
+    return c
 
 
 # ------------------------------------------------------------- normalization

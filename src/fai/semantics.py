@@ -152,13 +152,25 @@ def truth_degree(m: LSet, fai: FAI, s: Parameterization) -> Fraction:
 # ---------------------------------------------------------------- models
 
 
-def _compiled(theory: Theory, s: Parameterization):
-    """The (f(A), f(B)) mask pairs of every rule A => B and <f, g> in S that
-    can fire; each rule's pairs are compiled once per S and kept there."""
+def compiled_pairs(theory: Theory, s: Parameterization) -> list:
+    """Per rule A => B, the tuple of its (f(A), f(B)) mask pairs over <f, g>
+    in S that can fire, kept on S per rule (``Parameterization.lower_pairs``).
+    The theory's forward chaining runs over their concatenation, in order,
+    so theories differing in one rule differ in one entry of this list."""
+    return [s.lower_pairs(rule.antecedent, rule.consequent) for rule in theory]
+
+
+def concat_pairs(compiled) -> list:
+    """The pairs of a theory compiled per rule (``compiled_pairs``), in the
+    order forward chaining walks them."""
     pairs = []
-    for rule in theory:
-        pairs.extend(s.lower_pairs(rule.antecedent, rule.consequent))
+    for rule_pairs in compiled:
+        pairs.extend(rule_pairs)  # a copy of each tuple, faster than item by item
     return pairs
+
+
+def _pairs(theory: Theory, s: Parameterization) -> list:
+    return concat_pairs(compiled_pairs(theory, s))
 
 
 def is_model(m: LSet, theory: Theory, s: Parameterization) -> bool:
@@ -173,7 +185,7 @@ def t_step(m: LSet, theory: Theory, s: Parameterization) -> LSet:
     same_space(m, s.universe, s.chain)
     sc = scale(len(s.universe), s.chain.n)
     before = after = sc.encode(m.idx)
-    for fa, fb in _compiled(theory, s):
+    for fa, fb in _pairs(theory, s):
         if fa & before == fa:
             after |= fb
     return LSet(m.universe, m.chain, sc.decode(after))
@@ -183,12 +195,19 @@ def least_model(theory: Theory, s: Parameterization, m: LSet) -> LSet:
     """Least model of the theory containing M: forward chaining from M over
     the compiled rule images, which saturates t_step."""
     same_space(m, s.universe, s.chain)
-    return forward_chain(_compiled(theory, s), m)[0]
+    sc = scale(len(s.universe), s.chain.n)
+    closed = forward_chain(_pairs(theory, s), sc.encode(m.idx), sc)[0]
+    return LSet(m.universe, m.chain, sc.decode(closed))
 
 
 def entails(theory: Theory, fai: FAI, s: Parameterization) -> bool:
-    """Sigma entails A => B iff B is contained in the least model of A."""
-    return fai.consequent <= least_model(theory, s, fai.antecedent)
+    """Sigma entails A => B iff B is contained in the least model of A.
+    Forward chaining from A stops once B lies inside: the set only grows,
+    and stays inside the least model."""
+    same_space(fai.antecedent, s.universe, s.chain)
+    sc = scale(len(s.universe), s.chain.n)
+    a, b = sc.encode(fai.antecedent.idx), sc.encode(fai.consequent.idx)
+    return b & forward_chain(_pairs(theory, s), a, sc, until=b)[0] == b
 
 
 def entail_degree(theory: Theory, fai: FAI, s: Parameterization) -> Fraction:
@@ -197,6 +216,9 @@ def entail_degree(theory: Theory, fai: FAI, s: Parameterization) -> Fraction:
 
 
 def models_enum(theory: Theory, s: Parameterization, cap: int = 10**6):
-    """All models of the theory, in lectic order: the fixed points of
-    least_model; CapExceeded past ``cap`` models."""
-    return list(next_closures(s.universe, s.chain, lambda m: least_model(theory, s, m), cap))
+    """All models of the theory, in lectic order: the fixed points of the
+    least-model closure, compiled once; CapExceeded past ``cap`` models."""
+    sc = scale(len(s.universe), s.chain.n)
+    pairs = _pairs(theory, s)
+    closed = next_closures(s.universe, s.chain, lambda m: forward_chain(pairs, m, sc)[0], cap)
+    return [LSet(s.universe, s.chain, sc.decode(m)) for m in closed]

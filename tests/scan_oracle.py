@@ -8,7 +8,12 @@ as independent oracles.  ``prove_by_replay`` is ``prove`` as it was before
 it shared the forward-chaining engine: its own saturation loop over LSets,
 re-deriving every (rule, connection) image on every pass.
 ``idx_meet_above`` is the context closure's kernel as it was on index
-vectors, before fai encoded graded sets as masks.
+vectors, before fai encoded graded sets as masks.  ``next_closures_on_lsets``
+is NextClosure as it was before it stepped on masks, and
+``reduce_to_base_by_entailment`` and ``minimize_sides_by_entailment`` are
+the reduction and the side-minimizing walk as they were before they
+compiled a theory once: each test of entailment runs ``least_model`` on
+the whole theory and compares.
 """
 
 import itertools
@@ -59,6 +64,68 @@ def idx_meet_above(g, rows, top):
     index vector g; all top if none does."""
     above = [r for r in rows if all(map(le, g, r))]
     return tuple(min(column) for column in zip(*above)) if above else (top,) * len(g)
+
+
+def next_closures_on_lsets(universe, chain, close, cap):
+    """The fixed points of ``close`` on LSets in ascending lectic order,
+    stepping on degree vectors; CapExceeded once more than ``cap`` sets
+    would be emitted."""
+    size, top = len(universe), chain.n - 1
+    cur = close(LSet.bottom(universe, chain))
+    emitted = 0
+    while cur is not None:
+        emitted += 1
+        if emitted > cap:
+            raise CapExceeded(f"more than {cap} closed sets")
+        yield cur
+        a, cur = cur.idx, None
+        for i in range(size - 1, -1, -1):
+            if a[i] == top:
+                continue
+            cand = close(LSet(universe, chain, a[:i] + (a[i] + 1,) + (0,) * (size - i - 1)))
+            if cand.idx[:i] == a[:i]:
+                cur = cand
+                break
+
+
+def reduce_to_base_by_entailment(theory, ctx, s):
+    """Drop, in order, every rule the remaining ones entail."""
+    current = theory
+    i = 0
+    while i < len(current):
+        trimmed = current.without(i)
+        if current[i].consequent <= least_model(trimmed, s, current[i].antecedent):
+            current = trimmed
+        else:
+            i += 1
+    return current
+
+
+def minimize_sides_by_entailment(theory, ctx, s):
+    """The side-minimizing walk of fai.minimize_sides on a complete theory,
+    keeping an edit of rule r into r' when r' holds in the context and the
+    edited theory entails r."""
+    current = theory
+    for i in range(len(current)):
+        for side in ("antecedent", "consequent"):
+            for y in range(len(ctx.universe)):
+                while True:
+                    rule = current[i]
+                    lset = getattr(rule, side)
+                    if lset.idx[y] == 0:
+                        break
+                    lowered = lset.with_index(y, lset.idx[y] - 1)
+                    cand = (
+                        FAI(lowered, rule.consequent)
+                        if side == "antecedent"
+                        else FAI(rule.antecedent, lowered)
+                    )
+                    edited = current.replaced(i, cand)
+                    holds = cand.consequent <= downup(ctx, cand.antecedent, s)
+                    if not (holds and rule.consequent <= least_model(edited, s, rule.antecedent)):
+                        break
+                    current = edited
+    return current
 
 
 def pseudo_intents_by_scan(ctx, s, order="sum-lectic"):

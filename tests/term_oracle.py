@@ -7,14 +7,27 @@ a round finds nothing new; ``verify_adjoint_by_sweep`` checks adjointness of
 two maps on every graded set; ``derive_upper`` recovers the upper map from
 the lower map's singleton images alone.  fai evaluates connections from their
 tables, finds the size of S first and checks adjointness on the tables'
-entries, so these serve as independent oracles.
+entries, so these serve as independent oracles.  ``lower_image`` and
+``compose_lower`` apply and compose lower tables on index vectors, as fai
+did before it composed their mask form.
 """
 
 from functools import lru_cache
 import itertools
 
-from fai import CapExceeded, DualPair, LSet, NotAdjoint, identity, render_lset
+from fai import CapExceeded, Connection, DualPair, LSet, NotAdjoint, identity, render_lset
+from fai.fset import idx_join
 from fai.gconn import Compose, ConstMult, ConstMultSet, DiffSet, Identity, Rotate, compose
+
+
+def lower_image(table, idx) -> tuple:
+    """f(A): the join of the rows f({a/y}) = table[y][a - 1] that A picks."""
+    return idx_join([table[y][a - 1] for y, a in enumerate(idx) if a], len(idx))
+
+
+def compose_lower(outer, inner):
+    """Lower table of outer o inner: outer's lower map on inner's rows."""
+    return tuple(tuple(lower_image(outer, row) for row in rows) for rows in inner)
 
 
 @lru_cache(maxsize=None)
@@ -75,7 +88,9 @@ def upper_idx(term, idx, chain, memo=None):
 
 
 def pairwise_monoid(generators, universe, chain, cap=4096):
-    """Members of the monoid in pairwise discovery order, identity first."""
+    """Members of the monoid in pairwise discovery order, identity first.
+    Lower tables compose on index vectors (``compose_lower``), and each new
+    member carries the table found so."""
     elems = [identity(universe, chain)]
     fps = {elems[0].fingerprint}
     for g in generators:
@@ -89,10 +104,11 @@ def pairwise_monoid(generators, universe, chain, cap=4096):
         changed = False
         for a in list(elems):
             for b in list(elems):
-                c = compose(a, b)
-                if c.fingerprint not in fps:
-                    fps.add(c.fingerprint)
-                    elems.append(c)
+                fp = compose_lower(a.lower_table, b.lower_table)
+                if fp not in fps:
+                    fps.add(fp)
+                    tables = (fp, compose(a, b).upper_table)
+                    elems.append(Connection(Compose(a.term, b.term), universe, chain, _tables=tables))
                     changed = True
                     if len(elems) > cap:
                         raise CapExceeded(f"monoid exceeds {cap} connections")

@@ -28,8 +28,10 @@ from fai import (
     holds_in_context,
     intents_enum,
     is_complete,
+    least_model,
     minimize_sides,
     models_enum,
+    next_closures,
     parse_lset,
     parse_theory,
     pseudo_intents,
@@ -39,13 +41,17 @@ from fai import (
     up,
 )
 from fai.errors import DegreeNotInChain, ParseError
+from fai.fset import scale
 
 from scan_oracle import (
     complete_by_scan,
     iter_lsets,
+    minimize_sides_by_entailment,
     minimize_sides_by_scan,
     models_by_sweep,
+    next_closures_on_lsets,
     pseudo_intents_by_scan,
+    reduce_to_base_by_entailment,
     theory_of_system_by_sweep,
 )
 
@@ -257,6 +263,61 @@ def test_nextclosure_matches_scan_oracle():
                     dropped = base.without(i)
                     assert is_complete(dropped, ctx, s) == complete_by_scan(dropped, ctx, s)
                 assert minimize_sides(base, ctx, s) == minimize_sides_by_scan(base, ctx, s)
+
+
+def _closed_on_masks(universe, chain, close, cap):
+    """NextClosure on masks under an LSet closure, its sets decoded."""
+    sc = scale(len(universe), chain.n)
+
+    def close_mask(q):
+        return sc.encode(close(LSet(universe, chain, sc.decode(q))).idx)
+
+    closed = next_closures(universe, chain, close_mask, cap)
+    return [LSet(universe, chain, sc.decode(m)) for m in closed]
+
+
+def test_mask_next_closures_match_the_lset_stepper():
+    rng = random.Random(3303)
+    cases = []
+    for logic in ("godel", "lukasiewicz"):
+        for n in (2, 3, 4, 5):
+            for _ in range(4):
+                ctx, s, random_set = _random_context_setting(rng, logic, n)
+                rules = [FAI(random_set(), random_set()) for _ in range(rng.randrange(1, 4))]
+                cases.append((ctx, s, Theory(rules)))
+    for seed in range(2):
+        ctx, s = _ladder_context(seed)
+        cases.append((ctx, s, reduce_to_base(complete_set(ctx, s), ctx, s)))
+    for ctx, s, theory in cases:
+        universe, chain = ctx.universe, ctx.chain
+        closers = (lambda m: downup(ctx, m, s), lambda m: least_model(theory, s, m))
+        for close in closers:
+            expected = list(next_closures_on_lsets(universe, chain, close, 10**6))
+            assert _closed_on_masks(universe, chain, close, 10**6) == expected
+            with pytest.raises(CapExceeded):
+                _closed_on_masks(universe, chain, close, len(expected) - 1)
+
+
+def test_compiled_reduce_and_minimize_match_re_entailment(holidays, settings):
+    rng = random.Random(3304)
+    cases = [(holidays, s) for s in settings.values()]
+    for logic in ("godel", "lukasiewicz"):
+        for n in (3, 4, 5):
+            for _ in range(3):
+                cases.append(_random_context_setting(rng, logic, n)[:2])
+    cases += [_ladder_context(seed) for seed in range(2)]
+    for ctx, s in cases:
+        comp = complete_set(ctx, s)
+        order = list(range(len(comp)))
+        rng.shuffle(order)
+        shuffled = Theory([comp[i] for i in order], [comp.labels[i] for i in order])
+        for theory in (comp, shuffled):
+            base = reduce_to_base(theory, ctx, s)
+            expected = reduce_to_base_by_entailment(theory, ctx, s)
+            assert (base.rules, base.labels) == (expected.rules, expected.labels)
+            mini = minimize_sides(base, ctx, s)
+            expected = minimize_sides_by_entailment(base, ctx, s)
+            assert (mini.rules, mini.labels) == (expected.rules, expected.labels)
 
 
 def test_one_pass_serves_the_mine_pipeline(pass_calls, fresh_holidays, settings):

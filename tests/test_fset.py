@@ -26,13 +26,13 @@ from fai.fset import (
     forward_chain,
     idx_join,
     idx_meet,
-    lower_image,
     lower_mask,
     meet_above,
     scale,
     upper_image,
 )
 from scan_oracle import idx_meet_above, iter_lsets, lset_count
+from term_oracle import lower_image
 
 F = Fraction
 
@@ -153,10 +153,10 @@ def test_mixed_universe_operations_are_rejected(chain5, universe):
         union(a, b)
 
 
-def test_forward_chain_fires_in_order_and_stops(chain3):
-    u = Universe(("x", "y", "z"))
-    enc = scale(len(u), chain3.n).encode
-    x = LSet(u, chain3, (2, 0, 0))
+def test_forward_chain_fires_in_order_and_stops():
+    sc = scale(3, 3)
+    enc = sc.encode
+    x = enc((2, 0, 0))
     # y => z is listed before x => y, so it fires only in the second pass;
     # x => x never fires, its right side being inside already
     pairs = [
@@ -164,25 +164,27 @@ def test_forward_chain_fires_in_order_and_stops(chain3):
         (enc((2, 0, 0)), enc((0, 2, 0))),
         (enc((2, 0, 0)), enc((2, 0, 0))),
     ]
-    closed, fired = forward_chain(pairs, x)
-    assert closed == LSet(u, chain3, (2, 2, 2))
+    closed, fired = forward_chain(pairs, x, sc)
+    assert closed == enc((2, 2, 2))
     assert fired == [(1, enc((2, 0, 0)), enc((2, 2, 0))), (0, enc((2, 2, 0)), enc((2, 2, 2)))]
     # listed the other way round, both fire in one pass
-    _, fired = forward_chain(pairs[1::-1], x)
+    _, fired = forward_chain(pairs[1::-1], x, sc)
     assert fired == [(0, enc((2, 0, 0)), enc((2, 2, 0))), (1, enc((2, 2, 0)), enc((2, 2, 2)))]
     # until is checked before each pass
-    stopped, fired = forward_chain(pairs, x, until=LSet(u, chain3, (0, 2, 0)))
-    assert stopped == LSet(u, chain3, (2, 2, 0)) and len(fired) == 1
-    assert forward_chain(pairs, x, until=x) == (x, [])
+    stopped, fired = forward_chain(pairs, x, sc, until=enc((0, 2, 0)))
+    assert stopped == enc((2, 2, 0)) and len(fired) == 1
+    assert forward_chain(pairs, x, sc, until=x) == (x, [])
 
 
-def test_forward_chain_bounds_its_passes(chain3):
-    u = Universe(("x",))
+def test_forward_chain_bounds_its_passes():
+    sc = scale(1, 3)
     # malformed pairs climbing past the chain's two bits (k bits to k + 1),
-    # one firing per pass: more than chain.n * |Y| + 1 = 4 passes
+    # one firing per pass: more than one pass per scale bit and one more (3)
     pairs = [((1 << k) - 1, (1 << (k + 1)) - 1) for k in reversed(range(6))]
     with pytest.raises(InvariantError):
-        forward_chain(pairs, LSet.bottom(u, chain3))
+        forward_chain(pairs, 0, sc)
+    # the same climb within the scale's two bits stabilizes inside the bound
+    assert forward_chain(pairs[-2:], 0, sc)[0] == sc.top
 
 
 def test_vector_kernels_agree_with_the_lset_operators():

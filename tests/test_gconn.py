@@ -30,7 +30,7 @@ from fai import (
 )
 
 from scan_oracle import iter_lsets
-from term_oracle import derive_upper
+from term_oracle import derive_upper, lower_image
 
 F = Fraction
 
@@ -91,8 +91,6 @@ def test_composition_order(chain5, universe):
 
 def test_lower_determined_by_fingerprint(small):
     universe, chain = small
-    from fai.fset import lower_image
-
     for conn in _generator_zoo(universe, chain):
         fp = conn.fingerprint
         for m in iter_lsets(universe, chain):

@@ -27,6 +27,7 @@ from fai import (
     Rotate,
     Theory,
     Universe,
+    c_mult,
     check_proof,
     complete_set,
     downup,
@@ -416,6 +417,31 @@ def test_provability_degree(base6, settings, chain5, universe):
     for text in (GOAL, "e -> k", "l -> 0.75/e", "k -> 0.25/l"):
         goal = parse_fai(text, universe, chain5)
         assert provability_degree(base6, s, goal) == entail_degree(base6, goal, s)
+
+
+def test_provability_degree_proves_once(base6, settings, chain5, universe, monkeypatch):
+    import fai.proof
+
+    calls, real = [], fai.proof.prove
+
+    def counting(theory, s, goal):
+        calls.append(goal)
+        return real(theory, s, goal)
+
+    monkeypatch.setattr(fai.proof, "prove", counting)
+    s = settings[6]
+    for text in (GOAL, "e -> k", "l -> 0.75/e", "k -> 0.25/l"):
+        goal = parse_fai(text, universe, chain5)
+        calls.clear()
+        degree = provability_degree(base6, s, goal)
+        assert calls == [FAI(goal.antecedent, c_mult(degree, goal.consequent))]
+
+    def failing(theory, s, goal):
+        raise NotProvable("refused")
+
+    monkeypatch.setattr(fai.proof, "prove", failing)
+    with pytest.raises(InvariantError):
+        provability_degree(base6, s, parse_fai(GOAL, universe, chain5))
 
 
 def test_proof_json_round_trip(shipped_proof, base6, settings, chain5, universe):

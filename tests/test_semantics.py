@@ -7,18 +7,22 @@ from fai import (
     Chain,
     Connection,
     ConstMult,
+    ConstMultSet,
+    DiffSet,
     FAI,
     Hedge,
     LSet,
     NotClosureSystem,
     Parameterization,
     ParseError,
+    Rotate,
     Theory,
     Universe,
     UniverseMismatch,
     entail_degree,
     entails,
     from_hedge,
+    generate_monoid,
     globalization,
     hedge_truth_degree,
     holds_in,
@@ -196,6 +200,32 @@ def test_entailment(chain5, universe, settings):
     assert entail_degree(th, goal, settings[6]) == F(1)
     assert entail_degree(th, parse_fai("e -> k", universe, chain5), settings[6]) == F(1, 4)
     assert not entails(th, parse_fai("e -> k", universe, chain5), settings[6])
+
+
+def test_early_stopping_entailment_equals_least_model_containment():
+    rng = random.Random(3305)
+    outcomes = {True: 0, False: 0}
+    for logic, n in (("godel", 3), ("lukasiewicz", 4), ("godel", 5)):
+        chain = Chain([F(i, n - 1) for i in range(n)], logic)
+        universe = Universe(("x", "y", "z", "w"))
+
+        def random_set():
+            return LSet(universe, chain, [rng.randrange(n) for _ in universe])
+
+        const = rng.choice((DiffSet, ConstMultSet))(random_set())
+        gens = [Connection(Rotate(1), universe, chain), Connection(const, universe, chain)]
+        s = generate_monoid(gens, universe, chain)
+        for _ in range(40):
+            theory = Theory([FAI(random_set(), random_set()) for _ in range(rng.randrange(4))])
+            a = random_set()
+            closed = least_model(theory, s, a)
+            # one consequent drawn inside the least model, one drawn anywhere
+            inside = LSet(universe, chain, [rng.randrange(v + 1) for v in closed.idx])
+            for b in (inside, random_set()):
+                expected = b <= closed
+                assert entails(theory, FAI(a, b), s) == expected
+                outcomes[expected] += 1
+    assert min(outcomes.values()) >= 20, outcomes
 
 
 def test_entail_degree_via_models(small):

@@ -12,16 +12,28 @@ from fai import (
     CapExceeded,
     Chain,
     Connection,
+    ConstMult,
+    ConstMultSet,
     LSet,
     NotAdjoint,
+    NotAMonoid,
+    Parameterization,
     Universe,
+    compose,
     generate_monoid,
     verify_adjoint,
 )
-from fai.fset import lower_image, upper_image
+from fai.fset import scale, upper_image
 from fai.gconn import DiffSet, Rotate
 
-from term_oracle import lower_idx, pairwise_monoid, upper_idx, verify_adjoint_by_sweep
+from term_oracle import (
+    compose_lower,
+    lower_idx,
+    lower_image,
+    pairwise_monoid,
+    upper_idx,
+    verify_adjoint_by_sweep,
+)
 
 F = Fraction
 
@@ -84,6 +96,58 @@ def test_member_order_equals_pairwise_discovery(settings, chain5, universe):
         assert [c.fingerprint for c in found] == [c.fingerprint for c in expected]
         assert [c.term for c in found] == [c.term for c in expected]
         assert [c.fingerprint_hash() for c in found] == [c.fingerprint_hash() for c in expected]
+
+
+def _random_generators(rng):
+    """A rotation and one random const-mult, const-mult-set or diff-set over
+    three or four attributes and a uniform chain of two to five degrees."""
+    logic, n = rng.choice((("godel", 5), ("godel", 3), ("lukasiewicz", 4), ("goguen", 2)))
+    chain = Chain([F(i, n - 1) for i in range(n)], logic)
+    universe = Universe([f"y{k}" for k in range(rng.choice((3, 4)))])
+    const = LSet(universe, chain, [rng.randrange(n) for _ in universe])
+    term = rng.choice(
+        (ConstMult(chain.degrees[rng.randrange(n)]), ConstMultSet(const), DiffSet(const))
+    )
+    shift = rng.randrange(1, len(universe))
+    gens = [Connection(Rotate(shift), universe, chain), Connection(term, universe, chain)]
+    return gens, universe, chain
+
+
+def _query_shaped_generators(rng):
+    """rotate(2) and a diff-set with one step at exactly two of five
+    attributes, over the five-degree Godel chain: |S| = 85."""
+    chain = Chain([F(i, 4) for i in range(5)], "godel")
+    universe = Universe([f"y{k}" for k in range(5)])
+    steps = rng.sample(range(5), 2)
+    const = LSet(universe, chain, [1 if k in steps else 0 for k in range(5)])
+    gens = [Connection(Rotate(2), universe, chain), Connection(DiffSet(const), universe, chain)]
+    return gens, universe, chain
+
+
+def test_mask_composer_matches_index_vectors():
+    rng = random.Random(3306)
+    cases = [_random_generators(rng) for _ in range(12)]
+    cases += [_query_shaped_generators(rng) for _ in range(2)]
+    for k, (gens, universe, chain) in enumerate(cases):
+        s = generate_monoid(gens, universe, chain)
+        expected = pairwise_monoid(gens, universe, chain)
+        if k >= 12:
+            assert len(s) == 85
+        assert [c.fingerprint for c in s] == [c.fingerprint for c in expected]
+        assert [c.term for c in s] == [c.term for c in expected]
+        assert [c.fingerprint_hash() for c in s] == [c.fingerprint_hash() for c in expected]
+        sc = scale(len(universe), chain.n)
+        for _ in range(40):
+            a, b = rng.choice(s.connections), rng.choice(s.connections)
+            table = compose_lower(a.lower_table, b.lower_table)
+            assert sc.lower_table(sc.compose(a.lower_masks, b.lower_masks)) == table
+            assert compose(a, b).lower_table == table
+            assert s.compose_in(a, b).lower_table == table
+        # the closure check composes on masks too
+        assert len(Parameterization(s.connections)) == len(s)
+        if len(s) > 2:
+            with pytest.raises(NotAMonoid):
+                Parameterization(s.connections[:-1])
 
 
 def test_cap_exceeded_at_the_same_size(settings, chain5, universe):
