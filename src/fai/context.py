@@ -24,7 +24,7 @@ from .fset import (
     render_lset,
     same_space,
     scale,
-    upper_image,
+    upper_mask,
 )
 from .gconn import Parameterization
 from .lattice import Chain, parse_degree
@@ -104,11 +104,10 @@ def _row_images(ctx: LContext, s: Parameterization):
     images = ctx._images.get(s)
     if images is None:
         same_space(s, ctx.universe, ctx.chain)
-        encode = scale(len(ctx.universe), ctx.chain.n).encode
+        sc = scale(len(ctx.universe), ctx.chain.n)
+        rows = [sc.encode(r.idx) for r in ctx.rows]
         images = ctx._images[s] = tuple(
-            dict.fromkeys(
-                encode(upper_image(conn.upper_table, r.idx)) for r in ctx.rows for conn in s
-            )
+            dict.fromkeys(upper_mask(conn.lower_masks, r, sc.codes) for r in rows for conn in s)
         )
     return images
 
@@ -356,7 +355,7 @@ def minimize_sides(theory: Theory, ctx: LContext, s: Parameterization, cap: int 
                     if b & meet_above(a, rows, sc.top) != b:
                         break
                     edited = compiled[:]
-                    edited[i] = s.lower_pairs(cand.antecedent, cand.consequent)
+                    edited[i] = s.image_pairs(cand.antecedent, cand.consequent)
                     if not _entailed(concat_pairs(edited), *_sides(rule, sc), sc):
                         break
                     rules[i], compiled = cand, edited

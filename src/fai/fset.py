@@ -17,7 +17,9 @@ and composes connections' lower mask tables.  The context closure
 (``next_closures``) and forward chaining (``forward_chain``) take and return
 masks; an LSet is decoded only where one is handed out.  ``prove`` alone
 still builds its (rule, member) images as LSets, through
-``Connection.lower``, and encodes them (see fai.proof).
+``Connection.lower``, and encodes them (see fai.proof).  A connection is its
+lower mask table: ``lower_mask`` applies it, and ``upper_mask`` reads its
+residual, the upper map, off the same masks.
 
 Only this module compares, joins or meets index vectors, encodes or
 decodes masks, or checks that operands share a universe and chain; the rest
@@ -159,26 +161,6 @@ def same_space(x, universe: Universe, chain: Chain) -> None:
         raise UniverseMismatch("operands live over different universes or chains")
 
 
-def idx_join(rows, size: int) -> tuple:
-    """Entrywise maximum of a sequence of index vectors; bottom if empty."""
-    if len(rows) > 1:
-        return tuple(map(max, *rows))
-    return rows[0] if rows else (0,) * size
-
-
-def idx_meet(rows, size: int, top: int) -> tuple:
-    """Entrywise minimum of a sequence of index vectors; top if empty."""
-    if len(rows) > 1:
-        return tuple(map(min, *rows))
-    return rows[0] if rows else (top,) * size
-
-
-def upper_image(table, idx) -> tuple:
-    """g(B): the meet of the rows g(top but b at y) = table[y][b] that B picks."""
-    top = len(table[0])  # one row per degree below the top
-    return idx_meet([table[y][b] for y, b in enumerate(idx) if b != top], len(idx), top)
-
-
 class Scale:
     """The ordinal scale of graded sets over ``size`` attributes and a chain
     of ``n`` degrees: the tables that encode an index vector as a mask and
@@ -255,6 +237,19 @@ def lower_mask(masks, idx) -> int:
     return image
 
 
+def upper_mask(masks, b: int, codes) -> int:
+    """g(B) as a mask, the residual of the lower map a mask table gives:
+    at each attribute y the largest degree k with f({k/y}) inside the mask
+    b, emitted as ``codes[y][k]`` (``Scale.codes``)."""
+    image = 0
+    for row, code in zip(masks, codes):
+        k = len(row) - 1
+        while k and row[k] & b != row[k]:
+            k -= 1
+        image |= code[k]
+    return image
+
+
 def leq(a: LSet, b: LSet) -> bool:
     """Full containment: a(y) <= b(y) for every attribute."""
     same_space(b, a.universe, a.chain)
@@ -263,12 +258,12 @@ def leq(a: LSet, b: LSet) -> bool:
 
 def union(a: LSet, b: LSet) -> LSet:
     same_space(b, a.universe, a.chain)
-    return LSet(a.universe, a.chain, idx_join((a.idx, b.idx), len(a.idx)))
+    return LSet(a.universe, a.chain, map(max, a.idx, b.idx))
 
 
 def intersection(a: LSet, b: LSet) -> LSet:
     same_space(b, a.universe, a.chain)
-    return LSet(a.universe, a.chain, idx_meet((a.idx, b.idx), len(a.idx), a.chain.n - 1))
+    return LSet(a.universe, a.chain, map(min, a.idx, b.idx))
 
 
 def subsethood(a: LSet, b: LSet) -> Fraction:

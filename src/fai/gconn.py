@@ -3,12 +3,11 @@
 A connection is a pair <f, g> with f(A) <= B iff A <= g(B).  The lower map
 preserves unions, so it is determined by its images of the singletons
 {a/y}; that table is the connection's fingerprint and two connections are
-equal exactly when their fingerprints agree.  Dually the upper map preserves
-intersections, so it is determined by its images of the sets that are 1 at
-every attribute but one.  A connection carries both tables and evaluates
-both maps from them; its term is kept for descriptors and display only.
-Lower tables compose in their mask form (``Scale.compose``), and a monoid
-keys its members by it.
+equal exactly when their fingerprints agree.  The upper map is then fixed
+too: it is the residual g(B)(y) = max {a : f({a/y}) <= B}.  So a connection
+is its lower table, held in mask form, and both maps evaluate from it; its
+term is kept for descriptors and display only.  Tables compose in mask
+form (``Scale.compose``), and a monoid keys its members by them.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ from .fset import (
     render_lset,
     same_space,
     scale,
-    upper_image,
+    upper_mask,
 )
 from .lattice import Chain, DualPair, Hedge, parse_degree, render_degree
 
@@ -86,15 +85,9 @@ class Compose:
 # A lower table holds, per attribute position y and degree index a >= 1, the
 # index vector of f({a/y}); f(A) is the union of the rows picked by A.  Its
 # mask form (``Scale.lower_masks``) holds the same images as masks, and
-# fset's lower_mask applies it.  An upper table holds, per y and degree index
-# b below the top, the index vector of g(top with b at y); g(B) is the
-# intersection of the rows picked by B, and g(top) is the top set.  fset's
-# upper_image applies it.
-
-
-def _compose_upper(outer, inner):
-    """Upper table of outer o inner: inner's upper map on outer's rows."""
-    return tuple(tuple(upper_image(inner, row) for row in rows) for rows in outer)
+# fset's lower_mask applies it.  The upper map needs no table of its own:
+# g(B) at y is the largest a whose row f({a/y}) lies inside B, and fset's
+# upper_mask reads that off the same masks.
 
 
 def _dual(chain: Chain) -> DualPair:
@@ -106,90 +99,62 @@ def _dual(chain: Chain) -> DualPair:
     return dual
 
 
-def _generator_maps(term, universe: Universe, chain: Chain):
-    """The lower and upper map of a non-composite term, on index vectors."""
+def _generator_lower(term, universe: Universe, chain: Chain):
+    """The lower map of a non-composite term, on index vectors."""
     if isinstance(term, Identity):
-        return (lambda idx: idx), (lambda idx: idx)
+        return lambda idx: idx
     if isinstance(term, ConstMult):
         c = chain.index_of(term.c)
-        return (
-            lambda idx: tuple(chain.tnorm_i(c, i) for i in idx),
-            lambda idx: tuple(chain.residuum_i(c, i) for i in idx),
-        )
+        return lambda idx: tuple(chain.tnorm_i(c, i) for i in idx)
     if isinstance(term, (ConstMultSet, DiffSet)):
         same_space(term.C, universe, chain)
         cs = term.C.idx
         if isinstance(term, ConstMultSet):
-            return (
-                lambda idx: tuple(chain.tnorm_i(c, i) for c, i in zip(cs, idx)),
-                lambda idx: tuple(chain.residuum_i(c, i) for c, i in zip(cs, idx)),
-            )
+            return lambda idx: tuple(chain.tnorm_i(c, i) for c, i in zip(cs, idx))
         dual = _dual(chain)
-        return (
-            lambda idx: tuple(dual.ominus_i(i, c) for i, c in zip(idx, cs)),
-            lambda idx: tuple(dual.oplus_i(c, i) for c, i in zip(cs, idx)),
-        )
+        return lambda idx: tuple(dual.ominus_i(i, c) for i, c in zip(idx, cs))
     if isinstance(term, Rotate):
         n, shift = len(universe), term.shift
-        return (
-            lambda idx: tuple(idx[(j + shift) % n] for j in range(n)),
-            lambda idx: tuple(idx[(j - shift) % n] for j in range(n)),
-        )
+        return lambda idx: tuple(idx[(j + shift) % n] for j in range(n))
     raise TypeError(f"unknown term {term!r}")
 
 
-def _term_tables(term, universe: Universe, chain: Chain):
-    """(lower mask table, upper table) of a term; a composite composes its
-    factors'."""
+def _term_masks(term, universe: Universe, chain: Chain):
+    """The lower mask table of a term; a composite composes its factors'."""
     sc = scale(len(universe), chain.n)
     if isinstance(term, Compose):
-        outer = _term_tables(term.outer, universe, chain)
-        inner = _term_tables(term.inner, universe, chain)
-        return sc.compose(outer[0], inner[0]), _compose_upper(outer[1], inner[1])
-    lower, upper = _generator_maps(term, universe, chain)
-    size, top = len(universe), chain.n - 1
-
-    def point(y, v, rest):
-        return (rest,) * y + (v,) + (rest,) * (size - y - 1)
-
-    lower_table = tuple(
-        tuple(lower(point(y, a, 0)) for a in range(1, top + 1)) for y in range(size)
+        outer = _term_masks(term.outer, universe, chain)
+        inner = _term_masks(term.inner, universe, chain)
+        return sc.compose(outer, inner)
+    lower = _generator_lower(term, universe, chain)
+    size = len(universe)
+    return sc.lower_masks(
+        tuple(
+            tuple(lower((0,) * y + (a,) + (0,) * (size - y - 1)) for a in range(1, chain.n))
+            for y in range(size)
+        )
     )
-    upper_table = tuple(
-        tuple(upper(point(y, b, top)) for b in range(top)) for y in range(size)
-    )
-    return sc.lower_masks(lower_table), upper_table
 
 
 class Connection:
-    """A term bound to a universe and chain, with the tables of its two maps.
+    """A term bound to a universe and chain, with its lower mask table.
 
-    The lower and upper tables are built independently, each from its own
-    map's formula.  upper evaluates from upper_table; lower evaluates from
-    lower_masks, the mask form of lower_table (one image per bit).  The
-    fingerprint is the lower table; equality and hashing use it.
-
-    ``_tables`` gives (lower table, upper table) outright; ``_masks`` gives
-    (lower mask table, upper table), and the lower table is decoded from it.
-    By default both come from the term.
+    ``lower_masks`` (one image mask per scale bit) is the whole connection:
+    lower applies it, and upper reads its residual off it.  lower_table is
+    its index-vector form, decoded once; it is the fingerprint, and equality
+    and hashing use it.  ``_masks`` gives the mask table outright; by
+    default it is built from the term.
     """
 
-    __slots__ = (
-        "term", "universe", "chain", "lower_table", "upper_table", "lower_masks", "_scale",
-        "_hash",
-    )
+    __slots__ = ("term", "universe", "chain", "lower_table", "lower_masks", "_scale", "_hash")
 
-    def __init__(self, term, universe: Universe, chain: Chain, _tables=None, _masks=None):
+    def __init__(self, term, universe: Universe, chain: Chain, _masks=None):
         self.term = term
         self.universe = universe
         self.chain = chain
         sc = self._scale = scale(len(universe), chain.n)
-        if _tables is None:
-            self.lower_masks, self.upper_table = _masks or _term_tables(term, universe, chain)
-            self.lower_table = sc.lower_table(self.lower_masks)
-        else:
-            self.lower_table, self.upper_table = _tables
-            self.lower_masks = sc.lower_masks(self.lower_table)
+        self.lower_masks = _term_masks(term, universe, chain) if _masks is None else _masks
+        self.lower_table = sc.lower_table(self.lower_masks)
         self._hash = None
 
     # -- evaluation --
@@ -203,7 +168,9 @@ class Connection:
     def upper(self, b: LSet) -> LSet:
         if b.universe is not self.universe or b.chain is not self.chain:
             same_space(b, self.universe, self.chain)
-        return LSet(self.universe, self.chain, upper_image(self.upper_table, b.idx))
+        sc = self._scale
+        image = upper_mask(self.lower_masks, sc.encode(b.idx), sc.codes)
+        return LSet(self.universe, self.chain, sc.decode(image))
 
     # -- extensional identity --
 
@@ -239,37 +206,28 @@ def identity(universe: Universe, chain: Chain) -> Connection:
 def compose(outer: Connection, inner: Connection) -> Connection:
     """<f1,g1> o <f2,g2>: lower A |-> f1(f2(A)), upper B |-> g2(g1(B))."""
     same_space(inner, outer.universe, outer.chain)
-    masks = (
-        outer._scale.compose(outer.lower_masks, inner.lower_masks),
-        _compose_upper(outer.upper_table, inner.upper_table),
-    )
+    masks = outer._scale.compose(outer.lower_masks, inner.lower_masks)
     return Connection(Compose(outer.term, inner.term), outer.universe, outer.chain, _masks=masks)
 
 
 def verify_adjoint(conn: Connection) -> bool:
-    """Check that a connection's two tables give an isotone Galois connection.
+    """Check that a connection's table gives an isotone Galois connection.
 
-    f(A) is the union of the singletons' images f({A(y)/y}) and g(B) the
-    intersection of the co-singletons' images g(top but B(z) at z), so
-    f(A) <= B iff A <= g(B) holds for all A and B exactly when
-
-        f({a/y})(z) <= b  iff  a <= g(top but b at z)(y)
-
-    for every attribute y, degree a > 0, attribute z and degree b below the
-    top.  (It forces each lower row to rise with a.)  Raises NotAdjoint
-    naming the first (y, a, z, b) where the two sides differ.
+    f(A) is the union of the singletons' images f({A(y)/y}), so f preserves
+    unions, and so has a residual g with f(A) <= B iff A <= g(B), exactly
+    when each row rises with the degree: f({a/y}) <= f({a+1/y}) for every
+    attribute y and degree a.  That residual is what ``upper`` evaluates.
+    Raises NotAdjoint naming the first (y, a) where a row falls.
     """
     names, degrees = conn.universe.attributes, conn.chain.degrees
-    for y, images in enumerate(conn.lower_table):
-        for a, image in enumerate(images, start=1):
-            for z, preimages in enumerate(conn.upper_table):
-                for b, preimage in enumerate(preimages):
-                    if (image[z] <= b) != (a <= preimage[y]):
-                        raise NotAdjoint(
-                            f"f({{{render_degree(degrees[a])}/{names[y]}}}) <= B and "
-                            f"{{{render_degree(degrees[a])}/{names[y]}}} <= g(B) differ "
-                            f"for B = 1 but {render_degree(degrees[b])} at {names[z]}"
-                        )
+    for y, row in enumerate(conn.lower_masks):
+        for a in range(1, len(row) - 1):
+            if row[a] & row[a + 1] != row[a]:
+                low, high = (f"{{{render_degree(degrees[k])}/{names[y]}}}" for k in (a, a + 1))
+                raise NotAdjoint(
+                    f"f({low}) is not inside f({high}), so f does not preserve unions "
+                    "and has no upper adjoint"
+                )
     return True
 
 
@@ -332,21 +290,25 @@ class Parameterization:
             raise InvariantError("S is not closed under composition")
         return member
 
-    def lower_pairs(self, a: LSet, b: LSet):
+    def image_pairs(self, a: LSet, b: LSet):
         """The distinct (f(A), f(B)) masks over <f, g> in S, in S's order,
-        leaving out those with f(B) <= f(A); memoized per (A, B)."""
+        leaving out those with f(B) <= f(A); computed afresh, kept nowhere."""
+        same_space(a, self.universe, self.chain)
+        same_space(b, self.universe, self.chain)
+        seen = {}
+        for conn in self.connections:
+            masks = conn.lower_masks
+            fa, fb = lower_mask(masks, a.idx), lower_mask(masks, b.idx)
+            if fb & fa != fb:
+                seen[fa, fb] = None
+        return tuple(seen)
+
+    def lower_pairs(self, a: LSet, b: LSet):
+        """``image_pairs(a, b)``, memoized per (A, B) on S."""
         key = (a, b)
         pairs = self._pairs.get(key)
         if pairs is None:
-            same_space(a, self.universe, self.chain)
-            same_space(b, self.universe, self.chain)
-            seen = {}
-            for conn in self.connections:
-                masks = conn.lower_masks
-                fa, fb = lower_mask(masks, a.idx), lower_mask(masks, b.idx)
-                if fb & fa != fb:
-                    seen[fa, fb] = None
-            pairs = self._pairs[key] = tuple(seen)
+            pairs = self._pairs[key] = self.image_pairs(a, b)
         return pairs
 
     def __eq__(self, other) -> bool:
@@ -419,9 +381,7 @@ def generate_monoid(generators, universe: Universe, chain: Chain, cap: int = 409
                 if masks in seen:
                     continue
                 seen.add(masks)
-                upper = _compose_upper(a.upper_table, b.upper_table)
-                term = Compose(a.term, b.term)
-                elems.append(Connection(term, universe, chain, _masks=(masks, upper)))
+                elems.append(Connection(Compose(a.term, b.term), universe, chain, _masks=masks))
                 if len(elems) == size:
                     return Parameterization(elems, check=False)
         if len(elems) == found:

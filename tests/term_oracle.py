@@ -5,19 +5,35 @@ walking composite terms recursively; ``pairwise_monoid`` closes generators
 under composition by composing every pair of members, round by round, until
 a round finds nothing new; ``verify_adjoint_by_sweep`` checks adjointness of
 two maps on every graded set; ``derive_upper`` recovers the upper map from
-the lower map's singleton images alone.  fai evaluates connections from their
-tables, finds the size of S first and checks adjointness on the tables'
-entries, so these serve as independent oracles.  ``lower_image`` and
-``compose_lower`` apply and compose lower tables on index vectors, as fai
-did before it composed their mask form.
+the lower map's singleton images alone.  fai evaluates both maps from a
+connection's lower mask table, finds the size of S first and checks
+adjointness on the table's rows, so these serve as independent oracles; in
+particular ``upper_idx`` is the one place each term's own upper formula is
+evaluated.  ``lower_image`` and ``compose_lower`` apply and compose lower
+tables on index vectors, as fai did before it composed their mask form, and
+``idx_join`` and ``idx_meet`` join and meet index vectors.
 """
 
 from functools import lru_cache
 import itertools
 
 from fai import CapExceeded, Connection, DualPair, LSet, NotAdjoint, identity, render_lset
-from fai.fset import idx_join
-from fai.gconn import Compose, ConstMult, ConstMultSet, DiffSet, Identity, Rotate, compose
+from fai.fset import scale
+from fai.gconn import Compose, ConstMult, ConstMultSet, DiffSet, Identity, Rotate
+
+
+def idx_join(rows, size: int) -> tuple:
+    """Entrywise maximum of a sequence of index vectors; bottom if empty."""
+    if len(rows) > 1:
+        return tuple(map(max, *rows))
+    return rows[0] if rows else (0,) * size
+
+
+def idx_meet(rows, size: int, top: int) -> tuple:
+    """Entrywise minimum of a sequence of index vectors; top if empty."""
+    if len(rows) > 1:
+        return tuple(map(min, *rows))
+    return rows[0] if rows else (top,) * size
 
 
 def lower_image(table, idx) -> tuple:
@@ -90,7 +106,7 @@ def upper_idx(term, idx, chain, memo=None):
 def pairwise_monoid(generators, universe, chain, cap=4096):
     """Members of the monoid in pairwise discovery order, identity first.
     Lower tables compose on index vectors (``compose_lower``), and each new
-    member carries the table found so."""
+    member is built from the mask form of the table found so."""
     elems = [identity(universe, chain)]
     fps = {elems[0].fingerprint}
     for g in generators:
@@ -99,6 +115,7 @@ def pairwise_monoid(generators, universe, chain, cap=4096):
             elems.append(g)
             if len(elems) > cap:
                 raise CapExceeded(f"monoid exceeds {cap} connections")
+    sc = scale(len(universe), chain.n)
     changed = True
     while changed:
         changed = False
@@ -107,8 +124,8 @@ def pairwise_monoid(generators, universe, chain, cap=4096):
                 fp = compose_lower(a.lower_table, b.lower_table)
                 if fp not in fps:
                     fps.add(fp)
-                    tables = (fp, compose(a, b).upper_table)
-                    elems.append(Connection(Compose(a.term, b.term), universe, chain, _tables=tables))
+                    masks = sc.lower_masks(fp)
+                    elems.append(Connection(Compose(a.term, b.term), universe, chain, _masks=masks))
                     changed = True
                     if len(elems) > cap:
                         raise CapExceeded(f"monoid exceeds {cap} connections")

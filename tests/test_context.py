@@ -320,6 +320,44 @@ def test_compiled_reduce_and_minimize_match_re_entailment(holidays, settings):
             assert (mini.rules, mini.labels) == (expected.rules, expected.labels)
 
 
+def test_minimize_sides_keeps_no_trial_edit_on_s():
+    """One S reused across several minings: minimize_sides compiles its
+    trial edits without memoizing them, so S's pair memo holds the rules it
+    held before each minimization, and nothing more."""
+    rng = random.Random(3312)
+    chain = Chain([F(0), F(1, 2), F(1)], "godel")
+    universe = Universe([f"y{k}" for k in range(6)])
+    const = LSet(universe, chain, [2, 1, 0, 1, 0, 0])
+    gens = [Connection(Rotate(2), universe, chain), Connection(DiffSet(const), universe, chain)]
+    s = generate_monoid(gens, universe, chain)
+    trials = []
+    real_image_pairs = s.image_pairs
+
+    def counted(a, b):
+        trials.append((a, b))
+        return real_image_pairs(a, b)
+
+    s.image_pairs = counted
+    kept = steps = 0
+    for _ in range(5):
+        rows = [LSet(universe, chain, [rng.randrange(3) for _ in range(6)]) for _ in range(6)]
+        ctx = LContext(universe, chain, [f"o{i}" for i in range(6)], rows)
+        base = reduce_to_base(complete_set(ctx, s), ctx, s)
+        memo = dict(s._pairs)
+        trials.clear()
+        mini = minimize_sides(base, ctx, s)
+        assert s._pairs == memo
+        # each kept edit lowers one degree by one step
+        kept += sum(
+            sum(b.antecedent.idx) + sum(b.consequent.idx)
+            - sum(m.antecedent.idx) - sum(m.consequent.idx)
+            for b, m in zip(base, mini)
+        )
+        steps += len(trials)
+    # some edits were compiled, tested and rejected
+    assert 0 < kept < steps, (kept, steps)
+
+
 def test_one_pass_serves_the_mine_pipeline(pass_calls, fresh_holidays, settings):
     ctx, s = fresh_holidays(), settings[6]
     intents = intents_enum(ctx, s)

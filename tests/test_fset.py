@@ -22,17 +22,9 @@ from fai import (
     union,
 )
 
-from fai.fset import (
-    forward_chain,
-    idx_join,
-    idx_meet,
-    lower_mask,
-    meet_above,
-    scale,
-    upper_image,
-)
+from fai.fset import forward_chain, lower_mask, meet_above, scale, upper_mask
 from scan_oracle import idx_meet_above, iter_lsets, lset_count
-from term_oracle import lower_image
+from term_oracle import idx_join, idx_meet, lower_image
 
 F = Fraction
 
@@ -218,13 +210,17 @@ def test_vector_kernels_agree_with_the_lset_operators():
             assert idx_meet_above(a.idx, rows, n - 1) == reduce(and_, above, top).idx
             masks = [sc.encode(r) for r in rows]
             assert sc.decode(meet_above(ma, masks, sc.top)) == idx_meet_above(a.idx, rows, n - 1)
-        # a table row per attribute and degree: a singleton (co-singleton) table
-        # for lower_image and lower_mask (upper_image); each picks rows by the
-        # vector's entries
+        # a singleton table, one row per attribute and degree, for lower_image
+        # and lower_mask, which pick rows by the vector's entries, and for
+        # upper_mask, which at each attribute picks the largest degree whose
+        # row lies inside the set (rows drawn at random need not rise)
         table = [[draw() for _ in range(n - 1)] for _ in range(size)]
         flat = tuple(tuple(m.idx for m in row) for row in table)
         picked = [table[y][i - 1] for y, i in enumerate(a.idx) if i]
         assert lower_image(flat, a.idx) == reduce(or_, picked, bottom).idx
-        assert sc.decode(lower_mask(sc.lower_masks(flat), a.idx)) == lower_image(flat, a.idx)
-        picked = [table[y][i] for y, i in enumerate(a.idx) if i != n - 1]
-        assert upper_image(flat, a.idx) == reduce(and_, picked, top).idx
+        masks = sc.lower_masks(flat)
+        assert sc.decode(lower_mask(masks, a.idx)) == lower_image(flat, a.idx)
+        residual = tuple(
+            max((k for k in range(1, n) if table[y][k - 1] <= a), default=0) for y in range(size)
+        )
+        assert sc.decode(upper_mask(masks, ma, sc.codes)) == residual

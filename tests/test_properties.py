@@ -1,6 +1,7 @@
 """Property tests: rendered sets and theories parse back to themselves for
 any legal attribute names and any chain degrees; every connection term is
-adjoint over all three logics; connection descriptors and proof files parse
+adjoint over all three logics, with the residual of its lower table equal to
+its own upper formula; connection descriptors and proof files parse
 back to what was written; synthesized proofs check and normalize to a fixed
 point."""
 
@@ -41,6 +42,8 @@ from fai import (
     term_to_descriptor,
     verify_adjoint,
 )
+
+from term_oracle import upper_idx
 
 PROPERTY = hypothesis_settings(max_examples=200, deadline=None, derandomize=True, database=None)
 
@@ -116,7 +119,11 @@ def terms(universe, chain):
 @PROPERTY
 def test_every_term_is_adjoint(data, universe, chain):
     term = data.draw(terms(universe, chain))
-    assert verify_adjoint(Connection(term, universe, chain))
+    conn = Connection(term, universe, chain)
+    assert verify_adjoint(conn)
+    # the residual of the lower table is the term's own upper map
+    b = data.draw(lsets(universe, chain))
+    assert conn.upper(b).idx == upper_idx(term, b.idx, chain)
 
 
 @given(st.data(), universes, logic_chains)

@@ -1,10 +1,13 @@
 """Connections evaluated from their tables against the term interpreter,
 monoid generation against plain pairwise discovery, and the adjointness
-check on the tables against a sweep over every graded set."""
+check on the tables against a sweep over every graded set.  The upper map is
+the residual of the lower table; each term's own upper formula
+(``term_oracle.upper_idx``) checks it."""
 
 from fractions import Fraction
 import itertools
 import random
+import re
 
 import pytest
 
@@ -21,9 +24,10 @@ from fai import (
     Universe,
     compose,
     generate_monoid,
+    render_degree,
     verify_adjoint,
 )
-from fai.fset import scale, upper_image
+from fai.fset import scale
 from fai.gconn import DiffSet, Rotate
 
 from term_oracle import (
@@ -49,15 +53,16 @@ def _rotate_diff_generators(logic: str, degrees: int):
 
 def _assert_tables_match_interpreter(s, universe, chain):
     for conn in s:
-        # a composite term builds the same tables from its factors
+        # a composite term builds the same table from its factors
         rebuilt = Connection(conn.term, universe, chain)
         assert rebuilt.lower_table == conn.lower_table
-        assert rebuilt.upper_table == conn.upper_table
     for idx in itertools.product(range(chain.n), repeat=len(universe)):
         memo = {}
+        b = LSet(universe, chain, idx)
         for conn in s:
             assert lower_image(conn.lower_table, idx) == lower_idx(conn.term, idx, chain, memo)
-            assert upper_image(conn.upper_table, idx) == upper_idx(conn.term, idx, chain, memo)
+            # the residual of the lower table is the term's own upper map
+            assert conn.upper(b).idx == upper_idx(conn.term, idx, chain, memo)
 
 
 def test_tables_match_interpreter_on_the_worked_example(settings, chain5, universe):
@@ -163,33 +168,40 @@ def test_cap_exceeded_at_the_same_size(settings, chain5, universe):
         assert len(generate_monoid(gens, u, ch, cap=size)) == size
 
 
-def test_verify_adjoint_rejects_a_corrupted_upper_table(settings, chain5, universe):
+def test_verify_adjoint_names_the_row_that_falls(settings, chain5, universe):
+    """Every member of S6, with its row f({a/y}) made to fall to the empty
+    set at a + 1, is rejected, and NotAdjoint names that y and a."""
+    def singleton(k, y):
+        return f"{{{render_degree(chain5.degrees[k])}/{universe.attributes[y]}}}"
+
+    checked = 0
     for conn in settings[6]:
         assert verify_adjoint(conn)
-    conn = settings[6].connections[2]  # the diff-set generator
-    rows = [list(row) for row in conn.upper_table]
-    rows[3][2] = tuple(max(v - 1, 0) for v in rows[3][2])
-    corrupted = tuple(tuple(row) for row in rows)
-    assert corrupted != conn.upper_table
-    bad = Connection(conn.term, universe, chain5, _tables=(conn.lower_table, corrupted))
-    assert bad == conn  # equality only sees the lower table
-    with pytest.raises(NotAdjoint):
-        verify_adjoint(bad)
+        for y, row in enumerate(conn.lower_masks):
+            for a in range(1, chain5.n - 1):
+                if row[a] == 0:
+                    continue
+                rows = list(conn.lower_masks)
+                rows[y] = row[: a + 1] + (0,) + row[a + 2 :]
+                bad = Connection(conn.term, universe, chain5, _masks=tuple(rows))
+                expected = f"f({singleton(a, y)}) is not inside f({singleton(a + 1, y)})"
+                with pytest.raises(NotAdjoint, match=re.escape(expected)):
+                    verify_adjoint(bad)
+                checked += 1
+    assert checked >= 20
 
 
-def _corrupted(conn, which, rng):
-    """conn with one entry of its lower (which = 0) or upper (1) table moved
-    to another degree."""
-    rows = [list(column) for column in (conn.lower_table, conn.upper_table)[which]]
+def _corrupted(conn, rng):
+    """conn with one entry of its lower table moved to another degree."""
+    rows = [list(column) for column in conn.lower_table]
     y = rng.randrange(len(rows))
     k = rng.randrange(len(rows[y]))
     vector = list(rows[y][k])
     z = rng.randrange(len(vector))
     vector[z] = rng.choice([v for v in range(conn.chain.n) if v != vector[z]])
     rows[y][k] = tuple(vector)
-    table = tuple(tuple(column) for column in rows)
-    tables = (table, conn.upper_table) if which == 0 else (conn.lower_table, table)
-    return Connection(conn.term, conn.universe, conn.chain, _tables=tables)
+    masks = scale(len(conn.universe), conn.chain.n).lower_masks(rows)
+    return Connection(conn.term, conn.universe, conn.chain, _masks=masks)
 
 
 def _verdict(check, *args):
@@ -210,13 +222,11 @@ def test_table_check_agrees_with_the_sweep(settings):
     for logic, degrees, _ in ROTATE_DIFF_MONOIDS:
         s = generate_monoid(*_rotate_diff_generators(logic, degrees))
         conns += rng.sample(s.connections, SAMPLED[logic])
-    cases = [c for conn in conns for c in (conn, _corrupted(conn, 0, rng), _corrupted(conn, 1, rng))]
-    verdicts = []
-    for c in cases:
+    corrupted = [_corrupted(conn, rng) for conn in conns]
+    for c in conns + corrupted:
         expected = _verdict(verify_adjoint_by_sweep, c.lower, c.upper, c.universe, c.chain)
-        assert _verdict(verify_adjoint, c) == expected, (c.term, c.lower_table, c.upper_table)
-        verdicts.append(expected)
-    # each of f and g determines the other, so a one-entry change to either
-    # table breaks adjointness: every member passes, every corruption fails
-    assert verdicts.count(True) == len(conns)
-    assert verdicts.count(False) == 2 * len(conns)
+        assert _verdict(verify_adjoint, c) == expected, (c.term, c.lower_table)
+    # every member passes; a corrupted table whose rows still rise is another
+    # connection, with its own residual, so only some corruptions fail
+    assert all(verify_adjoint(c) for c in conns)
+    assert any(not _verdict(verify_adjoint, c) for c in corrupted)
