@@ -48,6 +48,16 @@ def _read(path: str) -> str:
         return fh.read()
 
 
+def _read_json(path: str, build):
+    """``build`` applied to a JSON file's value, floats read as exact
+    fractions.  ParseError when the file nests deeper than the decoder, or
+    ``build``'s walk over nested descriptors, can follow."""
+    try:
+        return build(json.loads(_read(path), parse_float=Fraction))
+    except RecursionError:
+        raise ParseError(f"{path}: nested too deeply to read") from None
+
+
 # The JSON type of each top-level key of a parameter file, and its name in
 # errors; generators and monoid_cap may be left out.
 _SETTING_TYPES = {
@@ -67,7 +77,11 @@ def _load_setting(path: str):
     (optional int).  Floats are read as exact fractions.  ParseError for any
     other shape.
     """
-    data = json.loads(_read(path), parse_float=Fraction)
+    return _read_json(path, _setting)
+
+
+def _setting(data):
+    """The chain, universe and monoid of a parameter file's JSON value."""
     if not isinstance(data, dict):
         raise ParseError(f"a parameter file holds a JSON object, not {data!r}")
     for key in ("degrees", "logic", "attributes"):
@@ -204,8 +218,7 @@ def cmd_models(args, chain, universe, s) -> int:
 
 def cmd_check_proof(args, chain, universe, s) -> int:
     theory = _load_theory(args.theory, universe, chain)
-    data = json.loads(_read(args.proof), parse_float=Fraction)
-    proof = proof_from_json(data, universe, chain)
+    proof = _read_json(args.proof, lambda data: proof_from_json(data, universe, chain))
     goal = parse_fai(args.goal, universe, chain) if args.goal else None
     try:
         check_proof(proof, theory, s, goal=goal, allow_cutf=args.allow_cutf)

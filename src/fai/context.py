@@ -28,7 +28,7 @@ from .fset import (
 )
 from .gconn import Parameterization
 from .lattice import Chain, parse_degree
-from .semantics import FAI, Theory, compiled_pairs, concat_pairs, least_model
+from .semantics import FAI, Theory, compiled_pairs, concat_pairs, entailed_by, least_model
 
 
 class LContext:
@@ -104,10 +104,11 @@ def _row_images(ctx: LContext, s: Parameterization):
     images = ctx._images.get(s)
     if images is None:
         same_space(s, ctx.universe, ctx.chain)
-        sc = scale(len(ctx.universe), ctx.chain.n)
-        rows = [sc.encode(r.idx) for r in ctx.rows]
+        codes = scale(len(ctx.universe), ctx.chain.n).codes
         images = ctx._images[s] = tuple(
-            dict.fromkeys(upper_mask(conn.lower_masks, r, sc.codes) for r in rows for conn in s)
+            dict.fromkeys(
+                upper_mask(conn.lower_masks, r.mask, codes) for r in ctx.rows for conn in s
+            )
         )
     return images
 
@@ -133,28 +134,18 @@ def down(ctx: LContext, g: LSet, s: Parameterization):
 def downup(ctx: LContext, g: LSet, s: Parameterization) -> LSet:
     """The context closure: intersection of all g(I_x) containing the set."""
     same_space(g, ctx.universe, ctx.chain)
-    sc = scale(len(ctx.universe), ctx.chain.n)
-    closure = meet_above(sc.encode(g.idx), _row_images(ctx, s), sc.top)
-    return LSet(ctx.universe, ctx.chain, sc.decode(closure))
+    top = scale(len(ctx.universe), ctx.chain.n).top
+    closure = meet_above(g.mask, _row_images(ctx, s), top)
+    return LSet._from_mask(ctx.universe, ctx.chain, closure)
 
 
 def holds_in_context(ctx: LContext, fai: FAI, s: Parameterization) -> bool:
     """True iff the formula holds in every row, i.e. B <= downup(A)."""
     same_space(fai.antecedent, ctx.universe, ctx.chain)
-    sc = scale(len(ctx.universe), ctx.chain.n)
-    a, b = _sides(fai, sc)
-    return b & meet_above(a, _row_images(ctx, s), sc.top) == b
+    top = scale(len(ctx.universe), ctx.chain.n).top
+    b = fai.consequent.mask
+    return b & meet_above(fai.antecedent.mask, _row_images(ctx, s), top) == b
 
-
-def _sides(fai: FAI, sc) -> tuple:
-    """The masks of a formula's antecedent and consequent."""
-    return sc.encode(fai.antecedent.idx), sc.encode(fai.consequent.idx)
-
-
-def _entailed(pairs, a: int, b: int, sc) -> bool:
-    """Whether forward chaining from the mask A over the pairs reaches the
-    mask B; it stops there, as entailment needs no more."""
-    return b & forward_chain(pairs, a, sc, until=b)[0] == b
 
 # ------------------------------------------------------------ intent listing
 
@@ -186,12 +177,12 @@ def _ganter_pass(ctx: LContext, s: Parameterization, cap: int):
         try:
             for q in closed:
                 cl = meet_above(q, rows, sc.top)
-                m = LSet(ctx.universe, ctx.chain, sc.decode(q))
+                m = LSet._from_mask(ctx.universe, ctx.chain, q)
                 if cl == q:
                     visited.append((m, m))  # the views tell intents by ``cl is m``
                 else:
                     rules.append((q, cl))
-                    visited.append((m, LSet(ctx.universe, ctx.chain, sc.decode(cl))))
+                    visited.append((m, LSet._from_mask(ctx.universe, ctx.chain, cl)))
         except CapExceeded:
             raise _over_cap(visited, cap) from None
         visited = ctx._passes[s] = tuple(visited)
@@ -227,7 +218,7 @@ def pseudo_intents(ctx: LContext, s: Parameterization, cap: int = 10**6):
     scale_by = math.lcm(*(d.denominator for d in degrees))
     weight = [d.numerator * (scale_by // d.denominator) for d in degrees]
     found = [(m, cl) for m, cl in _ganter_pass(ctx, s, cap) if cl is not m]
-    found.sort(key=lambda pair: (sum(weight[i] for i in pair[0].idx), pair[0].idx))
+    found.sort(key=lambda pair: (sum(weight[i] for i in pair[0].idx), pair[0].mask))
     return found
 
 
@@ -284,9 +275,8 @@ def is_complete(
     if mode == "full":
         comp = complete_set(ctx, s, cap)
         pairs = concat_pairs(compiled_pairs(theory, s))
-        sc = scale(len(ctx.universe), ctx.chain.n)
         return all(holds_in_context(ctx, r, s) for r in theory) and all(
-            _entailed(pairs, *_sides(r, sc), sc) for r in comp
+            entailed_by(pairs, r, s) for r in comp
         )
     if mode != "sampled":
         raise ValueError(f"unknown mode {mode!r}")
@@ -308,12 +298,11 @@ def reduce_to_base(theory: Theory, ctx: LContext, s: Parameterization) -> Theory
     The theory is compiled once; "the rest" leaves out one rule's pairs.
     """
     compiled = compiled_pairs(theory, s)
-    sc = scale(len(s.universe), s.chain.n)
     kept = list(range(len(theory)))
     k = 0
     while k < len(kept):
         rest = concat_pairs(compiled[:k] + compiled[k + 1 :])
-        if _entailed(rest, *_sides(theory[kept[k]], sc), sc):
+        if entailed_by(rest, theory[kept[k]], s):
             del kept[k], compiled[k]
         else:
             k += 1
@@ -333,8 +322,6 @@ def minimize_sides(theory: Theory, ctx: LContext, s: Parameterization, cap: int 
     """
     if not is_complete(theory, ctx, s, cap=cap):
         raise NotComplete("minimize_sides needs a complete theory")
-    sc = scale(len(ctx.universe), ctx.chain.n)
-    rows = _row_images(ctx, s)
     rules, compiled = list(theory), compiled_pairs(theory, s)
     for i in range(len(rules)):
         for side in ("antecedent", "consequent"):
@@ -351,12 +338,11 @@ def minimize_sides(theory: Theory, ctx: LContext, s: Parameterization, cap: int 
                         if side == "antecedent"
                         else FAI(rule.antecedent, lowered)
                     )
-                    a, b = _sides(cand, sc)
-                    if b & meet_above(a, rows, sc.top) != b:
+                    if not holds_in_context(ctx, cand, s):
                         break
                     edited = compiled[:]
                     edited[i] = s.image_pairs(cand.antecedent, cand.consequent)
-                    if not _entailed(concat_pairs(edited), *_sides(rule, sc), sc):
+                    if not entailed_by(concat_pairs(edited), rule, s):
                         break
                     rules[i], compiled = cand, edited
     return Theory(rules, theory.labels)
@@ -367,7 +353,7 @@ def minimize_sides(theory: Theory, ctx: LContext, s: Parameterization, cap: int 
 
 def hasse_dot(sets, name: str = "lattice") -> str:
     """DOT digraph of the cover relation of containment, edges upward."""
-    nodes = sorted(sets, key=lambda m: m.idx)
+    nodes = sorted(sets, key=lambda m: m.mask)
     lines = [f"digraph {name} {{", "  rankdir=BT;"]
     for i, m in enumerate(nodes):
         label = render_lset(m).replace("\\", "\\\\").replace('"', '\\"')

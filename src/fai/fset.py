@@ -1,36 +1,34 @@
 """Graded attribute sets over a fixed finite universe.
 
-An LSet assigns each attribute a degree from a chain; it is stored as a tuple
-of chain indices in universe order, and ``LSet.idx`` is its public form.  The
-literal grammar is ``0.75/a, e`` — comma-separated items, ``degree/name``
-with the degree omitted when it is 1 and the whole item omitted when it is 0.
+An LSet assigns each attribute a degree from a chain; ``LSet.idx``, the
+tuple of chain indices in universe order, is its public form.  The literal
+grammar is ``0.75/a, e`` — comma-separated items, ``degree/name`` with the
+degree omitted when it is 1 and the whole item omitted when it is 0.
 
-The closure kernels run on the ordinal scale of a graded set (Ganter & Wille,
+An LSet also carries ``LSet.mask``, its ordinal scale (Ganter & Wille,
 *Formal Concept Analysis*, 1999, section 1.3): over a chain of n degrees, a
-set A is the int with bit (y, k) set for every 1 <= k <= A(y), n - 1 bits per
-attribute, laid out attribute by attribute with the first attribute in the
-most significant bits.  Then A <= B is ``a & b == a``, union is ``|`` and
-intersection is ``&``, all exact, and comparing two masks as ints compares
-the sets lectically.  A ``Scale`` per (|Y|, n) encodes and decodes by table
-and composes connections' lower mask tables.  The context closure
+set A is the int with bit (y, k) set for every 1 <= k <= A(y), n - 1 bits
+per attribute, laid out attribute by attribute with the first attribute in
+the most significant bits.  Then A <= B is ``a & b == a``, union is ``|``
+and intersection is ``&``, all exact, and comparing two masks as ints
+compares the sets lectically.  A ``Scale`` per (|Y|, n) encodes and decodes
+by table and composes connections' lower mask tables.  The context closure
 (``meet_above``), rule images (``lower_mask``), NextClosure
 (``next_closures``) and forward chaining (``forward_chain``) take and return
-masks; an LSet is decoded only where one is handed out.  ``prove`` alone
-still builds its (rule, member) images as LSets, through
-``Connection.lower``, and encodes them (see fai.proof).  A connection is its
-lower mask table: ``lower_mask`` applies it, and ``upper_mask`` reads its
-residual, the upper map, off the same masks.
+masks, and ``LSet._from_mask`` hands a result out as an LSet.  A connection
+is its lower mask table: ``lower_mask`` applies it, and ``upper_mask``
+reads its residual, the upper map, off the same masks.
 
 Only this module compares, joins or meets index vectors, encodes or
 decodes masks, or checks that operands share a universe and chain; the rest
-of fai calls its kernels and tests masks with ``&`` and ``|`` inline.
+of fai reads ``LSet.mask``, calls the kernels and tests masks inline.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from operator import getitem, le
+from operator import getitem
 
 from .errors import CapExceeded, DegreeNotInChain, InvariantError, ParseError, UniverseMismatch
 from .lattice import Chain, parse_degree, render_degree
@@ -77,18 +75,30 @@ class Universe:
 class LSet:
     """An immutable graded set: one chain degree per attribute."""
 
-    __slots__ = ("universe", "chain", "idx")
+    __slots__ = ("universe", "chain", "idx", "mask")
 
     def __init__(self, universe: Universe, chain: Chain, idx):
         idx = tuple(idx)
         if len(idx) != len(universe):
             raise UniverseMismatch("degree vector length differs from universe size")
         for i in idx:
-            if not 0 <= i < chain.n:
-                raise DegreeNotInChain(f"index {i} outside the chain")
+            if type(i) is not int or not 0 <= i < chain.n:
+                raise DegreeNotInChain(f"index {i!r} is not a position in the chain")
+        self._set(universe, chain, idx, scale(len(universe), chain.n).encode(idx))
+
+    @classmethod
+    def _from_mask(cls, universe: Universe, chain: Chain, mask: int) -> "LSet":
+        """The set a kernel returns as a mask, trusted as it is; its index
+        vector is decoded from it."""
+        out = object.__new__(cls)
+        out._set(universe, chain, scale(len(universe), chain.n).decode(mask), mask)
+        return out
+
+    def _set(self, universe, chain, idx, mask) -> None:
         object.__setattr__(self, "universe", universe)
         object.__setattr__(self, "chain", chain)
         object.__setattr__(self, "idx", idx)
+        object.__setattr__(self, "mask", mask)
 
     def __setattr__(self, name, value):
         raise AttributeError("LSet is immutable")
@@ -123,12 +133,12 @@ class LSet:
         return LSet(self.universe, self.chain, idx)
 
     def is_bottom(self) -> bool:
-        return all(i == 0 for i in self.idx)
+        return self.mask == 0
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, LSet)
-            and self.idx == other.idx
+            and self.mask == other.mask
             and self.universe == other.universe
             and self.chain == other.chain
         )
@@ -141,7 +151,7 @@ class LSet:
         return leq(self, other)
 
     def __lt__(self, other: "LSet") -> bool:
-        return leq(self, other) and self.idx != other.idx
+        return leq(self, other) and self.mask != other.mask
 
     def __or__(self, other: "LSet") -> "LSet":
         return union(self, other)
@@ -253,17 +263,17 @@ def upper_mask(masks, b: int, codes) -> int:
 def leq(a: LSet, b: LSet) -> bool:
     """Full containment: a(y) <= b(y) for every attribute."""
     same_space(b, a.universe, a.chain)
-    return all(map(le, a.idx, b.idx))
+    return a.mask & b.mask == a.mask
 
 
 def union(a: LSet, b: LSet) -> LSet:
     same_space(b, a.universe, a.chain)
-    return LSet(a.universe, a.chain, map(max, a.idx, b.idx))
+    return LSet._from_mask(a.universe, a.chain, a.mask | b.mask)
 
 
 def intersection(a: LSet, b: LSet) -> LSet:
     same_space(b, a.universe, a.chain)
-    return LSet(a.universe, a.chain, map(min, a.idx, b.idx))
+    return LSet._from_mask(a.universe, a.chain, a.mask & b.mask)
 
 
 def subsethood(a: LSet, b: LSet) -> Fraction:

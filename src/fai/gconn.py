@@ -5,9 +5,10 @@ preserves unions, so it is determined by its images of the singletons
 {a/y}; that table is the connection's fingerprint and two connections are
 equal exactly when their fingerprints agree.  The upper map is then fixed
 too: it is the residual g(B)(y) = max {a : f({a/y}) <= B}.  So a connection
-is its lower table, held in mask form, and both maps evaluate from it; its
-term is kept for descriptors and display only.  Tables compose in mask
-form (``Scale.compose``), and a monoid keys its members by them.
+is its lower table, held in mask form only, and both maps evaluate from it;
+the index-vector table is decoded only when the fingerprint is asked for,
+and its term is kept for descriptors and display only.  Tables compose in
+mask form (``Scale.compose``), and a monoid keys its members by them.
 """
 
 from __future__ import annotations
@@ -140,21 +141,20 @@ class Connection:
     """A term bound to a universe and chain, with its lower mask table.
 
     ``lower_masks`` (one image mask per scale bit) is the whole connection:
-    lower applies it, and upper reads its residual off it.  lower_table is
-    its index-vector form, decoded once; it is the fingerprint, and equality
-    and hashing use it.  ``_masks`` gives the mask table outright; by
-    default it is built from the term.
+    lower applies it, upper reads its residual off it, and equality and
+    hashing use it.  The fingerprint is its index-vector form, decoded when
+    asked for.  ``_masks`` gives the mask table outright; by default it is
+    built from the term.
     """
 
-    __slots__ = ("term", "universe", "chain", "lower_table", "lower_masks", "_scale", "_hash")
+    __slots__ = ("term", "universe", "chain", "lower_masks", "_scale", "_hash")
 
     def __init__(self, term, universe: Universe, chain: Chain, _masks=None):
         self.term = term
         self.universe = universe
         self.chain = chain
-        sc = self._scale = scale(len(universe), chain.n)
+        self._scale = scale(len(universe), chain.n)
         self.lower_masks = _term_masks(term, universe, chain) if _masks is None else _masks
-        self.lower_table = sc.lower_table(self.lower_masks)
         self._hash = None
 
     # -- evaluation --
@@ -162,21 +162,21 @@ class Connection:
     def lower(self, a: LSet) -> LSet:
         if a.universe is not self.universe or a.chain is not self.chain:
             same_space(a, self.universe, self.chain)
-        image = lower_mask(self.lower_masks, a.idx)
-        return LSet(self.universe, self.chain, self._scale.decode(image))
+        return LSet._from_mask(self.universe, self.chain, lower_mask(self.lower_masks, a.idx))
 
     def upper(self, b: LSet) -> LSet:
         if b.universe is not self.universe or b.chain is not self.chain:
             same_space(b, self.universe, self.chain)
-        sc = self._scale
-        image = upper_mask(self.lower_masks, sc.encode(b.idx), sc.codes)
-        return LSet(self.universe, self.chain, sc.decode(image))
+        image = upper_mask(self.lower_masks, b.mask, self._scale.codes)
+        return LSet._from_mask(self.universe, self.chain, image)
 
     # -- extensional identity --
 
     @property
     def fingerprint(self):
-        return self.lower_table
+        """The lower table: per attribute y and degree index a >= 1, the
+        index vector of f({a/y})."""
+        return self._scale.lower_table(self.lower_masks)
 
     def fingerprint_hash(self) -> str:
         payload = repr((self.fingerprint, self.chain.degrees, self.universe.attributes))
@@ -187,12 +187,12 @@ class Connection:
             isinstance(other, Connection)
             and self.universe == other.universe
             and self.chain == other.chain
-            and self.fingerprint == other.fingerprint
+            and self.lower_masks == other.lower_masks
         )
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash((self.fingerprint, self.universe.attributes))
+            self._hash = hash((self.lower_masks, self.universe.attributes))
         return self._hash
 
     def __repr__(self) -> str:
@@ -357,9 +357,9 @@ def generate_monoid(generators, universe: Universe, chain: Chain, cap: int = 409
     discovery composes every pair of members found so far, round by round.
     The size of S is known beforehand from a breadth-first search, so the
     discovery stops at S's last member instead of running a final round
-    that only confirms closure.  Both compose lower mask tables; a new
-    member's lower table is decoded once.  Raises CapExceeded when the
-    monoid grows past cap members; the identity alone exceeds a cap below 1.
+    that only confirms closure.  Both compose lower mask tables, and no
+    member's table is decoded.  Raises CapExceeded when the monoid grows
+    past cap members; the identity alone exceeds a cap below 1.
     """
     if cap < 1:
         raise CapExceeded(f"monoid exceeds {cap} connections")

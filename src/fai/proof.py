@@ -206,22 +206,19 @@ def prove(theory: Theory, s: Parameterization, goal: FAI) -> Proof:
     sc = scale(len(s.universe), s.chain.n)
     sources = [(ri, conn) for ri in range(len(theory)) for conn in s]
     images = [
-        (
-            sc.encode(conn.lower(theory[ri].antecedent).idx),
-            sc.encode(conn.lower(theory[ri].consequent).idx),
-        )
+        (conn.lower(theory[ri].antecedent).mask, conn.lower(theory[ri].consequent).mask)
         for ri, conn in sources
     ]
-    want = sc.encode(goal.consequent.idx)
-    reached, fired = forward_chain(images, sc.encode(goal.antecedent.idx), sc, until=want)
+    want = goal.consequent.mask
+    reached, fired = forward_chain(images, goal.antecedent.mask, sc, until=want)
     if want & reached != want:
         raise InvariantError("the replayed saturation stopped below the entailed goal")
-    closure = LSet(s.universe, s.chain, sc.decode(reached))
+    closure = LSet._from_mask(s.universe, s.chain, reached)
     fires = [
         (
             *sources[k],
-            LSet(s.universe, s.chain, sc.decode(before)),
-            LSet(s.universe, s.chain, sc.decode(after)),
+            LSet._from_mask(s.universe, s.chain, before),
+            LSet._from_mask(s.universe, s.chain, after),
         )
         for k, before, after in fired
     ]
@@ -231,13 +228,13 @@ def prove(theory: Theory, s: Parameterization, goal: FAI) -> Proof:
     image_step: dict = {}
     hyp_step: dict = {}
     for ri, conn, before, after in fires:
-        key = (ri, conn.fingerprint)
+        key = (ri, conn.lower_masks)
         if key in image_step:
             continue
         if ri not in hyp_step:
             hyp_step[ri] = len(steps)
             steps.append(ProofStep(theory[ri], Hyp(ri)))
-        if conn.fingerprint == ident.fingerprint:
+        if conn.lower_masks == ident.lower_masks:
             image_step[key] = hyp_step[ri]
         else:
             rule = theory[ri]
@@ -249,7 +246,7 @@ def prove(theory: Theory, s: Parameterization, goal: FAI) -> Proof:
     current = len(steps)
     steps.append(ProofStep(FAI(goal.antecedent, goal.antecedent), Axiom()))
     for ri, conn, before, after in fires:
-        pi = image_step[(ri, conn.fingerprint)]
+        pi = image_step[(ri, conn.lower_masks)]
         ax = len(steps)
         steps.append(ProofStep(FAI(after, after), Axiom()))
         grow = len(steps)
@@ -331,7 +328,7 @@ def normalize_proof(proof: Proof, theory: Theory, s: Parameterization) -> Proof:
         return node
 
     def push(f: Connection, node: _Node) -> _Node:
-        key = (id(node), f.fingerprint)
+        key = (id(node), f.lower_masks)
         if key in pushed:
             return pushed[key]
         formula = FAI(f.lower(node.formula.antecedent), f.lower(node.formula.consequent))

@@ -183,12 +183,11 @@ def t_step(m: LSet, theory: Theory, s: Parameterization) -> LSet:
     M union all f(B) for rules A => B and f with f(A) <= M.
     Fired pairs are judged against the input M, not the growing result."""
     same_space(m, s.universe, s.chain)
-    sc = scale(len(s.universe), s.chain.n)
-    before = after = sc.encode(m.idx)
+    before = after = m.mask
     for fa, fb in _pairs(theory, s):
         if fa & before == fa:
             after |= fb
-    return LSet(m.universe, m.chain, sc.decode(after))
+    return LSet._from_mask(m.universe, m.chain, after)
 
 
 def least_model(theory: Theory, s: Parameterization, m: LSet) -> LSet:
@@ -196,18 +195,23 @@ def least_model(theory: Theory, s: Parameterization, m: LSet) -> LSet:
     the compiled rule images, which saturates t_step."""
     same_space(m, s.universe, s.chain)
     sc = scale(len(s.universe), s.chain.n)
-    closed = forward_chain(_pairs(theory, s), sc.encode(m.idx), sc)[0]
-    return LSet(m.universe, m.chain, sc.decode(closed))
+    closed = forward_chain(_pairs(theory, s), m.mask, sc)[0]
+    return LSet._from_mask(m.universe, m.chain, closed)
 
 
 def entails(theory: Theory, fai: FAI, s: Parameterization) -> bool:
-    """Sigma entails A => B iff B is contained in the least model of A.
-    Forward chaining from A stops once B lies inside: the set only grows,
-    and stays inside the least model."""
+    """Sigma entails A => B iff B is contained in the least model of A."""
     same_space(fai.antecedent, s.universe, s.chain)
+    return entailed_by(_pairs(theory, s), fai, s)
+
+
+def entailed_by(pairs, fai: FAI, s: Parameterization) -> bool:
+    """Whether compiled pairs on S entail A => B: forward chaining from A
+    over them reaches B.  It stops once B lies inside: the set only grows,
+    and stays inside the least model."""
+    b = fai.consequent.mask
     sc = scale(len(s.universe), s.chain.n)
-    a, b = sc.encode(fai.antecedent.idx), sc.encode(fai.consequent.idx)
-    return b & forward_chain(_pairs(theory, s), a, sc, until=b)[0] == b
+    return b & forward_chain(pairs, fai.antecedent.mask, sc, until=b)[0] == b
 
 
 def entail_degree(theory: Theory, fai: FAI, s: Parameterization) -> Fraction:
@@ -221,4 +225,4 @@ def models_enum(theory: Theory, s: Parameterization, cap: int = 10**6):
     sc = scale(len(s.universe), s.chain.n)
     pairs = _pairs(theory, s)
     closed = next_closures(s.universe, s.chain, lambda m: forward_chain(pairs, m, sc)[0], cap)
-    return [LSet(s.universe, s.chain, sc.decode(m)) for m in closed]
+    return [LSet._from_mask(s.universe, s.chain, m) for m in closed]

@@ -121,7 +121,7 @@ def pairwise_monoid(generators, universe, chain, cap=4096):
         changed = False
         for a in list(elems):
             for b in list(elems):
-                fp = compose_lower(a.lower_table, b.lower_table)
+                fp = compose_lower(a.fingerprint, b.fingerprint)
                 if fp not in fps:
                     fps.add(fp)
                     masks = sc.lower_masks(fp)

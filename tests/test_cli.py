@@ -337,6 +337,38 @@ def test_top_level_key_types_are_checked(tmp_path, capsys, edit, message):
     assert message in capsys.readouterr().err
 
 
+def _deep_compose() -> str:
+    """A compose descriptor nested 10,000 levels deep: past what any
+    supported Python's JSON decoder follows (3.10 and 3.11 give up at 600
+    levels already), or past what the walk over the descriptors does where
+    the decoder goes deeper."""
+    identity, depth = '{"kind": "identity"}', 10_000
+    return '{"kind": "compose", "terms": [' * depth + identity + f", {identity}]}}" * depth
+
+
+def _assert_one_line_parse_error(argv, path, capsys):
+    assert main(argv) == 3
+    # after the "S: ..." note that commands other than validate print
+    assert capsys.readouterr().err.splitlines()[-1] == f"error: {path}: nested too deeply to read"
+
+
+def test_deeply_nested_parameter_file_is_a_parse_error(tmp_path, capsys):
+    path = tmp_path / "params.json"
+    text = (DATA / "params_s6.json").read_text()
+    path.write_text(text.replace('"generators": [', f'"generators": [{_deep_compose()}, ', 1))
+    _assert_one_line_parse_error(["validate", "--params", str(path)], path, capsys)
+
+
+def test_deeply_nested_proof_file_is_a_parse_error(tmp_path, capsys):
+    path = tmp_path / "proof.json"
+    text = json.dumps(json.loads((DATA / "s6_proof.json").read_text()))
+    conn = '{"kind": "rotate", "shift": 2}'
+    assert conn in text
+    path.write_text(text.replace(conn, _deep_compose(), 1))
+    argv = ["check-proof", "--params", P6, "--theory", BASE6, "--proof", str(path)]
+    _assert_one_line_parse_error(argv, path, capsys)
+
+
 def test_hash_in_an_attribute_name_is_rejected(tmp_path, capsys):
     params = _params_with(tmp_path, [], attributes=("k", "l", "a", "e#x"))
     assert main(["validate", "--params", params]) == 3

@@ -2,12 +2,13 @@ import itertools
 import random
 from fractions import Fraction
 from functools import reduce
-from operator import and_, or_
+from operator import and_, le, or_
 
 import pytest
 
 from fai import (
     Chain,
+    DegreeNotInChain,
     FaiError,
     InvariantError,
     LSet,
@@ -63,6 +64,25 @@ def test_lsets_are_immutable(chain5, universe):
     m = LSet.bottom(universe, chain5)
     with pytest.raises(AttributeError):
         m.idx = (4, 4, 4, 4)
+
+
+@pytest.mark.parametrize("bad", [1.0, F(1), True, "1", None, -1, 5])
+def test_indices_must_be_ints_in_the_chain(bad, chain5, universe):
+    with pytest.raises(DegreeNotInChain):
+        LSet(universe, chain5, [bad, 0, 0, 0])
+
+
+def test_a_set_from_a_mask_keeps_it_and_decodes_the_vector():
+    rng = random.Random(1)
+    for _ in range(200):
+        n, size = rng.randint(2, 6), rng.randint(1, 6)
+        chain = Chain([F(i, n - 1) for i in range(n)], "godel")
+        u = Universe([f"y{k}" for k in range(size)])
+        sc = scale(size, n)
+        m = sc.encode([rng.randrange(n) for _ in range(size)])
+        a = LSet._from_mask(u, chain, m)
+        assert a.mask == m and a.idx == sc.decode(m)
+        assert a == LSet(u, chain, a.idx) and hash(a) == hash(LSet(u, chain, a.idx))
 
 
 def test_parse_and_render(chain5, universe):
@@ -193,12 +213,17 @@ def test_vector_kernels_agree_with_the_lset_operators():
 
         a, b = draw(), draw()
         ma, mb = sc.encode(a.idx), sc.encode(b.idx)
-        # masks: a round trip, containment by ``&``, union by ``|``, meet by ``&``
+        # masks: a round trip, and the mask each set carries
         assert sc.decode(ma) == a.idx and sc.decode(mb) == b.idx
-        assert sc.encode(bottom.idx) == 0 and sc.encode(top.idx) == sc.top
-        assert (ma & mb == ma) == (a <= b)
-        assert sc.decode(ma | mb) == (a | b).idx
-        assert sc.decode(ma & mb) == (a & b).idx
+        assert (a.mask, b.mask, bottom.mask, top.mask) == (ma, mb, 0, sc.top)
+        # containment by ``&``, union by ``|`` and meet by ``&``, on the
+        # masks and in the LSet operators built on them, against vectors
+        contained = all(map(le, a.idx, b.idx))
+        assert (ma & mb == ma) == (a <= b) == contained
+        assert (a < b) == (contained and a.idx != b.idx)
+        assert sc.decode(ma | mb) == (a | b).idx == idx_join([a.idx, b.idx], size)
+        assert sc.decode(ma & mb) == (a & b).idx == idx_meet([a.idx, b.idx], size, n - 1)
+        assert (a == b) == (a.idx == b.idx) and a.is_bottom() == (a.idx == bottom.idx)
         # the masks' int order is the lectic order of the vectors
         assert (ma < mb) == (a.idx < b.idx)
         # families of every size from empty to four, the single row included

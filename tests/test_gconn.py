@@ -168,6 +168,23 @@ def test_generate_monoid(chain5, universe, settings):
         generate_monoid(list(settings[6]), universe, chain5, cap=3)
 
 
+def test_generate_monoid_decodes_no_table(chain5, universe, settings, monkeypatch):
+    from fai.fset import Scale
+
+    calls, real = [], Scale.lower_table
+
+    def counting(sc, masks):
+        calls.append(masks)
+        return real(sc, masks)
+
+    monkeypatch.setattr(Scale, "lower_table", counting)
+    s = generate_monoid(list(settings[6]), universe, chain5)
+    assert len(s) == 8 and calls == []
+    # the fingerprint, and so its hash, is decoded when asked for
+    s.connections[1].fingerprint_hash()
+    assert calls == [s.connections[1].lower_masks]
+
+
 def test_from_hedge(chain5, universe):
     s = from_hedge(globalization(chain5), universe)
     assert len(s) == 2  # identity and the constant-0 multiple

@@ -55,12 +55,12 @@ def _assert_tables_match_interpreter(s, universe, chain):
     for conn in s:
         # a composite term builds the same table from its factors
         rebuilt = Connection(conn.term, universe, chain)
-        assert rebuilt.lower_table == conn.lower_table
+        assert rebuilt.fingerprint == conn.fingerprint
     for idx in itertools.product(range(chain.n), repeat=len(universe)):
         memo = {}
         b = LSet(universe, chain, idx)
         for conn in s:
-            assert lower_image(conn.lower_table, idx) == lower_idx(conn.term, idx, chain, memo)
+            assert lower_image(conn.fingerprint, idx) == lower_idx(conn.term, idx, chain, memo)
             # the residual of the lower table is the term's own upper map
             assert conn.upper(b).idx == upper_idx(conn.term, idx, chain, memo)
 
@@ -144,10 +144,10 @@ def test_mask_composer_matches_index_vectors():
         sc = scale(len(universe), chain.n)
         for _ in range(40):
             a, b = rng.choice(s.connections), rng.choice(s.connections)
-            table = compose_lower(a.lower_table, b.lower_table)
+            table = compose_lower(a.fingerprint, b.fingerprint)
             assert sc.lower_table(sc.compose(a.lower_masks, b.lower_masks)) == table
-            assert compose(a, b).lower_table == table
-            assert s.compose_in(a, b).lower_table == table
+            assert compose(a, b).fingerprint == table
+            assert s.compose_in(a, b).fingerprint == table
         # the closure check composes on masks too
         assert len(Parameterization(s.connections)) == len(s)
         if len(s) > 2:
@@ -193,7 +193,7 @@ def test_verify_adjoint_names_the_row_that_falls(settings, chain5, universe):
 
 def _corrupted(conn, rng):
     """conn with one entry of its lower table moved to another degree."""
-    rows = [list(column) for column in conn.lower_table]
+    rows = [list(column) for column in conn.fingerprint]
     y = rng.randrange(len(rows))
     k = rng.randrange(len(rows[y]))
     vector = list(rows[y][k])
@@ -225,7 +225,7 @@ def test_table_check_agrees_with_the_sweep(settings):
     corrupted = [_corrupted(conn, rng) for conn in conns]
     for c in conns + corrupted:
         expected = _verdict(verify_adjoint_by_sweep, c.lower, c.upper, c.universe, c.chain)
-        assert _verdict(verify_adjoint, c) == expected, (c.term, c.lower_table)
+        assert _verdict(verify_adjoint, c) == expected, (c.term, c.fingerprint)
     # every member passes; a corrupted table whose rows still rise is another
     # connection, with its own residual, so only some corruptions fail
     assert all(verify_adjoint(c) for c in conns)
