@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from .context import (
     LContext,
@@ -30,7 +29,7 @@ from .gconn import (
     term_to_descriptor,
     verify_adjoint,
 )
-from .lattice import Chain, render_degree
+from .lattice import Chain, parse_degree, render_degree
 from .proof import check_proof, proof_from_json, proof_to_json, prove
 from .semantics import (
     entail_degree,
@@ -50,10 +49,11 @@ def _read(path: str) -> str:
 
 def _read_json(path: str, build):
     """``build`` applied to a JSON file's value, floats read as exact
-    fractions.  ParseError when the file nests deeper than the decoder, or
-    ``build``'s walk over nested descriptors, can follow."""
+    fractions by ``parse_degree``.  ParseError when the file nests deeper
+    than the decoder, or ``build``'s walk over nested descriptors, can
+    follow."""
     try:
-        return build(json.loads(_read(path), parse_float=Fraction))
+        return build(json.loads(_read(path), parse_float=parse_degree))
     except RecursionError:
         raise ParseError(f"{path}: nested too deeply to read") from None
 

@@ -27,8 +27,8 @@ from .fset import (
     upper_mask,
 )
 from .gconn import Parameterization
-from .lattice import Chain, parse_degree
-from .semantics import FAI, Theory, compiled_pairs, concat_pairs, entailed_by, least_model
+from .lattice import Chain
+from .semantics import FAI, Theory, entailed_by, least_model, theory_pairs
 
 
 class LContext:
@@ -72,7 +72,7 @@ class LContext:
             if len(cells) != len(header):
                 raise ParseError(f"row {lineno}: expected {len(header)} cells")
             objects.append(cells[0])
-            idx = [chain.index_of(parse_degree(c)) for c in cells[1:]]
+            idx = [chain.index_of_literal(c) for c in cells[1:]]
             rows.append(LSet(universe, chain, idx))
         return cls(universe, chain, objects, rows)
 
@@ -274,7 +274,7 @@ def is_complete(
     """
     if mode == "full":
         comp = complete_set(ctx, s, cap)
-        pairs = concat_pairs(compiled_pairs(theory, s))
+        pairs = theory_pairs(theory, s)
         return all(holds_in_context(ctx, r, s) for r in theory) and all(
             entailed_by(pairs, r, s) for r in comp
         )
@@ -295,18 +295,17 @@ def reduce_to_base(theory: Theory, ctx: LContext, s: Parameterization) -> Theory
 
     For a complete input the result is a base: completeness is preserved by
     removing entailed rules, and each survivor fails entailment from the rest.
-    The theory is compiled once; "the rest" leaves out one rule's pairs.
+    Each rule's pairs are computed once and kept on the rule
+    (``semantics.rule_pairs``), so "the rest" only concatenates them.
     """
-    compiled = compiled_pairs(theory, s)
-    kept = list(range(len(theory)))
+    rules, labels = list(theory.rules), list(theory.labels)
     k = 0
-    while k < len(kept):
-        rest = concat_pairs(compiled[:k] + compiled[k + 1 :])
-        if entailed_by(rest, theory[kept[k]], s):
-            del kept[k], compiled[k]
+    while k < len(rules):
+        if entailed_by(theory_pairs(rules[:k] + rules[k + 1 :], s), rules[k], s):
+            del rules[k], labels[k]
         else:
             k += 1
-    return Theory([theory[i] for i in kept], [theory.labels[i] for i in kept])
+    return Theory(rules, labels)
 
 
 def minimize_sides(theory: Theory, ctx: LContext, s: Parameterization, cap: int = 10**6) -> Theory:
@@ -317,12 +316,13 @@ def minimize_sides(theory: Theory, ctx: LContext, s: Parameterization, cap: int 
     theory remains complete for the context.  The theory is complete before
     every edit, so replacing rule r by r' keeps it complete iff r' holds in
     the context (every intent stays a model) and the edited theory entails r
-    (no model is added).  The theory is compiled once, and an edit
-    recompiles only the rule it changes.
+    (no model is added).  A trial edit swaps r' into a copy of the rule
+    list; only r' has pairs to compute, and they are kept on r', so a
+    rejected edit leaves nothing behind.
     """
     if not is_complete(theory, ctx, s, cap=cap):
         raise NotComplete("minimize_sides needs a complete theory")
-    rules, compiled = list(theory), compiled_pairs(theory, s)
+    rules = list(theory)
     for i in range(len(rules)):
         for side in ("antecedent", "consequent"):
             for y in range(len(ctx.universe)):
@@ -340,11 +340,11 @@ def minimize_sides(theory: Theory, ctx: LContext, s: Parameterization, cap: int 
                     )
                     if not holds_in_context(ctx, cand, s):
                         break
-                    edited = compiled[:]
-                    edited[i] = s.image_pairs(cand.antecedent, cand.consequent)
-                    if not entailed_by(concat_pairs(edited), rule, s):
+                    edited = rules[:]
+                    edited[i] = cand
+                    if not entailed_by(theory_pairs(edited, s), rule, s):
                         break
-                    rules[i], compiled = cand, edited
+                    rules = edited
     return Theory(rules, theory.labels)
 
 

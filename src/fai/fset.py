@@ -31,7 +31,7 @@ from functools import lru_cache
 from operator import getitem
 
 from .errors import CapExceeded, DegreeNotInChain, InvariantError, ParseError, UniverseMismatch
-from .lattice import Chain, parse_degree, render_degree
+from .lattice import Chain, render_degree
 
 # "#" starts a comment in theory files, and parsing strips whitespace and
 # splits lines at any line boundary, so a name holding these would not parse back
@@ -319,15 +319,15 @@ def parse_lset(text: str, universe: Universe, chain: Chain) -> LSet:
         if "/" in item:
             deg_text, name = item.rsplit("/", 1)
             name = name.strip()
-            d = parse_degree(deg_text)
+            i = chain.index_of_literal(deg_text)
         else:
-            name, d = item, Fraction(1)
+            name, i = item, chain.n - 1
         if name not in universe:
             raise ParseError(f"unknown attribute {name!r} in literal {text!r}")
         if name in seen:
             raise ParseError(f"attribute {name!r} repeated in literal {text!r}")
         seen.add(name)
-        idx[universe.position[name]] = chain.index_of(d)
+        idx[universe.position[name]] = i
     return LSet(universe, chain, idx)
 
 

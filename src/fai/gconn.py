@@ -257,7 +257,6 @@ class Parameterization:
         self._members = members
         self._scale = scale(len(self.universe), self.chain.n)
         self._hash = None
-        self._pairs = {}
         if check:
             if identity(self.universe, self.chain).lower_masks not in members:
                 raise NotAMonoid("the identity connection is missing")
@@ -289,27 +288,6 @@ class Parameterization:
         if member is None:
             raise InvariantError("S is not closed under composition")
         return member
-
-    def image_pairs(self, a: LSet, b: LSet):
-        """The distinct (f(A), f(B)) masks over <f, g> in S, in S's order,
-        leaving out those with f(B) <= f(A); computed afresh, kept nowhere."""
-        same_space(a, self.universe, self.chain)
-        same_space(b, self.universe, self.chain)
-        seen = {}
-        for conn in self.connections:
-            masks = conn.lower_masks
-            fa, fb = lower_mask(masks, a.idx), lower_mask(masks, b.idx)
-            if fb & fa != fb:
-                seen[fa, fb] = None
-        return tuple(seen)
-
-    def lower_pairs(self, a: LSet, b: LSet):
-        """``image_pairs(a, b)``, memoized per (A, B) on S."""
-        key = (a, b)
-        pairs = self._pairs.get(key)
-        if pairs is None:
-            pairs = self._pairs[key] = self.image_pairs(a, b)
-        return pairs
 
     def __eq__(self, other) -> bool:
         return (
@@ -389,23 +367,24 @@ def generate_monoid(generators, universe: Universe, chain: Chain, cap: int = 409
     return Parameterization(elems, check=False)
 
 
-def from_hedge(hedge: Hedge, universe: Universe, drop_vacuous: bool = False) -> Parameterization:
-    """The monoid of constant multiples/shifts by c* for c in L.
-
-    Its members are the constant multiples by the hedge's fixed points; the
-    c* = 0 member maps everything to the empty set and is semantically
-    vacuous, so drop_vacuous removes it.
-    """
+def _hedge_multiples(hedge: Hedge, universe: Universe, drop_vacuous: bool):
+    """The constant multiples by the hedge's fixed points, top first; the
+    multiple by 0 maps everything to the empty set and is semantically
+    vacuous, so drop_vacuous leaves it out."""
     chain = hedge.chain
     conns = []
     for f in reversed(hedge.fixed_points):
         if f == chain.n - 1:
             conns.append(identity(universe, chain))
-        elif f == 0 and drop_vacuous:
-            continue
-        else:
+        elif f != 0 or not drop_vacuous:
             conns.append(Connection(ConstMult(chain.degrees[f]), universe, chain))
-    return Parameterization(conns)
+    return conns
+
+
+def from_hedge(hedge: Hedge, universe: Universe, drop_vacuous: bool = False) -> Parameterization:
+    """The monoid of constant multiples/shifts by c* for c in L: the
+    multiples by the hedge's fixed points, checked to form a monoid."""
+    return Parameterization(_hedge_multiples(hedge, universe, drop_vacuous))
 
 
 # ---------------------------------------------------------------- descriptors
@@ -498,7 +477,8 @@ def connection_from_descriptor(desc: dict, universe: Universe, chain: Chain) -> 
 
 def generators_from_descriptors(descriptors, universe: Universe, chain: Chain):
     """Expand a descriptor list into connections; hedge descriptors expand to
-    one constant multiple per fixed point."""
+    one constant multiple per fixed point.  These are generators only, so a
+    hedge's multiples need not form a monoid by themselves."""
     if not isinstance(descriptors, list):
         raise ParseError(f"generators must be a list of descriptors, not {descriptors!r}")
     conns = []
@@ -506,7 +486,7 @@ def generators_from_descriptors(descriptors, universe: Universe, chain: Chain):
         if _checked_descriptor(desc, allow_hedge=True) == "hedge":
             fps = [_degree_from(v) for v in desc["fixed_points"]]
             hedge = Hedge(chain, fps)
-            conns.extend(from_hedge(hedge, universe, drop_vacuous=desc.get("drop_vacuous", False)))
+            conns.extend(_hedge_multiples(hedge, universe, desc.get("drop_vacuous", False)))
         else:
             conns.append(connection_from_descriptor(desc, universe, chain))
     return conns

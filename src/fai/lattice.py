@@ -8,6 +8,7 @@ validated for closure, so no arithmetic (and no floats) appears on hot paths.
 from __future__ import annotations
 
 from fractions import Fraction
+import sys
 
 from .errors import (
     ChainNotClosed,
@@ -68,9 +69,21 @@ def render_degree(d: Fraction) -> str:
 
 
 def parse_degree(text: str) -> Fraction:
-    """Parse a decimal or p/q degree literal exactly."""
+    """Parse a decimal or p/q degree literal exactly.
+
+    A decimal exponent larger in magnitude than the interpreter's limit on
+    integer digits (``sys.get_int_max_str_digits``) is refused before any
+    arithmetic: the value alone would take time and memory growing with it.
+    """
+    literal = text.strip()
+    exponent = literal.lower().partition("e")[2].lstrip("+-").replace("_", "").lstrip("0")
+    limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+    if exponent.isdecimal() and (len(exponent) > len(str(limit)) or int(exponent) > limit):
+        raise DegreeNotInChain(
+            f"cannot parse degree {literal!r}: its exponent is larger in magnitude than {limit}"
+        )
     try:
-        return Fraction(text.strip())
+        return Fraction(literal)
     except (ValueError, ZeroDivisionError) as exc:
         raise DegreeNotInChain(f"cannot parse degree {text!r}") from exc
 
@@ -134,6 +147,14 @@ class Chain:
             raise DegreeNotInChain(
                 f"degree {render_degree(Fraction(d))} is not in the chain"
             ) from None
+
+    def index_of_literal(self, text: str) -> int:
+        """The index of a degree literal (``parse_degree``); DegreeNotInChain
+        quotes the literal as typed, not its value, which may be long."""
+        try:
+            return self._index[parse_degree(text)]
+        except KeyError:
+            raise DegreeNotInChain(f"degree {text.strip()!r} is not in the chain") from None
 
     # -- value-level operations (API boundary) --
 

@@ -8,7 +8,7 @@ immediate-consequence step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import ParseError
@@ -17,6 +17,7 @@ from .fset import (
     Universe,
     c_mult,
     forward_chain,
+    lower_mask,
     next_closures,
     parse_lset,
     render_lset,
@@ -30,10 +31,15 @@ from .lattice import Chain, Hedge
 
 @dataclass(frozen=True)
 class FAI:
-    """A fuzzy attribute implication: antecedent => consequent."""
+    """A fuzzy attribute implication: antecedent => consequent.
+
+    ``_pairs`` keeps the rule's images per S (``rule_pairs``); it takes no
+    part in construction, equality, hashing or display.
+    """
 
     antecedent: LSet
     consequent: LSet
+    _pairs: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         same_space(self.consequent, self.antecedent.universe, self.antecedent.chain)
@@ -152,25 +158,31 @@ def truth_degree(m: LSet, fai: FAI, s: Parameterization) -> Fraction:
 # ---------------------------------------------------------------- models
 
 
-def compiled_pairs(theory: Theory, s: Parameterization) -> list:
-    """Per rule A => B, the tuple of its (f(A), f(B)) mask pairs over <f, g>
-    in S that can fire, kept on S per rule (``Parameterization.lower_pairs``).
-    The theory's forward chaining runs over their concatenation, in order,
-    so theories differing in one rule differ in one entry of this list."""
-    return [s.lower_pairs(rule.antecedent, rule.consequent) for rule in theory]
-
-
-def concat_pairs(compiled) -> list:
-    """The pairs of a theory compiled per rule (``compiled_pairs``), in the
-    order forward chaining walks them."""
-    pairs = []
-    for rule_pairs in compiled:
-        pairs.extend(rule_pairs)  # a copy of each tuple, faster than item by item
+def rule_pairs(rule: FAI, s: Parameterization) -> tuple:
+    """The distinct (f(A), f(B)) masks of A => B over <f, g> in S, in S's
+    order, leaving out those that cannot fire (f(B) <= f(A)); read off the
+    mask tables and kept on the rule per S."""
+    pairs = rule._pairs.get(s)
+    if pairs is None:
+        a, b = rule.antecedent, rule.consequent
+        same_space(a, s.universe, s.chain)
+        seen = {}
+        for conn in s:
+            masks = conn.lower_masks
+            fa, fb = lower_mask(masks, a.idx), lower_mask(masks, b.idx)
+            if fb & fa != fb:
+                seen[fa, fb] = None
+        pairs = rule._pairs[s] = tuple(seen)
     return pairs
 
 
-def _pairs(theory: Theory, s: Parameterization) -> list:
-    return concat_pairs(compiled_pairs(theory, s))
+def theory_pairs(rules, s: Parameterization) -> list:
+    """The pairs of the rules on S, rule by rule, in the order forward
+    chaining walks them."""
+    pairs = []
+    for rule in rules:
+        pairs.extend(rule_pairs(rule, s))  # a copy of each tuple, faster than item by item
+    return pairs
 
 
 def is_model(m: LSet, theory: Theory, s: Parameterization) -> bool:
@@ -184,7 +196,7 @@ def t_step(m: LSet, theory: Theory, s: Parameterization) -> LSet:
     Fired pairs are judged against the input M, not the growing result."""
     same_space(m, s.universe, s.chain)
     before = after = m.mask
-    for fa, fb in _pairs(theory, s):
+    for fa, fb in theory_pairs(theory, s):
         if fa & before == fa:
             after |= fb
     return LSet._from_mask(m.universe, m.chain, after)
@@ -195,14 +207,14 @@ def least_model(theory: Theory, s: Parameterization, m: LSet) -> LSet:
     the compiled rule images, which saturates t_step."""
     same_space(m, s.universe, s.chain)
     sc = scale(len(s.universe), s.chain.n)
-    closed = forward_chain(_pairs(theory, s), m.mask, sc)[0]
+    closed = forward_chain(theory_pairs(theory, s), m.mask, sc)[0]
     return LSet._from_mask(m.universe, m.chain, closed)
 
 
 def entails(theory: Theory, fai: FAI, s: Parameterization) -> bool:
     """Sigma entails A => B iff B is contained in the least model of A."""
     same_space(fai.antecedent, s.universe, s.chain)
-    return entailed_by(_pairs(theory, s), fai, s)
+    return entailed_by(theory_pairs(theory, s), fai, s)
 
 
 def entailed_by(pairs, fai: FAI, s: Parameterization) -> bool:
@@ -223,6 +235,6 @@ def models_enum(theory: Theory, s: Parameterization, cap: int = 10**6):
     """All models of the theory, in lectic order: the fixed points of the
     least-model closure, compiled once; CapExceeded past ``cap`` models."""
     sc = scale(len(s.universe), s.chain.n)
-    pairs = _pairs(theory, s)
+    pairs = theory_pairs(theory, s)
     closed = next_closures(s.universe, s.chain, lambda m: forward_chain(pairs, m, sc)[0], cap)
     return [LSet._from_mask(s.universe, s.chain, m) for m in closed]

@@ -1,4 +1,6 @@
 import json
+import sys
+import time
 
 import pytest
 
@@ -335,6 +337,55 @@ def test_top_level_key_types_are_checked(tmp_path, capsys, edit, message):
     path.write_text(json.dumps([data] if edit is None else {**data, **edit}))
     assert main(["validate", "--params", str(path)]) == 3
     assert message in capsys.readouterr().err
+
+
+def test_a_hedge_generator_needs_not_be_a_monoid_by_itself(tmp_path, capsys):
+    """Over Lukasiewicz 0 < 0.5 < 1, 0.5 * 0.5 = 0, so the multiples by the
+    fixed points 0.5 and 1 alone are not closed; as generators they span
+    the identity, the multiple by 0.5 and its square."""
+    path = tmp_path / "params.json"
+    path.write_text(json.dumps({
+        "degrees": ["0", "0.5", "1"],
+        "logic": "lukasiewicz",
+        "attributes": ["a", "b"],
+        "generators": [{"kind": "hedge", "fixed_points": ["0.5", "1"], "drop_vacuous": True}],
+    }))
+    assert main(["validate", "--params", str(path)]) == 0
+    assert "S: 3 connections" in capsys.readouterr().out
+
+
+def _huge_exponent_argv(where, tmp_path):
+    if where == "set":
+        return ["closure", "--params", P6, "--context", CTX, "--set", "1e-10000000/e"]
+    if where == "csv":
+        path = tmp_path / "ctx.csv"
+        path.write_text("object,k,l,a,e\nx,1e-10000000,0,0,1\n")
+        return ["intents", "--params", P6, "--context", str(path)]
+    path = tmp_path / "params.json"
+    text = (DATA / "params_s6.json").read_text()
+    path.write_text(text.replace('"degrees": [', '"degrees": [1e-10000000, ', 1))
+    return ["validate", "--params", str(path)]
+
+
+@pytest.mark.parametrize("where", ["set", "csv", "json"])
+def test_a_huge_exponent_in_a_degree_is_refused_at_once(where, tmp_path, capsys):
+    """10**E for the exponent alone takes minutes at E = 10**7; the literal
+    is refused before its value is computed."""
+    argv = _huge_exponent_argv(where, tmp_path)
+    start = time.perf_counter()
+    assert main(argv) == 3
+    assert time.perf_counter() - start < 2
+    limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "error: cannot parse degree '1e-10000000': its exponent is larger in magnitude "
+        f"than {limit}"
+    )
+
+
+def test_a_degree_outside_the_chain_is_quoted_as_typed(capsys):
+    argv = ["closure", "--params", P6, "--context", CTX, "--set", "1e-4300/e"]
+    assert main(argv) == 3
+    assert capsys.readouterr().err.splitlines()[-1] == "error: degree '1e-4300' is not in the chain"
 
 
 def _deep_compose() -> str:

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+import fai.semantics
 from fai import (
     CapExceeded,
     Chain,
@@ -320,40 +321,49 @@ def test_compiled_reduce_and_minimize_match_re_entailment(holidays, settings):
             assert (mini.rules, mini.labels) == (expected.rules, expected.labels)
 
 
-def test_minimize_sides_keeps_no_trial_edit_on_s():
-    """One S reused across several minings: minimize_sides compiles its
-    trial edits without memoizing them, so S's pair memo holds the rules it
-    held before each minimization, and nothing more."""
+def test_minimizing_leaves_s_exactly_as_it_found_it(monkeypatch):
+    """One S reused across several minings: a trial edit's pairs are kept
+    on the trial rule, never on S, so every attribute of S but its cached
+    hash is as it was before each minimization."""
     rng = random.Random(3312)
     chain = Chain([F(0), F(1, 2), F(1)], "godel")
     universe = Universe([f"y{k}" for k in range(6)])
     const = LSet(universe, chain, [2, 1, 0, 1, 0, 0])
     gens = [Connection(Rotate(2), universe, chain), Connection(DiffSet(const), universe, chain)]
     s = generate_monoid(gens, universe, chain)
-    trials = []
-    real_image_pairs = s.image_pairs
+    asked = []
+    real = fai.semantics.rule_pairs
 
-    def counted(a, b):
-        trials.append((a, b))
-        return real_image_pairs(a, b)
+    def counted(rule, over):
+        asked.append(rule)  # kept alive, so ids below stay distinct
+        return real(rule, over)
 
-    s.image_pairs = counted
+    monkeypatch.setattr(fai.semantics, "rule_pairs", counted)
+
+    def state():
+        return {
+            k: v.copy() if isinstance(v, (dict, list, set)) else v
+            for k, v in vars(s).items()
+            if k != "_hash"
+        }
+
     kept = steps = 0
     for _ in range(5):
         rows = [LSet(universe, chain, [rng.randrange(3) for _ in range(6)]) for _ in range(6)]
         ctx = LContext(universe, chain, [f"o{i}" for i in range(6)], rows)
         base = reduce_to_base(complete_set(ctx, s), ctx, s)
-        memo = dict(s._pairs)
-        trials.clear()
+        before = state()
+        asked.clear()
         mini = minimize_sides(base, ctx, s)
-        assert s._pairs == memo
+        assert state() == before
         # each kept edit lowers one degree by one step
         kept += sum(
             sum(b.antecedent.idx) + sum(b.consequent.idx)
             - sum(m.antecedent.idx) - sum(m.consequent.idx)
             for b, m in zip(base, mini)
         )
-        steps += len(trials)
+        # every trial edit is a new rule whose pairs are asked for
+        steps += len({id(r) for r in asked} - {id(r) for r in base})
     # some edits were compiled, tested and rejected
     assert 0 < kept < steps, (kept, steps)
 

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import fai.semantics
 from fai import (
     Chain,
     Connection,
@@ -226,6 +227,29 @@ def test_early_stopping_entailment_equals_least_model_containment():
                 assert entails(theory, FAI(a, b), s) == expected
                 outcomes[expected] += 1
     assert min(outcomes.values()) >= 20, outcomes
+
+
+def test_each_rule_computes_its_pairs_once_per_s(chain5, universe, settings, monkeypatch):
+    """Repeated least models and entailments on one theory and S read each
+    rule's pairs off its mask tables once; another S computes its own."""
+    calls = []
+    real = fai.semantics.lower_mask
+
+    def counting(masks, idx):
+        calls.append(idx)
+        return real(masks, idx)
+
+    monkeypatch.setattr(fai.semantics, "lower_mask", counting)
+    th = parse_theory(" -> 0.25/a, 0.25/e\n0.75/l -> 0.75/e\nl, 0.75/a -> 0.5/k, e\n", universe, chain5)
+    goal = parse_fai("0.75/a, e -> 0.5/k, l, a", universe, chain5)
+    a = parse_lset("0.5/l, e", universe, chain5)
+    for s in (settings[6], settings[1]):
+        calls.clear()
+        for _ in range(3):
+            least_model(th, s, a)
+            entails(th, goal, s)
+        # two images, f(A) and f(B), per rule and member
+        assert len(calls) == 2 * len(th) * len(s)
 
 
 def test_entail_degree_via_models(small):
