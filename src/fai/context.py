@@ -72,7 +72,7 @@ class LContext:
             if len(cells) != len(header):
                 raise ParseError(f"row {lineno}: expected {len(header)} cells")
             objects.append(cells[0])
-            idx = [chain.index_of_literal(c) for c in cells[1:]]
+            idx = [chain.index_of(c) for c in cells[1:]]
             rows.append(LSet(universe, chain, idx))
         return cls(universe, chain, objects, rows)
 
@@ -225,11 +225,7 @@ def pseudo_intents(ctx: LContext, s: Parameterization, cap: int = 10**6):
 def complete_set(ctx: LContext, s: Parameterization, cap: int = 10**6) -> Theory:
     """The theory {P => downup(P) : P an S-pseudo-intent}, in the order of
     pseudo_intents."""
-    pairs = pseudo_intents(ctx, s, cap)
-    return Theory(
-        [FAI(p, cl) for p, cl in pairs],
-        [f"pseudo-intent #{i}" for i in range(len(pairs))],
-    )
+    return Theory(FAI(p, cl) for p, cl in pseudo_intents(ctx, s, cap))
 
 
 def theory_of_system(models, s: Parameterization, cap: int = 10**6) -> Theory:
@@ -297,15 +293,17 @@ def reduce_to_base(theory: Theory, ctx: LContext, s: Parameterization) -> Theory
     removing entailed rules, and each survivor fails entailment from the rest.
     Each rule's pairs are computed once and kept on the rule
     (``semantics.rule_pairs``), so "the rest" only concatenates them.
+    ``ctx`` is not read: entailment alone decides, and callers pass it
+    positionally.
     """
-    rules, labels = list(theory.rules), list(theory.labels)
+    rules = list(theory.rules)
     k = 0
     while k < len(rules):
         if entailed_by(theory_pairs(rules[:k] + rules[k + 1 :], s), rules[k], s):
-            del rules[k], labels[k]
+            del rules[k]
         else:
             k += 1
-    return Theory(rules, labels)
+    return Theory(rules)
 
 
 def minimize_sides(theory: Theory, ctx: LContext, s: Parameterization, cap: int = 10**6) -> Theory:
@@ -345,7 +343,7 @@ def minimize_sides(theory: Theory, ctx: LContext, s: Parameterization, cap: int 
                     if not entailed_by(theory_pairs(edited, s), rule, s):
                         break
                     rules = edited
-    return Theory(rules, theory.labels)
+    return Theory(rules)
 
 
 # ---------------------------------------------------------------- rendering

@@ -118,7 +118,7 @@ class LSet:
         for name, d in mapping.items():
             if name not in universe:
                 raise UniverseMismatch(f"unknown attribute {name!r}")
-            idx[universe.position[name]] = chain.index_of(Fraction(d))
+            idx[universe.position[name]] = chain.index_of(d)
         return cls(universe, chain, idx)
 
     def degree(self, name: str) -> Fraction:
@@ -291,14 +291,14 @@ def subsethood(a: LSet, b: LSet) -> Fraction:
 def c_mult(c: Fraction, a: LSet) -> LSet:
     """The c-multiple: (c (*) a)(y) = c * a(y)."""
     chain = a.chain
-    row = [chain.tnorm_i(chain.index_of(Fraction(c)), i) for i in a.idx]
+    row = [chain.tnorm_i(chain.index_of(c), i) for i in a.idx]
     return LSet(a.universe, chain, row)
 
 
 def c_shift(c: Fraction, a: LSet) -> LSet:
     """The c-shift: (c -> a)(y) = c -> a(y)."""
     chain = a.chain
-    row = [chain.residuum_i(chain.index_of(Fraction(c)), i) for i in a.idx]
+    row = [chain.residuum_i(chain.index_of(c), i) for i in a.idx]
     return LSet(a.universe, chain, row)
 
 
@@ -319,7 +319,7 @@ def parse_lset(text: str, universe: Universe, chain: Chain) -> LSet:
         if "/" in item:
             deg_text, name = item.rsplit("/", 1)
             name = name.strip()
-            i = chain.index_of_literal(deg_text)
+            i = chain.index_of(deg_text)
         else:
             name, i = item, chain.n - 1
         if name not in universe:

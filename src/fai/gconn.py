@@ -34,7 +34,7 @@ from .fset import (
     scale,
     upper_mask,
 )
-from .lattice import Chain, DualPair, Hedge, parse_degree, render_degree
+from .lattice import Chain, Hedge, brief_degree, parse_degree, render_degree
 
 
 # ---------------------------------------------------------------- terms
@@ -91,15 +91,6 @@ class Compose:
 # upper_mask reads that off the same masks.
 
 
-def _dual(chain: Chain) -> DualPair:
-    """The chain's dual pair, built the first time a diff-set term needs it
-    and kept on the chain."""
-    dual = chain._dual
-    if dual is None:
-        dual = chain._dual = DualPair(chain)
-    return dual
-
-
 def _generator_lower(term, universe: Universe, chain: Chain):
     """The lower map of a non-composite term, on index vectors."""
     if isinstance(term, Identity):
@@ -112,7 +103,7 @@ def _generator_lower(term, universe: Universe, chain: Chain):
         cs = term.C.idx
         if isinstance(term, ConstMultSet):
             return lambda idx: tuple(chain.tnorm_i(c, i) for c, i in zip(cs, idx))
-        dual = _dual(chain)
+        dual = chain.dual
         return lambda idx: tuple(dual.ominus_i(i, c) for i, c in zip(idx, cs))
     if isinstance(term, Rotate):
         n, shift = len(universe), term.shift
@@ -223,7 +214,7 @@ def verify_adjoint(conn: Connection) -> bool:
     for y, row in enumerate(conn.lower_masks):
         for a in range(1, len(row) - 1):
             if row[a] & row[a + 1] != row[a]:
-                low, high = (f"{{{render_degree(degrees[k])}/{names[y]}}}" for k in (a, a + 1))
+                low, high = (f"{{{brief_degree(degrees[k])}/{names[y]}}}" for k in (a, a + 1))
                 raise NotAdjoint(
                     f"f({low}) is not inside f({high}), so f does not preserve unions "
                     "and has no upper adjoint"
@@ -421,6 +412,12 @@ def _degree_from(value) -> Fraction:
     raise ParseError(f"cannot read degree {value!r}")
 
 
+def _chain_degree(value, chain: Chain) -> Fraction:
+    """A descriptor's degree, which must be in the chain; DegreeNotInChain
+    quotes a literal as typed (``Chain.index_of``)."""
+    return chain.degrees[chain.index_of(value if isinstance(value, str) else _degree_from(value))]
+
+
 # The keys each descriptor kind requires, with the JSON types each may take.
 _DESCRIPTOR_FIELDS = {
     "identity": {},
@@ -461,7 +458,7 @@ def connection_from_descriptor(desc: dict, universe: Universe, chain: Chain) -> 
     if kind == "identity":
         term = Identity()
     elif kind == "const-mult":
-        term = ConstMult(_degree_from(desc["c"]))
+        term = ConstMult(_chain_degree(desc["c"], chain))
     elif kind == "const-mult-set":
         term = ConstMultSet(parse_lset(desc["C"], universe, chain))
     elif kind == "diff-set":
@@ -484,8 +481,7 @@ def generators_from_descriptors(descriptors, universe: Universe, chain: Chain):
     conns = []
     for desc in descriptors:
         if _checked_descriptor(desc, allow_hedge=True) == "hedge":
-            fps = [_degree_from(v) for v in desc["fixed_points"]]
-            hedge = Hedge(chain, fps)
+            hedge = Hedge(chain, [_chain_degree(v, chain) for v in desc["fixed_points"]])
             conns.extend(_hedge_multiples(hedge, universe, desc.get("drop_vacuous", False)))
         else:
             conns.append(connection_from_descriptor(desc, universe, chain))

@@ -7,6 +7,7 @@ validated for closure, so no arithmetic (and no floats) appears on hot paths.
 
 from __future__ import annotations
 
+from decimal import MAX_PREC, Context, Decimal
 from fractions import Fraction
 import sys
 
@@ -46,11 +47,9 @@ def _residuum_value(logic: str, a: Fraction, b: Fraction) -> Fraction:
     raise ValueError(f"unknown logic {logic!r}")
 
 
-def render_degree(d: Fraction) -> str:
-    """Exact text for a degree: a terminating decimal when one exists, else p/q."""
-    num, den = d.numerator, d.denominator
-    if den == 1:
-        return str(num)
+def _decimal_places(den: int):
+    """The decimal places of p/den in lowest terms, or None when it has no
+    terminating decimal."""
     twos = fives = 0
     rest = den
     while rest % 2 == 0:
@@ -59,13 +58,44 @@ def render_degree(d: Fraction) -> str:
     while rest % 5 == 0:
         rest //= 5
         fives += 1
-    if rest != 1:
+    return max(twos, fives) if rest == 1 else None
+
+
+def render_degree(d: Fraction) -> str:
+    """Exact text for a degree: a terminating decimal when one exists, else p/q."""
+    num, den = d.numerator, d.denominator
+    if den == 1:
+        return str(num)
+    k = _decimal_places(den)
+    if k is None:
         return f"{num}/{den}"
-    k = max(twos, fives)
     digits = num * 10**k // den
     text = str(digits).rjust(k + 1, "0")
     whole, frac = text[:-k], text[-k:].rstrip("0")
     return f"{whole}.{frac}" if frac else whole
+
+
+def brief_degree(d: Fraction) -> str:
+    """A degree for an error message, in about 40 characters:
+    render_degree's text when that fits, else the same decimal as digits
+    times a power of ten (1e-4300) when that fits, else the first and last
+    characters of render_degree's text around '...'.  The digits are written
+    through Decimal, which the interpreter's limit on integer digits does
+    not bound."""
+    width = 40
+
+    def cut(text, width=width):
+        half = (width - 3) // 2
+        return text if len(text) <= width else f"{text[:half]}...{text[-half:]}"
+
+    num, den = d.numerator, d.denominator
+    k = _decimal_places(den)
+    if k is None:
+        return f"{cut(str(Decimal(num)), width // 2)}/{cut(str(Decimal(den)), width // 2)}"
+    unrounded = Context(prec=MAX_PREC)
+    exact = Decimal(num * 10**k // den).scaleb(-k, unrounded)
+    fixed, sci = f"{exact:f}", f"{exact.normalize(unrounded):e}"
+    return cut(fixed if len(fixed) <= width or len(sci) > width else sci)
 
 
 def parse_degree(text: str) -> Fraction:
@@ -110,7 +140,7 @@ class Chain:
         self.logic = logic
         self.n = len(degrees)
         self._index = {d: i for i, d in enumerate(degrees)}
-        self._dual = None  # the DualPair, built by fai.gconn when a diff-set first needs it
+        self._dual = None  # the DualPair, built when first asked for (``dual``)
 
         n = self.n
         self._tnorm = [[0] * n for _ in range(n)]
@@ -121,13 +151,13 @@ class Chain:
                 r = _residuum_value(logic, degrees[i], degrees[j])
                 if t not in self._index:
                     raise ChainNotClosed(
-                        f"{render_degree(degrees[i])} * {render_degree(degrees[j])}"
-                        f" = {render_degree(t)} is not in the chain"
+                        f"{brief_degree(degrees[i])} * {brief_degree(degrees[j])}"
+                        f" = {brief_degree(t)} is not in the chain"
                     )
                 if r not in self._index:
                     raise ChainNotClosed(
-                        f"{render_degree(degrees[i])} -> {render_degree(degrees[j])}"
-                        f" = {render_degree(r)} is not in the chain"
+                        f"{brief_degree(degrees[i])} -> {brief_degree(degrees[j])}"
+                        f" = {brief_degree(r)} is not in the chain"
                     )
                 self._tnorm[i][j] = self._index[t]
                 self._residuum[i][j] = self._index[r]
@@ -140,21 +170,24 @@ class Chain:
     def residuum_i(self, i: int, j: int) -> int:
         return self._residuum[i][j]
 
-    def index_of(self, d: Fraction) -> int:
+    def index_of(self, d) -> int:
+        """The index of a degree, given as a value or as a literal
+        (``parse_degree``).  DegreeNotInChain quotes a literal as typed and
+        gives a value briefly (``brief_degree``): either may be long."""
+        value = parse_degree(d) if isinstance(d, str) else Fraction(d)
         try:
-            return self._index[Fraction(d)]
+            return self._index[value]
         except KeyError:
-            raise DegreeNotInChain(
-                f"degree {render_degree(Fraction(d))} is not in the chain"
-            ) from None
+            shown = repr(d.strip()) if isinstance(d, str) else brief_degree(value)
+            raise DegreeNotInChain(f"degree {shown} is not in the chain") from None
 
-    def index_of_literal(self, text: str) -> int:
-        """The index of a degree literal (``parse_degree``); DegreeNotInChain
-        quotes the literal as typed, not its value, which may be long."""
-        try:
-            return self._index[parse_degree(text)]
-        except KeyError:
-            raise DegreeNotInChain(f"degree {text.strip()!r} is not in the chain") from None
+    @property
+    def dual(self) -> "DualPair":
+        """The chain's dual pair, built the first time it is asked for and
+        kept; ChainNotSymmetric when the chain has none."""
+        if self._dual is None:
+            self._dual = DualPair(self)
+        return self._dual
 
     # -- value-level operations (API boundary) --
 
@@ -203,7 +236,7 @@ class Hedge:
 
     def __init__(self, chain: Chain, fixed_points):
         self.chain = chain
-        fps = {chain.index_of(Fraction(d)) for d in fixed_points}
+        fps = {chain.index_of(d) for d in fixed_points}
         if chain.n - 1 not in fps:
             raise InvalidHedge("1 must be a fixed point")
         fps.add(0)
@@ -220,8 +253,8 @@ class Hedge:
                 if lhs > rhs:
                     raise InvalidHedge(
                         "(a -> b)* <= a* -> b* fails at a="
-                        f"{render_degree(chain.degrees[a])}, "
-                        f"b={render_degree(chain.degrees[b])}"
+                        f"{brief_degree(chain.degrees[a])}, "
+                        f"b={brief_degree(chain.degrees[b])}"
                     )
 
     def apply_i(self, i: int) -> int:
@@ -269,7 +302,7 @@ class DualPair:
         for d in chain.degrees:
             if ONE - d not in chain:
                 raise ChainNotSymmetric(
-                    f"1 - {render_degree(d)} is not in the chain"
+                    f"1 - {brief_degree(d)} is not in the chain"
                 )
             neg.append(chain.index_of(ONE - d))
         self._neg = tuple(neg)
@@ -289,9 +322,9 @@ class DualPair:
                     if (self._ominus[a][b] <= c) != (a <= self._oplus[b][c]):
                         raise InvariantError(
                             "dual adjointness a(-)b <= c iff a <= b(+)c fails at "
-                            f"a={render_degree(chain.degrees[a])}, "
-                            f"b={render_degree(chain.degrees[b])}, "
-                            f"c={render_degree(chain.degrees[c])}"
+                            f"a={brief_degree(chain.degrees[a])}, "
+                            f"b={brief_degree(chain.degrees[b])}, "
+                            f"c={brief_degree(chain.degrees[c])}"
                         )
 
     def oplus_i(self, i: int, j: int) -> int:

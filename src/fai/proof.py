@@ -171,15 +171,12 @@ def _premise(proof: Proof, k: int, i: int) -> FAI:
 
 def expand_theory(theory: Theory, s: Parameterization) -> Theory:
     """All images f(A) => f(B) of the rules under the lower maps of S."""
-    rules, labels, seen = [], [], set()
-    for ri, rule in enumerate(theory):
-        for ci, conn in enumerate(s):
-            img = FAI(conn.lower(rule.antecedent), conn.lower(rule.consequent))
-            if img not in seen:
-                seen.add(img)
-                rules.append(img)
-                labels.append(f"{theory.labels[ri]} via S[{ci}]")
-    return Theory(rules, labels)
+    images = (
+        FAI(conn.lower(rule.antecedent), conn.lower(rule.consequent))
+        for rule in theory
+        for conn in s
+    )
+    return Theory(dict.fromkeys(images))
 
 
 def prove(theory: Theory, s: Parameterization, goal: FAI) -> Proof:
@@ -213,40 +210,38 @@ def prove(theory: Theory, s: Parameterization, goal: FAI) -> Proof:
     reached, fired = forward_chain(images, goal.antecedent.mask, sc, until=want)
     if want & reached != want:
         raise InvariantError("the replayed saturation stopped below the entailed goal")
-    closure = LSet._from_mask(s.universe, s.chain, reached)
-    fires = [
-        (
-            *sources[k],
-            LSet._from_mask(s.universe, s.chain, before),
-            LSet._from_mask(s.universe, s.chain, after),
-        )
-        for k, before, after in fired
-    ]
 
+    def decode(mask: int) -> LSet:
+        return LSet._from_mask(s.universe, s.chain, mask)
+
+    closure = decode(reached)
+    fires = [(k, decode(before), decode(after)) for k, before, after in fired]
+
+    # one F step per fired (rule, member) pair k, its formula decoded from
+    # the replay's own images[k]; the identity's image is the hypothesis
     ident = identity(s.universe, s.chain)
     steps: list[ProofStep] = []
     image_step: dict = {}
     hyp_step: dict = {}
-    for ri, conn, before, after in fires:
-        key = (ri, conn.lower_masks)
-        if key in image_step:
+    for k, before, after in fires:
+        if k in image_step:
             continue
+        ri, conn = sources[k]
         if ri not in hyp_step:
             hyp_step[ri] = len(steps)
             steps.append(ProofStep(theory[ri], Hyp(ri)))
         if conn.lower_masks == ident.lower_masks:
-            image_step[key] = hyp_step[ri]
+            image_step[k] = hyp_step[ri]
         else:
-            rule = theory[ri]
-            img = FAI(conn.lower(rule.antecedent), conn.lower(rule.consequent))
-            image_step[key] = len(steps)
+            image_step[k] = len(steps)
+            img = FAI(*map(decode, images[k]))
             steps.append(ProofStep(img, ApplyF(hyp_step[ri], conn)))
 
     bottom = LSet.bottom(s.universe, s.chain)
     current = len(steps)
     steps.append(ProofStep(FAI(goal.antecedent, goal.antecedent), Axiom()))
-    for ri, conn, before, after in fires:
-        pi = image_step[(ri, conn.lower_masks)]
+    for k, before, after in fires:
+        pi = image_step[k]
         ax = len(steps)
         steps.append(ProofStep(FAI(after, after), Axiom()))
         grow = len(steps)

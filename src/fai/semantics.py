@@ -49,15 +49,10 @@ class FAI:
 
 
 class Theory:
-    """An ordered collection of formulas, each with a label for diagnostics."""
+    """A theory: an ordered tuple of rules, and nothing more."""
 
-    def __init__(self, rules, labels=None):
+    def __init__(self, rules):
         self.rules = tuple(rules)
-        if labels is None:
-            labels = tuple(f"#{i}" for i in range(len(self.rules)))
-        self.labels = tuple(labels)
-        if len(self.labels) != len(self.rules):
-            raise ValueError("one label per rule")
 
     def __len__(self) -> int:
         return len(self.rules)
@@ -75,14 +70,12 @@ class Theory:
         return hash(self.rules)
 
     def without(self, i: int) -> "Theory":
-        return Theory(
-            self.rules[:i] + self.rules[i + 1 :], self.labels[:i] + self.labels[i + 1 :]
-        )
+        return Theory(self.rules[:i] + self.rules[i + 1 :])
 
     def replaced(self, i: int, rule: FAI) -> "Theory":
         rules = list(self.rules)
         rules[i] = rule
-        return Theory(rules, self.labels)
+        return Theory(rules)
 
     def as_set(self):
         return frozenset(self.rules)
@@ -110,7 +103,7 @@ def render_fai(fai: FAI) -> str:
 
 def parse_theory(text: str, universe: Universe, chain: Chain) -> Theory:
     """One formula per line; blank lines and ``#`` comments are skipped."""
-    rules, labels = [], []
+    rules = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -119,8 +112,7 @@ def parse_theory(text: str, universe: Universe, chain: Chain) -> Theory:
             rules.append(parse_fai(stripped, universe, chain))
         except ParseError as exc:
             raise ParseError(f"line {lineno}: {exc}") from None
-        labels.append(f"line {lineno}")
-    return Theory(rules, labels)
+    return Theory(rules)
 
 
 def render_theory(theory: Theory) -> str:

@@ -388,6 +388,55 @@ def test_a_degree_outside_the_chain_is_quoted_as_typed(capsys):
     assert capsys.readouterr().err.splitlines()[-1] == "error: degree '1e-4300' is not in the chain"
 
 
+# Parameter files whose error names a degree of 4,300 digits, each with the
+# one line it must give: a literal quoted as typed, a value cut short.
+_GODEL = '"degrees": ["0", "0.25", "0.5", "0.75", "1"], "logic": "godel", "attributes": ["k"]'
+_LONG_DEGREES = {
+    "const-mult literal": (
+        _GODEL + ', "generators": [{"kind": "const-mult", "c": "1e-4300"}]',
+        "error: degree '1e-4300' is not in the chain",
+    ),
+    "const-mult number": (
+        _GODEL + ', "generators": [{"kind": "const-mult", "c": 1e-4300}]',
+        "error: degree 1e-4300 is not in the chain",
+    ),
+    "const-mult literal past the digit limit": (
+        _GODEL + ', "generators": [{"kind": "const-mult", "c": "1e4300"}]',
+        "error: degree '1e4300' is not in the chain",
+    ),
+    "hedge literal": (
+        _GODEL + ', "generators": [{"kind": "hedge", "fixed_points": ["1e-4300", "1"]}]',
+        "error: degree '1e-4300' is not in the chain",
+    ),
+    "hedge number": (
+        _GODEL + ', "generators": [{"kind": "hedge", "fixed_points": [1e-4300, 1]}]',
+        "error: degree 1e-4300 is not in the chain",
+    ),
+    "lukasiewicz chain": (
+        '"degrees": ["0", "1e-4300", "1"], "logic": "lukasiewicz", "attributes": ["k"]',
+        "error: 1e-4300 -> 0 = 0.9999999999999999...999999999999999999 is not in the chain",
+    ),
+    "diff-set on an unsymmetric chain": (
+        '"degrees": ["0", "1e-4300", "1"], "logic": "godel", "attributes": ["k"], '
+        '"generators": [{"kind": "diff-set", "C": "k"}]',
+        "error: 1 - 1e-4300 is not in the chain",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_LONG_DEGREES))
+def test_a_long_degree_in_an_error_is_one_short_line(case, tmp_path, capsys):
+    body, line = _LONG_DEGREES[case]
+    path = tmp_path / "params.json"
+    path.write_text("{" + body + "}")
+    start = time.perf_counter()
+    assert main(["validate", "--params", str(path)]) == 3
+    assert time.perf_counter() - start < 2
+    err = capsys.readouterr().err
+    assert err.splitlines() == [line]
+    assert len(err.encode()) <= 200
+
+
 def _deep_compose() -> str:
     """A compose descriptor nested 10,000 levels deep: past what any
     supported Python's JSON decoder follows (3.10 and 3.11 give up at 600

@@ -311,14 +311,14 @@ def test_compiled_reduce_and_minimize_match_re_entailment(holidays, settings):
         comp = complete_set(ctx, s)
         order = list(range(len(comp)))
         rng.shuffle(order)
-        shuffled = Theory([comp[i] for i in order], [comp.labels[i] for i in order])
+        shuffled = Theory([comp[i] for i in order])
         for theory in (comp, shuffled):
             base = reduce_to_base(theory, ctx, s)
             expected = reduce_to_base_by_entailment(theory, ctx, s)
-            assert (base.rules, base.labels) == (expected.rules, expected.labels)
+            assert base.rules == expected.rules
             mini = minimize_sides(base, ctx, s)
             expected = minimize_sides_by_entailment(base, ctx, s)
-            assert (mini.rules, mini.labels) == (expected.rules, expected.labels)
+            assert mini.rules == expected.rules
 
 
 def test_minimizing_leaves_s_exactly_as_it_found_it(monkeypatch):

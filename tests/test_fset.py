@@ -72,6 +72,23 @@ def test_indices_must_be_ints_in_the_chain(bad, chain5, universe):
         LSet(universe, chain5, [bad, 0, 0, 0])
 
 
+@pytest.mark.parametrize(
+    "degree, shown",
+    [("1e-4300", "'1e-4300'"), ("1e4300", "'1e4300'"), (F(1, 10**4300), "1e-4300")],
+)
+def test_a_long_degree_outside_the_chain_is_named_in_one_short_line(
+    degree, shown, chain5, universe
+):
+    """A literal is quoted as typed and a value cut short, never written in
+    full: 10**4300 has more digits than an int may turn into a string."""
+    a = parse_lset("k, 0.5/a", universe, chain5)
+    for build in (lambda: LSet.from_degrees(universe, chain5, {"k": degree}),
+                  lambda: c_mult(degree, a)):
+        with pytest.raises(DegreeNotInChain) as err:
+            build()
+        assert str(err.value) == f"degree {shown} is not in the chain"
+
+
 def test_a_set_from_a_mask_keeps_it_and_decodes_the_vector():
     rng = random.Random(1)
     for _ in range(200):

@@ -243,17 +243,17 @@ def test_constant_set_universe_mismatch(chain5, universe):
 
 
 def test_diff_sets_over_one_chain_share_one_dual_pair(monkeypatch):
-    import fai.gconn
+    import fai.lattice
 
     chain = Chain([F(0), F(1, 2), F(1)], "lukasiewicz")
     universe = Universe(("x", "y"))
-    built, real = [], fai.gconn.DualPair
+    built, real = [], fai.lattice.DualPair
 
     def counting(c):
         built.append(real(c))
         return built[-1]
 
-    monkeypatch.setattr(fai.gconn, "DualPair", counting)
+    monkeypatch.setattr(fai.lattice, "DualPair", counting)
     for text in ("x", "0.5/y"):
         Connection(DiffSet(parse_lset(text, universe, chain)), universe, chain)
-    assert len(built) == 1 and chain._dual is built[0]
+    assert len(built) == 1 and chain.dual is built[0]

@@ -17,6 +17,7 @@ from fai import (
     render_degree,
     validate_chain,
 )
+from fai.lattice import brief_degree
 
 F = Fraction
 FIVE = [F(0), F(1, 4), F(1, 2), F(3, 4), F(1)]
@@ -100,6 +101,18 @@ def test_degree_text_round_trip():
         parse_degree("one half")
     with pytest.raises(DegreeNotInChain):
         parse_degree("1/0")
+
+
+def test_a_brief_degree_is_exact_when_short_and_cut_when_long():
+    for d in [F(0), F(1), F(1, 4), F(3, 8), F(1, 3), F(7, 10**30)]:
+        assert brief_degree(d) == render_degree(d)
+    assert brief_degree(F(-1, 2)) == "-0.5"
+    assert brief_degree(F(1, 10**4300)) == "1e-4300"
+    assert brief_degree(F(7 * 10**4300)) == "7e+4300"
+    assert brief_degree(1 - F(1, 10**4300)) == "0.9999999999999999...999999999999999999"
+    assert brief_degree(F(2**20000 + 1, 3**20000)) == "39802768...06309377/26613034...04400001"
+    for d in [F(1, 2**20000), F(3**20000, 7), F(10**4300 - 1, 10**4300)]:
+        assert len(brief_degree(d)) <= 40
 
 
 def test_hedge_tables():

@@ -72,7 +72,6 @@ def test_theory_parsing(chain5, universe):
     text = "# comment\n\nk -> l\n0.5/a -> e # trailing note\n"
     th = parse_theory(text, universe, chain5)
     assert len(th) == 2
-    assert th.labels == ("line 3", "line 4")
     assert th[1] == parse_fai("0.5/a -> e", universe, chain5)
     with pytest.raises(ParseError) as err:
         parse_theory("k -> l\n\nk -> q\n", universe, chain5)
