@@ -3,6 +3,9 @@
 Exit codes: 0 success (entailed / valid / degree 1), 1 negative result
 (not entailed, proof invalid, goal not provable), 2 usage, 3 bad input.
 Output on stdout is deterministic; progress notes go to stderr.
+
+A command imports fai.context and fai.proof inside the functions that use
+them, so a command that needs neither does not load them.
 """
 
 from __future__ import annotations
@@ -11,15 +14,6 @@ import argparse
 import json
 import sys
 
-from .context import (
-    LContext,
-    complete_set,
-    downup,
-    hasse_dot,
-    intents_enum,
-    minimize_sides,
-    reduce_to_base,
-)
 from .errors import FaiError, GoalMismatch, InvalidStep, NotProvable, ParseError
 from .fset import Universe, parse_lset, render_lset
 from .gconn import (
@@ -30,7 +24,6 @@ from .gconn import (
     verify_adjoint,
 )
 from .lattice import Chain, parse_degree, render_degree
-from .proof import check_proof, proof_from_json, proof_to_json, prove
 from .semantics import (
     entail_degree,
     least_model,
@@ -102,7 +95,9 @@ def _setting(data):
     return chain, universe, generate_monoid(gens, universe, chain, cap=cap)
 
 
-def _load_context(path: str, chain: Chain, universe: Universe) -> LContext:
+def _load_context(path: str, chain: Chain, universe: Universe):
+    from .context import LContext
+
     return LContext.from_csv(_read(path), chain, universe)
 
 
@@ -160,6 +155,8 @@ def cmd_closure(args, chain, universe, s) -> int:
     if args.theory is not None:
         closed = least_model(_load_theory(args.theory, universe, chain), s, m)
     else:
+        from .context import downup
+
         closed = downup(_load_context(args.context, chain, universe), m, s)
     print(render_lset(closed))
     return 0
@@ -178,6 +175,8 @@ def cmd_entail(args, chain, universe, s) -> int:
 
 def cmd_rules(args, chain, universe, s) -> int:
     """complete-set, and base, which also reduces the complete set."""
+    from .context import complete_set, minimize_sides, reduce_to_base
+
     ctx = _load_context(args.context, chain, universe)
     theory = complete_set(ctx, s, cap=args.cap)
     if args.command == "base":
@@ -195,6 +194,8 @@ def cmd_rules(args, chain, universe, s) -> int:
 
 def _cmd_listing(args, sets, what: str) -> int:
     if args.dot is not None:
+        from .context import hasse_dot
+
         _emit(hasse_dot(sets, name=what), args.dot)
     if args.json:
         payload = {"count": len(sets), what: [render_lset(m) for m in sets]}
@@ -207,6 +208,8 @@ def _cmd_listing(args, sets, what: str) -> int:
 
 
 def cmd_intents(args, chain, universe, s) -> int:
+    from .context import intents_enum
+
     ctx = _load_context(args.context, chain, universe)
     return _cmd_listing(args, intents_enum(ctx, s, cap=args.cap), "intents")
 
@@ -217,6 +220,8 @@ def cmd_models(args, chain, universe, s) -> int:
 
 
 def cmd_check_proof(args, chain, universe, s) -> int:
+    from .proof import check_proof, proof_from_json
+
     theory = _load_theory(args.theory, universe, chain)
     proof = _read_json(args.proof, lambda data: proof_from_json(data, universe, chain))
     goal = parse_fai(args.goal, universe, chain) if args.goal else None
@@ -230,6 +235,8 @@ def cmd_check_proof(args, chain, universe, s) -> int:
 
 
 def cmd_prove(args, chain, universe, s) -> int:
+    from .proof import proof_to_json, prove
+
     theory = _load_theory(args.theory, universe, chain)
     goal = parse_fai(args.query, universe, chain)
     try:

@@ -22,6 +22,9 @@ reads its residual, the upper map, off the same masks.
 Only this module compares, joins or meets index vectors, encodes or
 decodes masks, or checks that operands share a universe and chain; the rest
 of fai reads ``LSet.mask``, calls the kernels and tests masks inline.
+
+``Record`` is the slotted base of fai's other immutable values built from
+named fields: connection terms, rules and proof steps.
 """
 
 from __future__ import annotations
@@ -103,6 +106,10 @@ class LSet:
     def __setattr__(self, name, value):
         raise AttributeError("LSet is immutable")
 
+    def __reduce__(self):
+        # copies and pickles rebuild through the checked constructor
+        return LSet, (self.universe, self.chain, self.idx)
+
     @classmethod
     def bottom(cls, universe: Universe, chain: Chain) -> "LSet":
         return cls(universe, chain, (0,) * len(universe))
@@ -161,6 +168,57 @@ class LSet:
 
     def __repr__(self) -> str:
         return f"LSet({render_lset(self)!r})"
+
+
+class Record:
+    """An immutable value made of named fields, frozen as LSet is.
+
+    A subclass lists its fields as its ``__slots__``; a slot whose name
+    starts with an underscore is private state, outside the record's
+    value.  The constructor takes the fields positionally.  Two records are
+    equal when they have the same type and equal fields, a record hashes as
+    the tuple of its fields, and it shows as ``Name(field=value, ...)``.
+    Copies and pickles rebuild through the constructor.
+    """
+
+    __slots__ = ()
+    _fields = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = tuple(name for name in cls.__slots__ if not name.startswith("_"))
+
+    def __init__(self, *values):
+        if len(values) != len(self._fields):
+            raise TypeError(
+                f"{type(self).__name__} takes {len(self._fields)} fields, not {len(values)}"
+            )
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(map(self.__getattribute__, self._fields))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values()))
+        return f"{type(self).__name__}({fields})"
 
 
 def same_space(x, universe: Universe, chain: Chain) -> None:

@@ -13,9 +13,7 @@ mask form (``Scale.compose``), and a monoid keys its members by them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-import hashlib
 
 from .errors import (
     CapExceeded,
@@ -26,6 +24,7 @@ from .errors import (
 )
 from .fset import (
     LSet,
+    Record,
     Universe,
     lower_mask,
     parse_lset,
@@ -40,43 +39,42 @@ from .lattice import Chain, Hedge, brief_degree, parse_degree, render_degree
 # ---------------------------------------------------------------- terms
 
 
-@dataclass(frozen=True)
-class Identity:
-    pass
+class Identity(Record):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ConstMult:
+class ConstMult(Record):
     """Lower c*A (componentwise t-norm), upper c->B (componentwise shift)."""
 
+    __slots__ = ("c",)
     c: Fraction
 
 
-@dataclass(frozen=True)
-class ConstMultSet:
+class ConstMultSet(Record):
     """Componentwise multiple by a fixed set: (f A)(y) = C(y)*A(y)."""
 
+    __slots__ = ("C",)
     C: LSet
 
 
-@dataclass(frozen=True)
-class DiffSet:
+class DiffSet(Record):
     """Lower (f A)(y) = A(y) (-) C(y), upper (g B)(y) = C(y) (+) B(y)."""
 
+    __slots__ = ("C",)
     C: LSet
 
 
-@dataclass(frozen=True)
-class Rotate:
+class Rotate(Record):
     """Index rotation: (f A)(y_j) = A(y_{(j+shift) mod n})."""
 
+    __slots__ = ("shift",)
     shift: int
 
 
-@dataclass(frozen=True)
-class Compose:
+class Compose(Record):
     """<f1,g1> o <f2,g2> = <f1.f2, g2.g1>: outer's lower runs last."""
 
+    __slots__ = ("outer", "inner")
     outer: object
     inner: object
 
@@ -170,6 +168,8 @@ class Connection:
         return self._scale.lower_table(self.lower_masks)
 
     def fingerprint_hash(self) -> str:
+        import hashlib  # loads OpenSSL; only proofs and `fai validate` hash
+
         payload = repr((self.fingerprint, self.chain.degrees, self.universe.attributes))
         return hashlib.sha256(payload.encode()).hexdigest()[:16]
 

@@ -8,10 +8,18 @@ its B and C sets so checking stays deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import GoalMismatch, InvalidStep, InvariantError, NotProvable, ParseError
-from .fset import LSet, Universe, c_mult, forward_chain, parse_lset, render_lset, scale, union
+from .fset import (
+    LSet,
+    Record,
+    Universe,
+    c_mult,
+    forward_chain,
+    parse_lset,
+    render_lset,
+    scale,
+    union,
+)
 from .gconn import (
     Connection,
     Parameterization,
@@ -26,31 +34,33 @@ from .semantics import FAI, Theory, entail_degree, entails, parse_fai, render_fa
 # ---------------------------------------------------------------- structure
 
 
-@dataclass(frozen=True)
-class Axiom:
-    pass
+class Axiom(Record):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Hyp:
+class Hyp(Record):
+    __slots__ = ("rule",)
     rule: int
 
 
-@dataclass(frozen=True)
-class Cut:
+class Cut(Record):
+    __slots__ = ("i", "j", "c")
     i: int
     j: int
-    c: LSet | None = None
+    c: LSet | None
+
+    def __init__(self, i: int, j: int, c: LSet | None = None):
+        super().__init__(i, j, c)
 
 
-@dataclass(frozen=True)
-class ApplyF:
+class ApplyF(Record):
+    __slots__ = ("i", "conn")
     i: int
     conn: Connection
 
 
-@dataclass(frozen=True)
-class CutF:
+class CutF(Record):
+    __slots__ = ("i", "j", "conn", "b", "c")
     i: int
     j: int
     conn: Connection
@@ -58,8 +68,8 @@ class CutF:
     c: LSet
 
 
-@dataclass(frozen=True)
-class ProofStep:
+class ProofStep(Record):
+    __slots__ = ("formula", "by")
     formula: FAI
     by: object
 
@@ -79,6 +89,12 @@ class Proof:
 
     def __iter__(self):
         return iter(self.steps)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Proof) and self.steps == other.steps
+
+    def __hash__(self) -> int:
+        return hash(self.steps)
 
     def __repr__(self) -> str:
         return f"Proof({len(self.steps)} steps, goal {render_fai(self.goal)!r})"

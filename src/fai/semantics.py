@@ -8,12 +8,12 @@ immediate-consequence step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import ParseError
 from .fset import (
     LSet,
+    Record,
     Universe,
     c_mult,
     forward_chain,
@@ -29,20 +29,23 @@ from .gconn import Parameterization
 from .lattice import Chain, Hedge
 
 
-@dataclass(frozen=True)
-class FAI:
+class FAI(Record):
     """A fuzzy attribute implication: antecedent => consequent.
 
-    ``_pairs`` keeps the rule's images per S (``rule_pairs``); it takes no
-    part in construction, equality, hashing or display.
+    ``_pairs`` keeps the rule's images per S (``rule_pairs``); as private
+    state of a record it takes no part in equality, hashing, display or
+    copies, and each new rule starts it empty.
     """
 
+    __slots__ = ("antecedent", "consequent", "_pairs")
     antecedent: LSet
     consequent: LSet
-    _pairs: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
-    def __post_init__(self):
-        same_space(self.consequent, self.antecedent.universe, self.antecedent.chain)
+    def __init__(self, antecedent: LSet, consequent: LSet):
+        same_space(consequent, antecedent.universe, antecedent.chain)
+        object.__setattr__(self, "antecedent", antecedent)
+        object.__setattr__(self, "consequent", consequent)
+        object.__setattr__(self, "_pairs", {})
 
     def __repr__(self) -> str:
         return f"FAI({render_fai(self)!r})"
