@@ -23,7 +23,7 @@ from .gconn import (
     term_to_descriptor,
     verify_adjoint,
 )
-from .lattice import Chain, parse_degree, render_degree
+from .lattice import Chain, brief_value, parse_degree, render_degree
 from .semantics import (
     entail_degree,
     least_model,
@@ -42,11 +42,16 @@ def _read(path: str) -> str:
 
 def _read_json(path: str, build):
     """``build`` applied to a JSON file's value, floats read as exact
-    fractions by ``parse_degree``.  ParseError when the file nests deeper
-    than the decoder, or ``build``'s walk over nested descriptors, can
-    follow."""
+    fractions by ``parse_degree``.  ParseError naming the file when it is
+    not JSON the decoder accepts, or when it nests deeper than the decoder,
+    or ``build``'s walk over nested descriptors, can follow."""
+    text = _read(path)
     try:
-        return build(json.loads(_read(path), parse_float=parse_degree))
+        try:
+            data = json.loads(text, parse_float=parse_degree)
+        except ValueError as exc:  # malformed JSON, or an integer past the digit limit
+            raise ParseError(f"{path}: not valid JSON: {exc}") from None
+        return build(data)
     except RecursionError:
         raise ParseError(f"{path}: nested too deeply to read") from None
 
@@ -76,7 +81,7 @@ def _load_setting(path: str):
 def _setting(data):
     """The chain, universe and monoid of a parameter file's JSON value."""
     if not isinstance(data, dict):
-        raise ParseError(f"a parameter file holds a JSON object, not {data!r}")
+        raise ParseError(f"a parameter file holds a JSON object, not {brief_value(data)}")
     for key in ("degrees", "logic", "attributes"):
         if key not in data:
             raise ParseError(f"parameter file lacks {key!r}")
@@ -87,7 +92,7 @@ def _setting(data):
             or isinstance(value, bool)
             or (key == "attributes" and not all(isinstance(name, str) for name in value))
         ):
-            raise ParseError(f"{key} must be {what}, not {value!r}")
+            raise ParseError(f"{key} must be {what}, not {brief_value(value)}")
     chain = Chain([_degree_from(d) for d in data["degrees"]], data["logic"])
     universe = Universe(data["attributes"])
     gens = generators_from_descriptors(data.get("generators", []), universe, chain)

@@ -14,7 +14,14 @@ import io
 import math
 import random
 
-from .errors import CapExceeded, NotClosureSystem, NotComplete, ParseError, UniverseMismatch
+from .errors import (
+    CapExceeded,
+    NotAMonoid,
+    NotClosureSystem,
+    NotComplete,
+    ParseError,
+    UniverseMismatch,
+)
 from .fset import (
     LSet,
     Universe,
@@ -26,7 +33,7 @@ from .fset import (
     scale,
     upper_mask,
 )
-from .gconn import Parameterization
+from .gconn import Parameterization, identity
 from .lattice import Chain
 from .semantics import FAI, Theory, entailed_by, least_model, theory_pairs
 
@@ -312,37 +319,48 @@ def minimize_sides(theory: Theory, ctx: LContext, s: Parameterization, cap: int 
     Walks rules in order; within a rule, antecedent then consequent,
     attributes in universe order, stepping each degree down while the edited
     theory remains complete for the context.  The theory is complete before
-    every edit, so replacing rule r by r' keeps it complete iff r' holds in
-    the context (every intent stays a model) and the edited theory entails r
-    (no model is added).  A trial edit swaps r' into a copy of the rule
-    list; only r' has pairs to compute, and they are kept on r', so a
-    rejected edit leaves nothing behind.
+    every edit, so replacing rule A => B by r' keeps it complete iff r'
+    holds in the context (every intent stays a model) and the edited theory
+    entails A => B (no model is added).  With the identity in S, one test
+    decides each edit:
+
+    - lowering A to A': the edited theory entails A => B, since the
+      identity image A' => B fires from A; context truth decides;
+    - lowering B to B': B' <= B <= downup(A) as A => B holds, so r' holds
+      in the context; entailment decides.  A trial swaps r' into a copy of
+      the rule list; only r' has pairs to compute, and they are kept on r',
+      so a rejected edit leaves nothing behind;
+    - where B(y) <= A(y), A u B' still contains B, so the identity image
+      A => B' alone entails A => B: B(y) drops to 0 with no test.
+
+    NotAMonoid when S lacks the identity (an S built unchecked).
     """
+    if identity(s.universe, s.chain) not in s:
+        raise NotAMonoid("minimize_sides needs the identity connection in S")
     if not is_complete(theory, ctx, s, cap=cap):
         raise NotComplete("minimize_sides needs a complete theory")
     rules = list(theory)
-    for i in range(len(rules)):
-        for side in ("antecedent", "consequent"):
-            for y in range(len(ctx.universe)):
-                while True:
-                    rule = rules[i]
-                    lset = getattr(rule, side)
-                    v = lset.idx[y]
-                    if v == 0:
-                        break
-                    lowered = lset.with_index(y, v - 1)
-                    cand = (
-                        FAI(lowered, rule.consequent)
-                        if side == "antecedent"
-                        else FAI(rule.antecedent, lowered)
-                    )
-                    if not holds_in_context(ctx, cand, s):
-                        break
-                    edited = rules[:]
-                    edited[i] = cand
-                    if not entailed_by(theory_pairs(edited, s), rule, s):
-                        break
-                    rules = edited
+    for i, rule in enumerate(rules):
+        for y in range(len(ctx.universe)):
+            while rule.antecedent.idx[y]:
+                a = rule.antecedent
+                cand = FAI(a.with_index(y, a.idx[y] - 1), rule.consequent)
+                if not holds_in_context(ctx, cand, s):
+                    break
+                rule = cand
+        a = rule.antecedent
+        for y in range(len(ctx.universe)):
+            while rule.consequent.idx[y] > a.idx[y]:
+                b = rule.consequent
+                cand = FAI(a, b.with_index(y, b.idx[y] - 1))
+                edited = rules[:]
+                edited[i] = cand
+                if not entailed_by(theory_pairs(edited, s), rule, s):
+                    break
+                rule = cand
+            if 0 < rule.consequent.idx[y] <= a.idx[y]:  # no test: A u B' contains B
+                rule = FAI(a, rule.consequent.with_index(y, 0))
+        rules[i] = rule
     return Theory(rules)
 
 

@@ -33,7 +33,7 @@ from .fset import (
     scale,
     upper_mask,
 )
-from .lattice import Chain, Hedge, brief_degree, parse_degree, render_degree
+from .lattice import Chain, Hedge, brief_degree, brief_value, parse_degree, render_degree
 
 
 # ---------------------------------------------------------------- terms
@@ -297,26 +297,36 @@ class Parameterization:
         return f"Parameterization({len(self.connections)} connections)"
 
 
-def _monoid_size(identity_masks, generator_masks, sc, cap: int) -> int:
-    """|S| for the monoid the generators span, from lower mask tables on
-    scale ``sc``: breadth first from the identity, composing each member
-    with the generators only (every member is a word in them).  Raises
-    CapExceeded past cap members."""
+def _right_cayley(identity_masks, generator_masks, sc, cap: int):
+    """The monoid the generators span, from lower mask tables on scale
+    ``sc``, found breadth first from the identity by composing each member
+    with the generators only (every member is a word in them).
+
+    Returns the members' mask tables in the order found, identity first;
+    the right Cayley table, ``right[j][m]`` being the position of member m
+    composed with generator j; and each member's word as the position of
+    the member it was first reached from and that generator, None for the
+    identity.  A member's source comes before it.  These are the only
+    compositions monoid generation makes: |S| per generator.  Raises
+    CapExceeded past cap members (Froidure & Pin, "Algorithms for computing
+    finite semigroups", 1997)."""
     compose_masks = sc.compose
-    seen = {identity_masks}
-    frontier = [identity_masks]
-    while frontier:
-        found = []
-        for masks in frontier:
-            for gen in generator_masks:
-                img = compose_masks(masks, gen)
-                if img not in seen:
-                    seen.add(img)
-                    if len(seen) > cap:
-                        raise CapExceeded(f"monoid exceeds {cap} connections")
-                    found.append(img)
-        frontier = found
-    return len(seen)
+    tables = [identity_masks]
+    position = {identity_masks: 0}
+    right = [[] for _ in generator_masks]
+    words = [None]
+    for m, masks in enumerate(tables):  # the list grows as members are found
+        for j, gen in enumerate(generator_masks):
+            img = compose_masks(masks, gen)
+            k = position.get(img)
+            if k is None:
+                if len(tables) == cap:
+                    raise CapExceeded(f"monoid exceeds {cap} connections")
+                k = position[img] = len(tables)
+                tables.append(img)
+                words.append((m, j))
+            right[j].append(k)
+    return tables, right, words
 
 
 def generate_monoid(generators, universe: Universe, chain: Chain, cap: int = 4096) -> Parameterization:
@@ -324,11 +334,13 @@ def generate_monoid(generators, universe: Universe, chain: Chain, cap: int = 409
 
     Deterministic: members appear in discovery order, identity first, where
     discovery composes every pair of members found so far, round by round.
-    The size of S is known beforehand from a breadth-first search, so the
-    discovery stops at S's last member instead of running a final round
-    that only confirms closure.  Both compose lower mask tables, and no
-    member's table is decoded.  Raises CapExceeded when the monoid grows
-    past cap members; the identity alone exceeds a cap below 1.
+    A breadth-first search (``_right_cayley``) finds S first, with its right
+    Cayley table and each member's word b = b' o g; the discovery then reads
+    every product off that table, as a o b = (a o b') o g, one row of |S|
+    lookups per left factor and round, and stops at S's last member.  Only
+    the search composes mask tables, and no member's table is decoded.
+    Raises CapExceeded when the monoid grows past cap members; the identity
+    alone exceeds a cap below 1.
     """
     if cap < 1:
         raise CapExceeded(f"monoid exceeds {cap} connections")
@@ -340,21 +352,30 @@ def generate_monoid(generators, universe: Universe, chain: Chain, cap: int = 409
         if g.lower_masks not in seen:
             seen.add(g.lower_masks)
             elems.append(g)
-    size = _monoid_size(elems[0].lower_masks, [g.lower_masks for g in elems[1:]], sc, cap)
-    compose_masks = sc.compose
+    tables, right, words = _right_cayley(
+        elems[0].lower_masks, [g.lower_masks for g in elems[1:]], sc, cap
+    )
+    size = len(tables)
+    # where[i]: the search position of elems[i]; generator j is 1 o g_j
+    where = [0] + [column[0] for column in right]
+    found = set(where)
     while len(elems) < size:
-        found = len(elems)
-        for a in list(elems):
-            for b in list(elems):
-                masks = compose_masks(a.lower_masks, b.lower_masks)
-                if masks in seen:
+        before = len(elems)
+        for a, pa in list(zip(elems, where)):
+            row = [pa]  # row[b]: the position of a o b, for b in search order
+            for b_source, j in words[1:]:
+                row.append(right[j][row[b_source]])
+            for b, pb in list(zip(elems, where)):
+                p = row[pb]
+                if p in found:
                     continue
-                seen.add(masks)
-                elems.append(Connection(Compose(a.term, b.term), universe, chain, _masks=masks))
+                found.add(p)
+                where.append(p)
+                elems.append(Connection(Compose(a.term, b.term), universe, chain, _masks=tables[p]))
                 if len(elems) == size:
                     return Parameterization(elems, check=False)
-        if len(elems) == found:
-            raise InvariantError(f"discovery closed at {found} of {size} members")
+        if len(elems) == before:
+            raise InvariantError(f"discovery closed at {before} of {size} members")
     return Parameterization(elems, check=False)
 
 
@@ -409,7 +430,7 @@ def _degree_from(value) -> Fraction:
         # exact only for representable decimals written in JSON; callers that
         # care parse their JSON with parse_float=Fraction
         return Fraction(str(value))
-    raise ParseError(f"cannot read degree {value!r}")
+    raise ParseError(f"cannot read degree {brief_value(value)}")
 
 
 def _chain_degree(value, chain: Chain) -> Fraction:
@@ -433,22 +454,22 @@ _DESCRIPTOR_FIELDS = {
 def _checked_descriptor(desc, allow_hedge: bool) -> str:
     """The kind of a well-formed descriptor; ParseError for any other."""
     if not isinstance(desc, dict):
-        raise ParseError(f"a connection descriptor must be an object, not {desc!r}")
+        raise ParseError(f"a connection descriptor must be an object, not {brief_value(desc)}")
     kind = desc.get("kind")
     fields = _DESCRIPTOR_FIELDS.get(kind) if isinstance(kind, str) else None
     if fields is None or (kind == "hedge" and not allow_hedge):
-        raise ParseError(f"unknown generator kind {kind!r}")
+        raise ParseError(f"unknown generator kind {brief_value(kind)}")
     for key, types in fields.items():
         if key not in desc:
             raise ParseError(f"{kind} descriptor lacks {key!r}")
         value = desc[key]
         if not isinstance(value, types) or isinstance(value, bool):
-            raise ParseError(f"{kind} descriptor has a malformed {key!r}: {value!r}")
+            raise ParseError(f"{kind} descriptor has a malformed {key!r}: {brief_value(value)}")
     if kind == "compose" and len(desc["terms"]) != 2:
         raise ParseError("compose descriptor needs exactly two terms")
     if kind == "hedge" and not isinstance(desc.get("drop_vacuous", False), bool):
         value = desc["drop_vacuous"]
-        raise ParseError(f"hedge descriptor has a malformed 'drop_vacuous': {value!r}")
+        raise ParseError(f"hedge descriptor has a malformed 'drop_vacuous': {brief_value(value)}")
     return kind
 
 
@@ -477,7 +498,9 @@ def generators_from_descriptors(descriptors, universe: Universe, chain: Chain):
     one constant multiple per fixed point.  These are generators only, so a
     hedge's multiples need not form a monoid by themselves."""
     if not isinstance(descriptors, list):
-        raise ParseError(f"generators must be a list of descriptors, not {descriptors!r}")
+        raise ParseError(
+            f"generators must be a list of descriptors, not {brief_value(descriptors)}"
+        )
     conns = []
     for desc in descriptors:
         if _checked_descriptor(desc, allow_hedge=True) == "hedge":

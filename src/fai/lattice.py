@@ -75,6 +75,16 @@ def render_degree(d: Fraction) -> str:
     return f"{whole}.{frac}" if frac else whole
 
 
+_BRIEF = 40  # characters of a value in an error message
+
+
+def _cut(text: str, width: int = _BRIEF) -> str:
+    """The text, or its first and last characters around '...' when it is
+    longer than width."""
+    half = (width - 3) // 2
+    return text if len(text) <= width else f"{text[:half]}...{text[-half:]}"
+
+
 def brief_degree(d: Fraction) -> str:
     """A degree for an error message, in about 40 characters:
     render_degree's text when that fits, else the same decimal as digits
@@ -82,20 +92,24 @@ def brief_degree(d: Fraction) -> str:
     characters of render_degree's text around '...'.  The digits are written
     through Decimal, which the interpreter's limit on integer digits does
     not bound."""
-    width = 40
-
-    def cut(text, width=width):
-        half = (width - 3) // 2
-        return text if len(text) <= width else f"{text[:half]}...{text[-half:]}"
-
     num, den = d.numerator, d.denominator
     k = _decimal_places(den)
     if k is None:
-        return f"{cut(str(Decimal(num)), width // 2)}/{cut(str(Decimal(den)), width // 2)}"
+        half = _BRIEF // 2
+        return f"{_cut(str(Decimal(num)), half)}/{_cut(str(Decimal(den)), half)}"
     unrounded = Context(prec=MAX_PREC)
     exact = Decimal(num * 10**k // den).scaleb(-k, unrounded)
     fixed, sci = f"{exact:f}", f"{exact.normalize(unrounded):e}"
-    return cut(fixed if len(fixed) <= width or len(sci) > width else sci)
+    return _cut(fixed if len(fixed) <= _BRIEF or len(sci) > _BRIEF else sci)
+
+
+def brief_value(value) -> str:
+    """Any value for an error message, in about 40 characters: a number by
+    ``brief_degree``, which no limit on integer digits bounds, anything
+    else as its repr, cut around '...'."""
+    if isinstance(value, (int, Fraction)) and not isinstance(value, bool):
+        return brief_degree(Fraction(value))
+    return _cut(repr(value))
 
 
 def parse_degree(text: str) -> Fraction:

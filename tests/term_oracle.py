@@ -105,13 +105,14 @@ def upper_idx(term, idx, chain, memo=None):
 
 def pairwise_monoid(generators, universe, chain, cap=4096):
     """Members of the monoid in pairwise discovery order, identity first.
-    Lower tables compose on index vectors (``compose_lower``), and each new
-    member is built from the mask form of the table found so."""
+    Lower tables compose on index vectors (``compose_lower``), each member's
+    decoded once, and each new member is built from the mask form of the
+    table found so."""
     elems = [identity(universe, chain)]
-    fps = {elems[0].fingerprint}
+    fps = {elems[0].fingerprint: None}  # in insertion order: the k-th key is elems[k]'s
     for g in generators:
         if g.fingerprint not in fps:
-            fps.add(g.fingerprint)
+            fps[g.fingerprint] = None
             elems.append(g)
             if len(elems) > cap:
                 raise CapExceeded(f"monoid exceeds {cap} connections")
@@ -119,11 +120,11 @@ def pairwise_monoid(generators, universe, chain, cap=4096):
     changed = True
     while changed:
         changed = False
-        for a in list(elems):
-            for b in list(elems):
-                fp = compose_lower(a.fingerprint, b.fingerprint)
+        for a, fa in list(zip(elems, fps)):
+            for b, fb in list(zip(elems, fps)):
+                fp = compose_lower(fa, fb)
                 if fp not in fps:
-                    fps.add(fp)
+                    fps[fp] = None
                     masks = sc.lower_masks(fp)
                     elems.append(Connection(Compose(a.term, b.term), universe, chain, _masks=masks))
                     changed = True

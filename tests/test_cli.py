@@ -469,6 +469,28 @@ def test_deeply_nested_proof_file_is_a_parse_error(tmp_path, capsys):
     _assert_one_line_parse_error(argv, path, capsys)
 
 
+@pytest.mark.parametrize(
+    "flaw, reason",
+    [
+        ("a missing comma", "Expecting ',' delimiter: line 2 column 1"),
+        ("a 5000-digit integer", "Exceeds the limit (4300 digits) for integer string conversion"),
+    ],
+)
+@pytest.mark.parametrize("option", ["--params", "--proof"])
+def test_malformed_json_is_a_parse_error_naming_the_file(option, flaw, reason, tmp_path, capsys):
+    path = tmp_path / "file.json"
+    if flaw == "a missing comma":
+        path.write_text('{"degrees": [0, 1]\n"logic": "godel"}')
+    else:
+        path.write_text('{"degrees": [0, ' + "7" * 5000 + "]}")
+    argv = ["check-proof", "--params", P6, "--theory", BASE6, "--proof", PROOF6]
+    argv[argv.index(option) + 1] = str(path)
+    assert main(argv) == 3
+    line = capsys.readouterr().err.splitlines()[-1]
+    assert line.startswith(f"error: {path}: not valid JSON: {reason}"), line
+    assert len(line) <= 200 + len(str(path))
+
+
 def test_hash_in_an_attribute_name_is_rejected(tmp_path, capsys):
     params = _params_with(tmp_path, [], attributes=("k", "l", "a", "e#x"))
     assert main(["validate", "--params", params]) == 3

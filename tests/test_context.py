@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+import fai.context
 import fai.semantics
 from fai import (
     CapExceeded,
@@ -15,7 +16,9 @@ from fai import (
     LContext,
     LSet,
     NotClosureSystem,
+    NotAMonoid,
     NotComplete,
+    Parameterization,
     Rotate,
     Theory,
     Universe,
@@ -347,7 +350,7 @@ def test_minimizing_leaves_s_exactly_as_it_found_it(monkeypatch):
             if k != "_hash"
         }
 
-    kept = steps = 0
+    kept = compiled = rejected = 0
     for _ in range(5):
         rows = [LSet(universe, chain, [rng.randrange(3) for _ in range(6)]) for _ in range(6)]
         ctx = LContext(universe, chain, [f"o{i}" for i in range(6)], rows)
@@ -362,10 +365,158 @@ def test_minimizing_leaves_s_exactly_as_it_found_it(monkeypatch):
             - sum(m.antecedent.idx) - sum(m.consequent.idx)
             for b, m in zip(base, mini)
         )
-        # every trial edit is a new rule whose pairs are asked for
-        steps += len({id(r) for r in asked} - {id(r) for r in base})
-    # some edits were compiled, tested and rejected
-    assert 0 < kept < steps, (kept, steps)
+        # only a consequent edit that entailment decides is a new rule whose
+        # pairs are asked for; it was rejected unless its consequent lies
+        # above its rule's final one, since later edits only lower
+        trials = {id(r): r for r in asked if all(r is not b for b in base)}.values()
+        compiled += len(trials)
+        rejected += sum(
+            not any(r.antecedent == m.antecedent and m.consequent <= r.consequent for m in mini)
+            for r in trials
+        )
+    # some consequent edits were compiled, tested and rejected, and some kept
+    assert 0 < rejected < compiled, (rejected, compiled)
+    assert kept > 0
+
+
+# The shapes of the synthetic mining ladder: |Y|, |L|, logic, the generator
+# beside rotate(shift), the shift and the object count.
+MINE_RUNGS = [
+    (4, 3, "godel", DiffSet, 2, 6),
+    (4, 4, "lukasiewicz", ConstMultSet, 2, 6),
+    (4, 5, "lukasiewicz", DiffSet, 2, 6),
+    (4, 5, "godel", DiffSet, 2, 6),
+    (6, 3, "godel", DiffSet, 2, 6),
+    (4, 6, "godel", ConstMultSet, 2, 4),
+    (6, 3, "lukasiewicz", ConstMultSet, 3, 4),
+]
+
+
+def _rung_context(rng, ny, nl, logic, kind, shift, nobj):
+    """A random context of a ladder rung, and its S: rotate(shift) and a
+    generator whose constant has one attribute at 1 and two at the middle
+    degree, rotated by a random offset."""
+    chain = Chain([F(k, nl - 1) for k in range(nl)], logic)
+    universe = Universe([f"y{k}" for k in range(ny)])
+    mid = (nl - 1) // 2
+    template = [nl - 1, mid, 0, mid] + [0] * (ny - 4)
+    k = rng.randrange(ny)
+    const = LSet(universe, chain, template[k:] + template[:k])
+    gens = [Connection(Rotate(shift), universe, chain), Connection(kind(const), universe, chain)]
+    rows = [LSet(universe, chain, [rng.randrange(nl) for _ in range(ny)]) for _ in range(nobj)]
+    ctx = LContext(universe, chain, [f"o{k}" for k in range(nobj)], rows)
+    return ctx, generate_monoid(gens, universe, chain)
+
+
+def test_minimizing_matches_re_entailment_on_the_ladder_rungs():
+    rng = random.Random(3317)
+    for rung in MINE_RUNGS:
+        for _ in range(2):
+            ctx, s = _rung_context(rng, *rung)
+            base = reduce_to_base(complete_set(ctx, s), ctx, s)
+            mini = minimize_sides(base, ctx, s)
+            assert mini.rules == minimize_sides_by_entailment(base, ctx, s).rules
+
+
+def test_each_side_edit_runs_one_test(monkeypatch):
+    """A trial on the antecedent asks only whether it holds in the context;
+    a trial on the consequent only forward-chains for entailment.  The
+    events of one rule are its antecedent trials, then its consequent
+    trials, so each event is matched to the rule the walk is on."""
+    rng = random.Random(3318)
+    events, chains, checking = [], [], []
+
+    def recorder(name, module, record):
+        real = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            if not checking:  # the completeness check's tests are not trials
+                record(*args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    recorder("holds_in_context", fai.context, lambda ctx, cand, s: events.append(("holds", cand)))
+    recorder("entailed_by", fai.context, lambda pairs, goal, s: events.append(("entail", goal)))
+    recorder("forward_chain", fai.semantics, lambda *args: chains.append(args))
+    real_complete = fai.context.is_complete
+
+    def is_complete(*args, **kwargs):
+        checking.append(True)
+        try:
+            return real_complete(*args, **kwargs)
+        finally:
+            checking.pop()
+
+    monkeypatch.setattr(fai.context, "is_complete", is_complete)
+    counted = {"holds": 0, "entail": 0}
+    for rung in MINE_RUNGS:
+        ctx, s = _rung_context(rng, *rung)
+        base = reduce_to_base(complete_set(ctx, s), ctx, s)
+        events.clear()
+        chains.clear()
+        mini = minimize_sides(base, ctx, s)
+        i, phase = 0, "holds"
+        for kind, rule in events:
+            # an antecedent trial lowers the antecedent under the rule's
+            # consequent; a consequent trial's goal has the final antecedent
+            while not (
+                kind == "holds" == phase
+                and rule.consequent == base[i].consequent
+                and rule.antecedent < base[i].antecedent
+                or kind == "entail"
+                and rule.antecedent == mini[i].antecedent
+                and rule.consequent <= base[i].consequent
+            ):
+                i, phase = i + 1, "holds"
+                assert i < len(base), (kind, rule)
+            phase = kind
+            counted[kind] += 1
+        # each consequent trial forward-chains once; nothing else does
+        assert len(chains) == sum(kind == "entail" for kind, _ in events)
+        # a degree steps down one trial at a time until a trial is refused,
+        # but a consequent degree at or below the antecedent's drops to 0
+        # with no trial
+        expected = {"holds": 0, "entail": 0}
+        for b, m in zip(base, mini):
+            for y in range(len(ctx.universe)):
+                a_from, a_to = b.antecedent.idx[y], m.antecedent.idx[y]
+                expected["holds"] += a_from - a_to + (a_to > 0)
+                b_from, b_to, floor = b.consequent.idx[y], m.consequent.idx[y], a_to
+                if b_from > floor:
+                    expected["entail"] += b_from - max(b_to, floor) + (b_to > floor)
+                assert b_to == 0 or b_to > floor
+        assert expected == {k: sum(kind == k for kind, _ in events) for k in expected}
+    assert counted["holds"] > 0 and counted["entail"] > 0
+
+
+def test_a_consequent_degree_under_the_antecedent_drops_to_0(holidays, settings):
+    """A rule A => downup(A) added to a complete theory keeps it complete;
+    where its consequent is at or below the antecedent, the walk drops the
+    consequent's degree to 0, as the step-by-step walk does."""
+    ctx, s = holidays, settings[6]
+    universe, chain = ctx.universe, ctx.chain
+    base = reduce_to_base(complete_set(ctx, s), ctx, s)
+    a = parse_lset("0.5/k, 0.75/a, e", universe, chain)
+    extra = FAI(a, downup(ctx, a, s))
+    assert extra.consequent != a and a <= extra.consequent
+    theory = Theory([*base, extra])
+    mini = minimize_sides(theory, ctx, s)
+    assert mini.rules == minimize_sides_by_entailment(theory, ctx, s).rules
+    last = mini[-1]
+    dropped = [
+        y for y in range(len(universe))
+        if 0 < extra.consequent.idx[y] <= last.antecedent.idx[y]
+    ]
+    assert dropped and all(last.consequent.idx[y] == 0 for y in dropped)
+
+
+def test_minimizing_needs_the_identity_in_s(holidays, settings):
+    s = settings[6]
+    base = reduce_to_base(complete_set(holidays, s), holidays, s)
+    without = Parameterization(s.connections[1:], check=False)
+    with pytest.raises(NotAMonoid, match="identity"):
+        minimize_sides(base, holidays, without)
 
 
 def test_one_pass_serves_the_mine_pipeline(pass_calls, fresh_holidays, settings):

@@ -222,6 +222,36 @@ def test_descriptor_rejections(chain5, universe):
     assert r == Connection(Rotate(2), universe, chain5)
 
 
+@pytest.mark.parametrize(
+    "desc, shown",
+    [
+        ({"kind": "rotate", "shift": Fraction(10**400)}, "1e+400"),
+        ({"kind": "rotate", "shift": "x" * 500}, "'xxxxxxxxxxxxxxxxx...xxxxxxxxxxxxxxxxx'"),
+        ({"kind": "diff-set", "C": 7 * (10**4000 - 1) // 9}, "777777777777777777...777777777777777777"),
+        ({"kind": "const-mult", "c": [0] * 500}, "[0, 0, 0, 0, 0, 0,... 0, 0, 0, 0, 0, 0]"),
+    ],
+)
+def test_a_malformed_field_is_shown_in_one_short_line(desc, shown, chain5, universe):
+    kind, key = desc["kind"], next(k for k in desc if k != "kind")
+    with pytest.raises(ParseError) as err:
+        connection_from_descriptor(desc, universe, chain5)
+    assert str(err.value) == f"{kind} descriptor has a malformed {key!r}: {shown}"
+
+
+@pytest.mark.parametrize(
+    "descriptors, reason",
+    [
+        ("x" * 500, "generators must be a list of descriptors, not"),
+        ([{"kind": "x" * 500}], "unknown generator kind"),
+        (["x" * 500], "a connection descriptor must be an object, not"),
+    ],
+)
+def test_a_malformed_generator_list_is_shown_in_one_short_line(descriptors, reason, chain5, universe):
+    with pytest.raises(ParseError) as err:
+        generators_from_descriptors(descriptors, universe, chain5)
+    assert str(err.value) == f"{reason} 'xxxxxxxxxxxxxxxxx...xxxxxxxxxxxxxxxxx'"
+
+
 def test_hedge_descriptor_expansion(chain5, universe):
     gens = generators_from_descriptors(
         [{"kind": "hedge", "fixed_points": ["0.5", "1"]}], universe, chain5

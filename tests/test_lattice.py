@@ -17,7 +17,7 @@ from fai import (
     render_degree,
     validate_chain,
 )
-from fai.lattice import brief_degree
+from fai.lattice import brief_degree, brief_value
 
 F = Fraction
 FIVE = [F(0), F(1, 4), F(1, 2), F(3, 4), F(1)]
@@ -113,6 +113,18 @@ def test_a_brief_degree_is_exact_when_short_and_cut_when_long():
     assert brief_degree(F(2**20000 + 1, 3**20000)) == "39802768...06309377/26613034...04400001"
     for d in [F(1, 2**20000), F(3**20000, 7), F(10**4300 - 1, 10**4300)]:
         assert len(brief_degree(d)) <= 40
+
+
+def test_a_brief_value_is_its_repr_when_short_and_cut_when_long():
+    for v in ["godel", [1, 2], None, True, {"kind": "x"}]:
+        assert brief_value(v) == repr(v)
+    # numbers read as degrees, past the interpreter's limit on integer digits
+    assert brief_value(7) == "7"
+    assert brief_value(F(10**400)) == "1e+400"
+    assert brief_value(10**5000) == "1e+5000"
+    assert brief_value("x" * 500) == "'xxxxxxxxxxxxxxxxx...xxxxxxxxxxxxxxxxx'"
+    for v in [list(range(1000)), {"k": "y" * 999}, 7 * (10**5000 - 1) // 9]:
+        assert len(brief_value(v)) <= 40
 
 
 def test_hedge_tables():

@@ -24,10 +24,11 @@ from fai import (
     Universe,
     compose,
     generate_monoid,
+    identity,
     render_degree,
     verify_adjoint,
 )
-from fai.fset import scale
+from fai.fset import Scale, scale
 from fai.gconn import DiffSet, Rotate
 
 from term_oracle import (
@@ -94,13 +95,48 @@ def test_tables_match_interpreter_on_rotate_diff_monoids(logic, degrees, size):
 
 def test_member_order_equals_pairwise_discovery(settings, chain5, universe):
     gens6 = list(settings[6].connections[1:3])
-    gens85, universe85, chain85 = _rotate_diff_generators("godel", 5)
-    for gens, u, ch in ((gens6, universe, chain5), (gens85, universe85, chain85)):
+    cases = [(gens6, universe, chain5)]
+    cases += [_rotate_diff_generators(logic, degrees) for logic, degrees, _ in ROTATE_DIFF_MONOIDS[:2]]
+    for gens, u, ch in cases:
         expected = pairwise_monoid(gens, u, ch)
         found = generate_monoid(gens, u, ch).connections
         assert [c.fingerprint for c in found] == [c.fingerprint for c in expected]
         assert [c.term for c in found] == [c.term for c in expected]
         assert [c.fingerprint_hash() for c in found] == [c.fingerprint_hash() for c in expected]
+
+
+def _monoid_cases(settings, chain5, universe):
+    """(generators, universe, chain, |S|) for S6 and each rotate + diff-set
+    monoid."""
+    cases = [(list(settings[6].connections[1:3]), universe, chain5, 8)]
+    for logic, degrees, size in ROTATE_DIFF_MONOIDS:
+        cases.append((*_rotate_diff_generators(logic, degrees), size))
+    return cases
+
+
+def test_only_the_search_composes(settings, chain5, universe, monkeypatch):
+    """Generation composes each member once with each distinct non-identity
+    generator, in the breadth-first search; discovery reads every other
+    product off the search's right Cayley table."""
+    calls, real = [], Scale.compose
+
+    def counting(sc, outer, inner):
+        calls.append(inner)
+        return real(sc, outer, inner)
+
+    counts = []
+    for gens, u, ch, size in _monoid_cases(settings, chain5, universe):
+        # the identity and a repeated generator add no compositions
+        given = [identity(u, ch), *gens, gens[0]]
+        monkeypatch.setattr(Scale, "compose", counting)
+        calls.clear()
+        s = generate_monoid(given, u, ch)
+        monkeypatch.undo()
+        assert len(s) == size
+        assert [calls.count(g.lower_masks) for g in gens] == [size] * len(gens)
+        counts.append(len(calls))
+    # |S| x 2 generators: S6, the query-shaped 85, Lukasiewicz 456, Goguen 81
+    assert counts == [16, 170, 912, 162]
 
 
 def _random_generators(rng):
@@ -166,6 +202,15 @@ def test_cap_exceeded_at_the_same_size(settings, chain5, universe):
                 generate_monoid(gens, u, ch, cap=cap)
         assert len(pairwise_monoid(gens, u, ch, cap=size)) == size
         assert len(generate_monoid(gens, u, ch, cap=size)) == size
+    # every cap below |S| is exceeded, and no cap from |S| on
+    for gens, u, ch, size in _monoid_cases(settings, chain5, universe):
+        caps = range(-1, size + 2) if size < 100 else (-1, 0, 1, 2, 3, size - 1, size, size + 1)
+        for cap in caps:
+            if cap < size:
+                with pytest.raises(CapExceeded, match=f"^monoid exceeds {cap} connections$"):
+                    generate_monoid(gens, u, ch, cap=cap)
+            else:
+                assert len(generate_monoid(gens, u, ch, cap=cap)) == size
 
 
 def test_verify_adjoint_names_the_row_that_falls(settings, chain5, universe):
