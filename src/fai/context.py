@@ -158,9 +158,10 @@ def holds_in_context(ctx: LContext, fai: FAI, s: Parameterization) -> bool:
 
 
 def _ganter_pass(ctx: LContext, s: Parameterization, cap: int):
-    """Every set Ganter's algorithm visits, in ascending lectic order, paired
-    with its context closure, which is the set itself for an intent; kept on
-    the context, computed once per S.
+    """Every set Ganter's algorithm visits, as (mask, closure mask) int
+    pairs in ascending lectic order, the closure being the context closure
+    (the mask itself for an intent); kept on the context, computed once per
+    S.
 
     The sets closed under adding C(Q) for every pseudo-intent Q properly
     inside them are the intents and the pseudo-intents, and NextClosure lists
@@ -178,18 +179,13 @@ def _ganter_pass(ctx: LContext, s: Parameterization, cap: int):
         # found so far.  Q <= M alone stands for "Q properly inside M":
         # NextClosure closes only sets lectically above every set it has
         # emitted, so no set the chaining visits equals a found Q.
-        closed = next_closures(
-            ctx.universe, ctx.chain, lambda a: forward_chain(rules, a, sc)[0], cap
-        )
+        closed = next_closures(ctx.universe, ctx.chain, lambda a: forward_chain(rules, a, sc), cap)
         try:
             for q in closed:
                 cl = meet_above(q, rows, sc.top)
-                m = LSet._from_mask(ctx.universe, ctx.chain, q)
-                if cl == q:
-                    visited.append((m, m))  # the views tell intents by ``cl is m``
-                else:
+                visited.append((q, cl))
+                if cl != q:
                     rules.append((q, cl))
-                    visited.append((m, LSet._from_mask(ctx.universe, ctx.chain, cl)))
         except CapExceeded:
             raise _over_cap(visited, cap) from None
         visited = ctx._passes[s] = tuple(visited)
@@ -199,7 +195,7 @@ def _ganter_pass(ctx: LContext, s: Parameterization, cap: int):
 
 
 def _over_cap(visited, cap: int) -> CapExceeded:
-    pseudo = sum(cl is not m for m, cl in visited)
+    pseudo = sum(cl != q for q, cl in visited)
     return CapExceeded(
         f"more than {cap} closed sets: {len(visited) - pseudo} intents and "
         f"{pseudo} pseudo-intents visited"
@@ -209,7 +205,8 @@ def _over_cap(visited, cap: int) -> CapExceeded:
 def intents_enum(ctx: LContext, s: Parameterization, cap: int = 10**6):
     """All downup fixed points, in ascending lectic order.  ``cap`` bounds
     the intents and pseudo-intents visited."""
-    return [m for m, cl in _ganter_pass(ctx, s, cap) if cl is m]
+    universe, chain = ctx.universe, ctx.chain
+    return [LSet._from_mask(universe, chain, q) for q, cl in _ganter_pass(ctx, s, cap) if cl == q]
 
 
 def pseudo_intents(ctx: LContext, s: Parameterization, cap: int = 10**6):
@@ -221,10 +218,14 @@ def pseudo_intents(ctx: LContext, s: Parameterization, cap: int = 10**6):
     pseudo-intents visited.  The degree sum is kept exact as an integer:
     each degree's numerator over the lcm of the chain's denominators.
     """
-    degrees = ctx.chain.degrees
-    scale_by = math.lcm(*(d.denominator for d in degrees))
-    weight = [d.numerator * (scale_by // d.denominator) for d in degrees]
-    found = [(m, cl) for m, cl in _ganter_pass(ctx, s, cap) if cl is not m]
+    universe, chain = ctx.universe, ctx.chain
+    scale_by = math.lcm(*(d.denominator for d in chain.degrees))
+    weight = [d.numerator * (scale_by // d.denominator) for d in chain.degrees]
+    found = [
+        (LSet._from_mask(universe, chain, q), LSet._from_mask(universe, chain, cl))
+        for q, cl in _ganter_pass(ctx, s, cap)
+        if cl != q
+    ]
     found.sort(key=lambda pair: (sum(weight[i] for i in pair[0].idx), pair[0].mask))
     return found
 

@@ -5,19 +5,22 @@ tuple of chain indices in universe order, is its public form.  The literal
 grammar is ``0.75/a, e`` — comma-separated items, ``degree/name`` with the
 degree omitted when it is 1 and the whole item omitted when it is 0.
 
-An LSet also carries ``LSet.mask``, its ordinal scale (Ganter & Wille,
-*Formal Concept Analysis*, 1999, section 1.3): over a chain of n degrees, a
-set A is the int with bit (y, k) set for every 1 <= k <= A(y), n - 1 bits
-per attribute, laid out attribute by attribute with the first attribute in
-the most significant bits.  Then A <= B is ``a & b == a``, union is ``|``
-and intersection is ``&``, all exact, and comparing two masks as ints
-compares the sets lectically.  A ``Scale`` per (|Y|, n) encodes and decodes
-by table and composes connections' lower mask tables.  The context closure
-(``meet_above``), rule images (``lower_mask``), NextClosure
-(``next_closures``) and forward chaining (``forward_chain``) take and return
-masks, and ``LSet._from_mask`` hands a result out as an LSet.  A connection
-is its lower mask table: ``lower_mask`` applies it, and ``upper_mask``
-reads its residual, the upper map, off the same masks.
+An LSet is its ``LSet.mask``, its ordinal scale (Ganter & Wille, *Formal
+Concept Analysis*, 1999, section 1.3): over a chain of n degrees, a set A
+is the int with bit (y, k) set for every 1 <= k <= A(y), n - 1 bits per
+attribute, laid out attribute by attribute with the first attribute in the
+most significant bits.  Then A <= B is ``a & b == a``, union is ``|`` and
+intersection is ``&``, all exact, and comparing two masks as ints compares
+the sets lectically.  A ``Scale`` per (|Y|, n) encodes and decodes by
+table, composes connections' lower mask tables and bit-slices many of them
+into one (``Scale.slices``), so that one ``lower_mask`` gives the images of
+a set under all of them.  The context closure (``meet_above``), rule images
+(``lower_mask``), NextClosure (``next_closures``) and forward chaining
+(``forward_chain``) take and return masks, and ``LSet._from_mask`` hands a
+result out as an LSet holding the mask only; ``LSet.idx`` decodes on first
+read and keeps the vector.  A connection is its lower mask table:
+``lower_mask`` applies it, and ``upper_mask`` reads its residual, the upper
+map, off the same masks.
 
 Only this module compares, joins or meets index vectors, encodes or
 decodes masks, or checks that operands share a universe and chain; the rest
@@ -78,7 +81,7 @@ class Universe:
 class LSet:
     """An immutable graded set: one chain degree per attribute."""
 
-    __slots__ = ("universe", "chain", "idx", "mask")
+    __slots__ = ("universe", "chain", "mask", "_idx")
 
     def __init__(self, universe: Universe, chain: Chain, idx):
         idx = tuple(idx)
@@ -87,21 +90,30 @@ class LSet:
         for i in idx:
             if type(i) is not int or not 0 <= i < chain.n:
                 raise DegreeNotInChain(f"index {i!r} is not a position in the chain")
-        self._set(universe, chain, idx, scale(len(universe), chain.n).encode(idx))
+        self._set(universe, chain, scale(len(universe), chain.n).encode(idx), idx)
 
     @classmethod
     def _from_mask(cls, universe: Universe, chain: Chain, mask: int) -> "LSet":
         """The set a kernel returns as a mask, trusted as it is; its index
-        vector is decoded from it."""
+        vector is decoded when first read."""
         out = object.__new__(cls)
-        out._set(universe, chain, scale(len(universe), chain.n).decode(mask), mask)
+        out._set(universe, chain, mask, None)
         return out
 
-    def _set(self, universe, chain, idx, mask) -> None:
+    def _set(self, universe, chain, mask, idx) -> None:
         object.__setattr__(self, "universe", universe)
         object.__setattr__(self, "chain", chain)
-        object.__setattr__(self, "idx", idx)
         object.__setattr__(self, "mask", mask)
+        object.__setattr__(self, "_idx", idx)
+
+    @property
+    def idx(self) -> tuple:
+        """The chain index of each attribute's degree, in universe order."""
+        idx = self._idx
+        if idx is None:
+            idx = scale(len(self.universe), self.chain.n).decode(self.mask)
+            object.__setattr__(self, "_idx", idx)
+        return idx
 
     def __setattr__(self, name, value):
         raise AttributeError("LSet is immutable")
@@ -183,18 +195,22 @@ class Record:
 
     __slots__ = ()
     _fields = ()
+    _setters = ()
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         cls._fields = tuple(name for name in cls.__slots__ if not name.startswith("_"))
+        # each field's slot member descriptor sets it past __setattr__
+        cls._setters = tuple(cls.__dict__[name].__set__ for name in cls._fields)
 
     def __init__(self, *values):
-        if len(values) != len(self._fields):
+        setters = self._setters
+        if len(values) != len(setters):
             raise TypeError(
-                f"{type(self).__name__} takes {len(self._fields)} fields, not {len(values)}"
+                f"{type(self).__name__} takes {len(setters)} fields, not {len(values)}"
             )
-        for name, value in zip(self._fields, values):
-            object.__setattr__(self, name, value)
+        for set_field, value in zip(setters, values):
+            set_field(self, value)
 
     def _values(self) -> tuple:
         return tuple(map(self.__getattribute__, self._fields))
@@ -279,6 +295,30 @@ class Scale:
                 images.append(image)
             table.append(tuple(images))
         return tuple(table)
+
+    def slices(self, tables) -> tuple:
+        """Many lower mask tables as one bit-sliced table: per attribute y
+        and degree k, the int whose field j, the j-th run of ``top``'s
+        width of bits from the least significant end, is ``tables[j][y][k]``.
+        ``lower_mask`` applies it to all the tables at once, and ``fields``
+        splits the result."""
+        width = self.top.bit_length()
+        out = []
+        for rows in zip(*tables):
+            row = []
+            for images in zip(*rows):
+                wide = 0
+                for m in reversed(images):
+                    wide = (wide << width) | m
+                row.append(wide)
+            out.append(tuple(row))
+        return tuple(out)
+
+    def fields(self, wide: int, count: int) -> list:
+        """The first ``count`` fields of a bit-sliced mask (``slices``), in
+        table order."""
+        top, width = self.top, self.top.bit_length()
+        return [(wide >> sh) & top for sh in range(0, count * width, width)]
 
 
 @lru_cache(maxsize=None)
@@ -425,34 +465,37 @@ def next_closures(universe: Universe, chain: Chain, close, cap: int):
                 break
 
 
-def forward_chain(pairs, start: int, sc: Scale, until: int | None = None):
-    """Saturate the mask ``start`` under (lhs, rhs) mask pairs on scale ``sc``.
+def forward_chain(pairs, start: int, sc: Scale, until: int | None = None, fired=None) -> int:
+    """Saturate the mask ``start`` under (lhs, rhs) mask pairs on scale ``sc``
+    and return the final mask.
 
     Each pass walks the pairs in order and fires every pair whose lhs lies
     inside the current mask and whose rhs does not: the mask becomes its
     union with rhs, at once, so later pairs of the same pass see it.  Passes
     repeat until one fires nothing, or until ``until`` lies inside the mask
-    at the start of a pass.  Returns the final mask and the firings as
-    (pair index, before, after) masks, in firing order.  Every pass that
-    fires sets a bit of the scale, so past one pass per bit and one more the
-    pairs are malformed: InvariantError.
+    at the start of a pass.  Given a list ``fired``, each firing is appended
+    to it as (pair index, before, after) masks, in firing order.  Every pass
+    that fires sets a bit of the scale, so past one pass per bit and one
+    more the pairs are malformed: InvariantError.
     """
     cur = start
-    fired = []
     for _ in range(sc.top.bit_length() + 1):
         if until is not None and until & cur == until:
-            break
-        n_fired = len(fired)
-        for k, (lhs, rhs) in enumerate(pairs):
-            if lhs & cur == lhs and rhs & cur != rhs:
-                nxt = cur | rhs
-                fired.append((k, cur, nxt))
-                cur = nxt
-        if len(fired) == n_fired:
-            break
-    else:
-        raise InvariantError("forward chaining failed to stabilize within one pass per scale bit")
-    return cur, fired
+            return cur
+        before = cur
+        if fired is None:
+            # a pair whose rhs is inside already adds nothing: no test for it
+            for lhs, rhs in pairs:
+                if lhs & cur == lhs:
+                    cur |= rhs
+        else:
+            for k, (lhs, rhs) in enumerate(pairs):
+                if lhs & cur == lhs and rhs & cur != rhs:
+                    fired.append((k, cur, cur | rhs))
+                    cur |= rhs
+        if cur == before:
+            return cur
+    raise InvariantError("forward chaining failed to stabilize within one pass per scale bit")
 
 
 def render_lset(a: LSet) -> str:

@@ -248,6 +248,7 @@ class Parameterization:
         self._members = members
         self._scale = scale(len(self.universe), self.chain.n)
         self._hash = None
+        self._slices = None
         if check:
             if identity(self.universe, self.chain).lower_masks not in members:
                 raise NotAMonoid("the identity connection is missing")
@@ -267,6 +268,15 @@ class Parameterization:
 
     def __contains__(self, conn: Connection) -> bool:
         return conn.lower_masks in self._members
+
+    def lower_images(self, a: LSet) -> list:
+        """f(A) as a mask for every member <f, g>, in S's order: field j of
+        the join the index vector of A picks from one bit-sliced table of
+        the members' lower mask tables (``Scale.slices``), built on first
+        use and kept on this S, outside its equality and hash."""
+        if self._slices is None:
+            self._slices = self._scale.slices([c.lower_masks for c in self.connections])
+        return self._scale.fields(lower_mask(self._slices, a.idx), len(self.connections))
 
     def resolve(self, conn: Connection) -> Connection:
         """The member of S extensionally equal to conn, or None."""

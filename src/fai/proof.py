@@ -223,7 +223,8 @@ def prove(theory: Theory, s: Parameterization, goal: FAI) -> Proof:
         for ri, conn in sources
     ]
     want = goal.consequent.mask
-    reached, fired = forward_chain(images, goal.antecedent.mask, sc, until=want)
+    fired = []
+    reached = forward_chain(images, goal.antecedent.mask, sc, until=want, fired=fired)
     if want & reached != want:
         raise InvariantError("the replayed saturation stopped below the entailed goal")
 

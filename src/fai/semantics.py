@@ -17,7 +17,6 @@ from .fset import (
     Universe,
     c_mult,
     forward_chain,
-    lower_mask,
     next_closures,
     parse_lset,
     render_lset,
@@ -155,16 +154,15 @@ def truth_degree(m: LSet, fai: FAI, s: Parameterization) -> Fraction:
 
 def rule_pairs(rule: FAI, s: Parameterization) -> tuple:
     """The distinct (f(A), f(B)) masks of A => B over <f, g> in S, in S's
-    order, leaving out those that cannot fire (f(B) <= f(A)); read off the
-    mask tables and kept on the rule per S."""
+    order, leaving out those that cannot fire (f(B) <= f(A)); read off S's
+    bit-sliced table (``Parameterization.lower_images``) and kept on the
+    rule per S."""
     pairs = rule._pairs.get(s)
     if pairs is None:
         a, b = rule.antecedent, rule.consequent
         same_space(a, s.universe, s.chain)
         seen = {}
-        for conn in s:
-            masks = conn.lower_masks
-            fa, fb = lower_mask(masks, a.idx), lower_mask(masks, b.idx)
+        for fa, fb in zip(s.lower_images(a), s.lower_images(b)):
             if fb & fa != fb:
                 seen[fa, fb] = None
         pairs = rule._pairs[s] = tuple(seen)
@@ -202,7 +200,7 @@ def least_model(theory: Theory, s: Parameterization, m: LSet) -> LSet:
     the compiled rule images, which saturates t_step."""
     same_space(m, s.universe, s.chain)
     sc = scale(len(s.universe), s.chain.n)
-    closed = forward_chain(theory_pairs(theory, s), m.mask, sc)[0]
+    closed = forward_chain(theory_pairs(theory, s), m.mask, sc)
     return LSet._from_mask(m.universe, m.chain, closed)
 
 
@@ -218,7 +216,7 @@ def entailed_by(pairs, fai: FAI, s: Parameterization) -> bool:
     and stays inside the least model."""
     b = fai.consequent.mask
     sc = scale(len(s.universe), s.chain.n)
-    return b & forward_chain(pairs, fai.antecedent.mask, sc, until=b)[0] == b
+    return b & forward_chain(pairs, fai.antecedent.mask, sc, until=b) == b
 
 
 def entail_degree(theory: Theory, fai: FAI, s: Parameterization) -> Fraction:
@@ -231,5 +229,5 @@ def models_enum(theory: Theory, s: Parameterization, cap: int = 10**6):
     least-model closure, compiled once; CapExceeded past ``cap`` models."""
     sc = scale(len(s.universe), s.chain.n)
     pairs = theory_pairs(theory, s)
-    closed = next_closures(s.universe, s.chain, lambda m: forward_chain(pairs, m, sc)[0], cap)
+    closed = next_closures(s.universe, s.chain, lambda m: forward_chain(pairs, m, sc), cap)
     return [LSet._from_mask(s.universe, s.chain, m) for m in closed]

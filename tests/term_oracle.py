@@ -12,13 +12,15 @@ particular ``upper_idx`` is the one place each term's own upper formula is
 evaluated.  ``lower_image`` and ``compose_lower`` apply and compose lower
 tables on index vectors, as fai did before it composed their mask form, and
 ``idx_join`` and ``idx_meet`` join and meet index vectors.
+``rule_pairs_by_member`` is ``semantics.rule_pairs`` as it was before S
+kept a bit-sliced table: each member's own mask table applied to the rule.
 """
 
 from functools import lru_cache
 import itertools
 
 from fai import CapExceeded, Connection, DualPair, LSet, NotAdjoint, identity, render_lset
-from fai.fset import scale
+from fai.fset import lower_mask, scale
 from fai.gconn import Compose, ConstMult, ConstMultSet, DiffSet, Identity, Rotate
 
 
@@ -101,6 +103,18 @@ def upper_idx(term, idx, chain, memo=None):
     if isinstance(term, Compose):
         return upper_idx(term.inner, upper_idx(term.outer, idx, chain), chain)
     raise TypeError(f"unknown term {term!r}")
+
+
+def rule_pairs_by_member(rule, s) -> tuple:
+    """The distinct (f(A), f(B)) masks of the rule over S's members in S's
+    order, leaving out those with f(B) <= f(A), one member at a time."""
+    a, b = rule.antecedent.idx, rule.consequent.idx
+    seen = {}
+    for conn in s:
+        fa, fb = lower_mask(conn.lower_masks, a), lower_mask(conn.lower_masks, b)
+        if fb & fa != fb:
+            seen[fa, fb] = None
+    return tuple(seen)
 
 
 def pairwise_monoid(generators, universe, chain, cap=4096):

@@ -47,6 +47,7 @@ from fai import (
 from fai.errors import DegreeNotInChain, ParseError
 from fai.fset import scale
 
+from ladder import MINE_RUNGS, rung_context
 from scan_oracle import (
     complete_by_scan,
     iter_lsets,
@@ -379,40 +380,11 @@ def test_minimizing_leaves_s_exactly_as_it_found_it(monkeypatch):
     assert kept > 0
 
 
-# The shapes of the synthetic mining ladder: |Y|, |L|, logic, the generator
-# beside rotate(shift), the shift and the object count.
-MINE_RUNGS = [
-    (4, 3, "godel", DiffSet, 2, 6),
-    (4, 4, "lukasiewicz", ConstMultSet, 2, 6),
-    (4, 5, "lukasiewicz", DiffSet, 2, 6),
-    (4, 5, "godel", DiffSet, 2, 6),
-    (6, 3, "godel", DiffSet, 2, 6),
-    (4, 6, "godel", ConstMultSet, 2, 4),
-    (6, 3, "lukasiewicz", ConstMultSet, 3, 4),
-]
-
-
-def _rung_context(rng, ny, nl, logic, kind, shift, nobj):
-    """A random context of a ladder rung, and its S: rotate(shift) and a
-    generator whose constant has one attribute at 1 and two at the middle
-    degree, rotated by a random offset."""
-    chain = Chain([F(k, nl - 1) for k in range(nl)], logic)
-    universe = Universe([f"y{k}" for k in range(ny)])
-    mid = (nl - 1) // 2
-    template = [nl - 1, mid, 0, mid] + [0] * (ny - 4)
-    k = rng.randrange(ny)
-    const = LSet(universe, chain, template[k:] + template[:k])
-    gens = [Connection(Rotate(shift), universe, chain), Connection(kind(const), universe, chain)]
-    rows = [LSet(universe, chain, [rng.randrange(nl) for _ in range(ny)]) for _ in range(nobj)]
-    ctx = LContext(universe, chain, [f"o{k}" for k in range(nobj)], rows)
-    return ctx, generate_monoid(gens, universe, chain)
-
-
 def test_minimizing_matches_re_entailment_on_the_ladder_rungs():
     rng = random.Random(3317)
     for rung in MINE_RUNGS:
         for _ in range(2):
-            ctx, s = _rung_context(rng, *rung)
+            ctx, s = rung_context(rng, *rung)
             base = reduce_to_base(complete_set(ctx, s), ctx, s)
             mini = minimize_sides(base, ctx, s)
             assert mini.rules == minimize_sides_by_entailment(base, ctx, s).rules
@@ -451,7 +423,7 @@ def test_each_side_edit_runs_one_test(monkeypatch):
     monkeypatch.setattr(fai.context, "is_complete", is_complete)
     counted = {"holds": 0, "entail": 0}
     for rung in MINE_RUNGS:
-        ctx, s = _rung_context(rng, *rung)
+        ctx, s = rung_context(rng, *rung)
         base = reduce_to_base(complete_set(ctx, s), ctx, s)
         events.clear()
         chains.clear()

@@ -193,16 +193,20 @@ def test_forward_chain_fires_in_order_and_stops():
         (enc((2, 0, 0)), enc((0, 2, 0))),
         (enc((2, 0, 0)), enc((2, 0, 0))),
     ]
-    closed, fired = forward_chain(pairs, x, sc)
+    fired = []
+    closed = forward_chain(pairs, x, sc, fired=fired)
     assert closed == enc((2, 2, 2))
     assert fired == [(1, enc((2, 0, 0)), enc((2, 2, 0))), (0, enc((2, 2, 0)), enc((2, 2, 2)))]
     # listed the other way round, both fire in one pass
-    _, fired = forward_chain(pairs[1::-1], x, sc)
+    fired = []
+    forward_chain(pairs[1::-1], x, sc, fired=fired)
     assert fired == [(0, enc((2, 0, 0)), enc((2, 2, 0))), (1, enc((2, 2, 0)), enc((2, 2, 2)))]
     # until is checked before each pass
-    stopped, fired = forward_chain(pairs, x, sc, until=enc((0, 2, 0)))
+    fired = []
+    stopped = forward_chain(pairs, x, sc, until=enc((0, 2, 0)), fired=fired)
     assert stopped == enc((2, 2, 0)) and len(fired) == 1
-    assert forward_chain(pairs, x, sc, until=x) == (x, [])
+    fired = []
+    assert forward_chain(pairs, x, sc, until=x, fired=fired) == x and fired == []
 
 
 def test_forward_chain_bounds_its_passes():
@@ -210,10 +214,42 @@ def test_forward_chain_bounds_its_passes():
     # malformed pairs climbing past the chain's two bits (k bits to k + 1),
     # one firing per pass: more than one pass per scale bit and one more (3)
     pairs = [((1 << k) - 1, (1 << (k + 1)) - 1) for k in reversed(range(6))]
-    with pytest.raises(InvariantError):
-        forward_chain(pairs, 0, sc)
-    # the same climb within the scale's two bits stabilizes inside the bound
-    assert forward_chain(pairs[-2:], 0, sc)[0] == sc.top
+    for fired in (None, []):
+        with pytest.raises(InvariantError):
+            forward_chain(pairs, 0, sc, fired=fired)
+    # the same climb within the scale's two bits stabilizes inside the bound,
+    # one firing per pass
+    fired = []
+    assert forward_chain(pairs[-2:], 0, sc, fired=fired) == sc.top
+    assert [k for k, _, _ in fired] == [1, 0]
+    assert forward_chain(pairs[-2:], 0, sc) == sc.top
+
+
+def test_forward_chain_returns_the_same_mask_with_and_without_a_record():
+    """Recording firings changes nothing about the mask returned, with or
+    without ``until``, over random pairs on random scales."""
+    rng = random.Random(7)
+    for _ in range(300):
+        sc = scale(rng.randint(1, 5), rng.randint(2, 5))
+        bits = sc.top.bit_length()
+
+        def draw():
+            return rng.getrandbits(bits) & rng.getrandbits(bits)
+
+        pairs = [(draw(), draw()) for _ in range(rng.randint(0, 12))]
+        start = draw()
+        for until in (None, draw()):
+            fired = []
+            closed = forward_chain(pairs, start, sc, until=until, fired=fired)
+            assert forward_chain(pairs, start, sc, until=until) == closed
+            # the record replays: each firing starts where the last ended
+            cur = start
+            for k, before, after in fired:
+                lhs, rhs = pairs[k]
+                assert before == cur and lhs & cur == lhs and rhs & cur != rhs
+                assert after == before | rhs
+                cur = after
+            assert cur == closed
 
 
 def test_vector_kernels_agree_with_the_lset_operators():

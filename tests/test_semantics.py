@@ -3,7 +3,6 @@ from fractions import Fraction
 
 import pytest
 
-import fai.semantics
 from fai import (
     Chain,
     Connection,
@@ -41,6 +40,7 @@ from fai import (
     theory_of_system,
     truth_degree,
 )
+from fai.fset import Scale
 
 from scan_oracle import iter_lsets
 
@@ -230,25 +230,36 @@ def test_early_stopping_entailment_equals_least_model_containment():
 
 def test_each_rule_computes_its_pairs_once_per_s(chain5, universe, settings, monkeypatch):
     """Repeated least models and entailments on one theory and S read each
-    rule's pairs off its mask tables once; another S computes its own."""
-    calls = []
-    real = fai.semantics.lower_mask
+    rule's images off S's bit-sliced table once, and S builds that table
+    once; another S builds and reads its own."""
+    reads, builds = [], []
+    real_read, real_build = Parameterization.lower_images, Scale.slices
 
-    def counting(masks, idx):
-        calls.append(idx)
-        return real(masks, idx)
+    def reading(s, a):
+        reads.append((s, a))
+        return real_read(s, a)
 
-    monkeypatch.setattr(fai.semantics, "lower_mask", counting)
+    def building(sc, tables):
+        builds.append(tables)
+        return real_build(sc, tables)
+
+    monkeypatch.setattr(Parameterization, "lower_images", reading)
+    monkeypatch.setattr(Scale, "slices", building)
     th = parse_theory(" -> 0.25/a, 0.25/e\n0.75/l -> 0.75/e\nl, 0.75/a -> 0.5/k, e\n", universe, chain5)
     goal = parse_fai("0.75/a, e -> 0.5/k, l, a", universe, chain5)
     a = parse_lset("0.5/l, e", universe, chain5)
-    for s in (settings[6], settings[1]):
-        calls.clear()
+    # fresh copies: the session's settings may have built their tables already
+    for s in (Parameterization(settings[6]), Parameterization(settings[1])):
+        reads.clear()
+        builds.clear()
         for _ in range(3):
             least_model(th, s, a)
             entails(th, goal, s)
-        # two images, f(A) and f(B), per rule and member
-        assert len(calls) == 2 * len(th) * len(s)
+        # two reads, f(A) and f(B) for every member at once, per rule
+        assert [r for _, r in reads] == [x for rule in th for x in (rule.antecedent, rule.consequent)]
+        assert all(on is s for on, _ in reads)
+        # one table per S, over every member's mask table in S's order
+        assert builds == [[conn.lower_masks for conn in s]]
 
 
 def test_entail_degree_via_models(small):

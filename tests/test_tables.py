@@ -31,6 +31,7 @@ from fai import (
 from fai.fset import Scale, scale
 from fai.gconn import DiffSet, Rotate
 
+from ladder import rotate_diff_generators
 from term_oracle import (
     compose_lower,
     lower_idx,
@@ -41,15 +42,6 @@ from term_oracle import (
 )
 
 F = Fraction
-
-
-def _rotate_diff_generators(logic: str, degrees: int):
-    """rotate(2) and a diff-set with one step at two of five attributes."""
-    chain = Chain([F(i, degrees - 1) for i in range(degrees)], logic)
-    universe = Universe([f"y{k}" for k in range(5)])
-    const = LSet(universe, chain, [1, 0, 1, 0, 0])
-    gens = [Connection(Rotate(2), universe, chain), Connection(DiffSet(const), universe, chain)]
-    return gens, universe, chain
 
 
 def _assert_tables_match_interpreter(s, universe, chain):
@@ -87,7 +79,7 @@ ROTATE_DIFF_MONOIDS = [
 
 @pytest.mark.parametrize("logic,degrees,size", ROTATE_DIFF_MONOIDS)
 def test_tables_match_interpreter_on_rotate_diff_monoids(logic, degrees, size):
-    gens, universe, chain = _rotate_diff_generators(logic, degrees)
+    gens, universe, chain = rotate_diff_generators(logic, degrees)
     s = generate_monoid(gens, universe, chain)
     assert len(s) == size
     _assert_tables_match_interpreter(s, universe, chain)
@@ -96,7 +88,7 @@ def test_tables_match_interpreter_on_rotate_diff_monoids(logic, degrees, size):
 def test_member_order_equals_pairwise_discovery(settings, chain5, universe):
     gens6 = list(settings[6].connections[1:3])
     cases = [(gens6, universe, chain5)]
-    cases += [_rotate_diff_generators(logic, degrees) for logic, degrees, _ in ROTATE_DIFF_MONOIDS[:2]]
+    cases += [rotate_diff_generators(logic, degrees) for logic, degrees, _ in ROTATE_DIFF_MONOIDS[:2]]
     for gens, u, ch in cases:
         expected = pairwise_monoid(gens, u, ch)
         found = generate_monoid(gens, u, ch).connections
@@ -110,7 +102,7 @@ def _monoid_cases(settings, chain5, universe):
     monoid."""
     cases = [(list(settings[6].connections[1:3]), universe, chain5, 8)]
     for logic, degrees, size in ROTATE_DIFF_MONOIDS:
-        cases.append((*_rotate_diff_generators(logic, degrees), size))
+        cases.append((*rotate_diff_generators(logic, degrees), size))
     return cases
 
 
@@ -193,7 +185,7 @@ def test_mask_composer_matches_index_vectors():
 
 def test_cap_exceeded_at_the_same_size(settings, chain5, universe):
     gens6 = list(settings[6].connections[1:3])
-    gens85, universe85, chain85 = _rotate_diff_generators("godel", 5)
+    gens85, universe85, chain85 = rotate_diff_generators("godel", 5)
     for gens, u, ch, size in ((gens6, universe, chain5, 8), (gens85, universe85, chain85, 85)):
         for cap in (size - 1, 1):
             with pytest.raises(CapExceeded):
@@ -265,7 +257,7 @@ def test_table_check_agrees_with_the_sweep(settings):
     rng = random.Random(20141)
     conns = [conn for s in settings.values() for conn in s]
     for logic, degrees, _ in ROTATE_DIFF_MONOIDS:
-        s = generate_monoid(*_rotate_diff_generators(logic, degrees))
+        s = generate_monoid(*rotate_diff_generators(logic, degrees))
         conns += rng.sample(s.connections, SAMPLED[logic])
     corrupted = [_corrupted(conn, rng) for conn in conns]
     for c in conns + corrupted:
