@@ -31,11 +31,12 @@ from .fset import (
     render_lset,
     same_space,
     scale,
+    step_down,
     upper_mask,
 )
 from .gconn import Parameterization, identity
 from .lattice import Chain
-from .semantics import FAI, Theory, entailed_by, least_model, theory_pairs
+from .semantics import FAI, Theory, image_pairs, least_model, rule_pairs, theory_pairs
 
 
 class LContext:
@@ -271,16 +272,16 @@ def is_complete(
     """Whether the theory's least models agree with downup everywhere.
 
     Full mode: every rule holds in the context, so every intent is a model,
-    and the theory entails every rule of the complete set (``cap`` bounds its
-    enumeration), so every model is an intent; the theory is compiled once
-    for all of them.  Sampled mode compares least model and downup on the
-    rows, bottom, top, and seeded-random sets.
+    and the theory entails P => C(P) for every pseudo-intent P of the
+    Ganter pass (``cap`` bounds it), so every model is an intent; the
+    theory is compiled once for all of them.  Sampled mode compares least
+    model and downup on the rows, bottom, top, and seeded-random sets.
     """
     if mode == "full":
-        comp = complete_set(ctx, s, cap)
-        pairs = theory_pairs(theory, s)
+        visited, pairs = _ganter_pass(ctx, s, cap), theory_pairs(theory, s)
+        sc = scale(len(ctx.universe), ctx.chain.n)
         return all(holds_in_context(ctx, r, s) for r in theory) and all(
-            entailed_by(pairs, r, s) for r in comp
+            cl & forward_chain(pairs, q, sc, until=cl) == cl for q, cl in visited if cl != q
         )
     if mode != "sampled":
         raise ValueError(f"unknown mode {mode!r}")
@@ -299,38 +300,40 @@ def reduce_to_base(theory: Theory, ctx: LContext, s: Parameterization) -> Theory
 
     For a complete input the result is a base: completeness is preserved by
     removing entailed rules, and each survivor fails entailment from the rest.
-    Each rule's pairs are computed once and kept on the rule
-    (``semantics.rule_pairs``), so "the rest" only concatenates them.
-    ``ctx`` is not read: entailment alone decides, and callers pass it
-    positionally.
+    The rules' pairs (``semantics.rule_pairs``) are taken once into one flat
+    list, rule by rule; a rule is tested against the list with its own slice
+    left out, and a dropped rule's slice leaves the list.  ``ctx`` is not
+    read: entailment alone decides, and callers pass it positionally.
     """
-    rules = list(theory.rules)
-    k = 0
-    while k < len(rules):
-        if entailed_by(theory_pairs(rules[:k] + rules[k + 1 :], s), rules[k], s):
-            del rules[k]
+    flat = theory_pairs(theory, s)
+    sc, kept, lo = scale(len(s.universe), s.chain.n), [], 0
+    for rule in theory:
+        size, b = len(rule_pairs(rule, s)), rule.consequent.mask
+        rest = flat[:lo] + flat[lo + size :]
+        if b & forward_chain(rest, rule.antecedent.mask, sc, until=b) == b:
+            flat = rest
         else:
-            k += 1
-    return Theory(rules)
+            kept.append(rule)
+            lo += size
+    return Theory(kept)
 
 
 def minimize_sides(theory: Theory, ctx: LContext, s: Parameterization, cap: int = 10**6) -> Theory:
     """Lower degrees inside each rule while the theory stays complete.
 
     Walks rules in order; within a rule, antecedent then consequent,
-    attributes in universe order, stepping each degree down while the edited
-    theory remains complete for the context.  The theory is complete before
-    every edit, so replacing rule A => B by r' keeps it complete iff r'
-    holds in the context (every intent stays a model) and the edited theory
-    entails A => B (no model is added).  With the identity in S, one test
-    decides each edit:
+    attributes in universe order, stepping each degree down on masks
+    (``fset.step_down``) while the edited theory remains complete for the
+    context.  The theory is complete before every edit, so replacing rule
+    A => B by r' keeps it complete iff r' holds in the context (every
+    intent stays a model) and the edited theory entails A => B (no model
+    is added).  With the identity in S, one test decides each edit:
 
     - lowering A to A': the edited theory entails A => B, since the
       identity image A' => B fires from A; context truth decides;
     - lowering B to B': B' <= B <= downup(A) as A => B holds, so r' holds
-      in the context; entailment decides.  A trial swaps r' into a copy of
-      the rule list; only r' has pairs to compute, and they are kept on r',
-      so a rejected edit leaves nothing behind;
+      in the context; entailment decides, chaining over the other rules'
+      kept pairs and those of A => B', whose f(A) are read once per rule;
     - where B(y) <= A(y), A u B' still contains B, so the identity image
       A => B' alone entails A => B: B(y) drops to 0 with no test.
 
@@ -340,28 +343,25 @@ def minimize_sides(theory: Theory, ctx: LContext, s: Parameterization, cap: int 
         raise NotAMonoid("minimize_sides needs the identity connection in S")
     if not is_complete(theory, ctx, s, cap=cap):
         raise NotComplete("minimize_sides needs a complete theory")
+    universe, chain, rows = ctx.universe, ctx.chain, _row_images(ctx, s)
+    sc = scale(len(universe), chain.n)
     rules = list(theory)
     for i, rule in enumerate(rules):
-        for y in range(len(ctx.universe)):
-            while rule.antecedent.idx[y]:
-                a = rule.antecedent
-                cand = FAI(a.with_index(y, a.idx[y] - 1), rule.consequent)
-                if not holds_in_context(ctx, cand, s):
-                    break
-                rule = cand
-        a = rule.antecedent
-        for y in range(len(ctx.universe)):
-            while rule.consequent.idx[y] > a.idx[y]:
-                b = rule.consequent
-                cand = FAI(a, b.with_index(y, b.idx[y] - 1))
-                edited = rules[:]
-                edited[i] = cand
-                if not entailed_by(theory_pairs(edited, s), rule, s):
-                    break
-                rule = cand
-            if 0 < rule.consequent.idx[y] <= a.idx[y]:  # no test: A u B' contains B
-                rule = FAI(a, rule.consequent.with_index(y, 0))
-        rules[i] = rule
+        b = rule.consequent.mask
+
+        def holds(cand, _):
+            return b & meet_above(cand, rows, sc.top) == b
+
+        a = step_down(rule.antecedent.mask, holds, sc)
+        fas, rest = s.lower_images(sc.decode(a)), theory_pairs(rules[:i] + rules[i + 1 :], s)
+
+        def entailed(cand, cur):
+            trial = [*rest, *image_pairs(fas, s.lower_images(sc.decode(cand)))]
+            return cur & forward_chain(trial, a, sc, until=cur) == cur
+
+        b = step_down(b, entailed, sc, floor=a)
+        if a != rule.antecedent.mask or b != rule.consequent.mask:
+            rules[i] = FAI(LSet._from_mask(universe, chain, a), LSet._from_mask(universe, chain, b))
     return Theory(rules)
 
 

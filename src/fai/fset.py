@@ -12,11 +12,13 @@ attribute, laid out attribute by attribute with the first attribute in the
 most significant bits.  Then A <= B is ``a & b == a``, union is ``|`` and
 intersection is ``&``, all exact, and comparing two masks as ints compares
 the sets lectically.  A ``Scale`` per (|Y|, n) encodes and decodes by
-table, composes connections' lower mask tables and bit-slices many of them
+table, composes connections' lower mask tables through the inner table's
+decoded picks (``Scale.picks``) and bit-slices many of them
 into one (``Scale.slices``), so that one ``lower_mask`` gives the images of
 a set under all of them.  The context closure (``meet_above``), rule images
-(``lower_mask``), NextClosure (``next_closures``) and forward chaining
-(``forward_chain``) take and return masks, and ``LSet._from_mask`` hands a
+(``lower_mask``), NextClosure (``next_closures``), forward chaining
+(``forward_chain``) and the degree-by-degree lowering of side minimization
+(``step_down``) take and return masks, and ``LSet._from_mask`` hands a
 result out as an LSet holding the mask only; ``LSet.idx`` decodes on first
 read and keeps the vector.  A connection is its lower mask table:
 ``lower_mask`` applies it, and ``upper_mask`` reads its residual, the upper
@@ -279,19 +281,32 @@ class Scale:
         inverted)."""
         return tuple(tuple(map(self.decode, row[1:])) for row in masks)
 
-    def compose(self, outer, inner) -> tuple:
-        """The mask table of f . h from those of f (outer) and h (inner):
-        f applied to every image h({k/y}), one attribute z at a time, the
-        degree at z being the bit length of the image's block at z."""
-        block = self.block
-        picks = tuple(zip(outer, self.shifts))
+    def picks(self, inner) -> tuple:
+        """Each image of a lower mask table decoded once: per attribute y
+        and degree k >= 1, the (attribute z, degree d) pairs with
+        h({k/y})(z) = d > 0, in universe order.  ``compose`` reads them, so
+        an image held at one attribute (a rotation's, a difference's) is one
+        pick."""
+        block, at = self.block, tuple(enumerate(self.shifts))
+        return tuple(
+            tuple(
+                tuple((z, d) for z, sh in at if (d := ((m >> sh) & block).bit_length()))
+                for m in row[1:]
+            )
+            for row in inner
+        )
+
+    def compose(self, outer, picks) -> tuple:
+        """The mask table of f . h from f's (outer) and the picks of h's
+        (``picks``): f's image of h({k/y}) is the join of the images
+        f({d/z}) over the image's picks."""
         table = []
-        for row in inner:
+        for row in picks:
             images = [0]  # h({0/y}) is empty, and so is its image
-            for m in row[1:]:
+            for image_picks in row:
                 image = 0
-                for images_z, sh in picks:
-                    image |= images_z[((m >> sh) & block).bit_length()]
+                for z, d in image_picks:
+                    image |= outer[z][d]
                 images.append(image)
             table.append(tuple(images))
         return tuple(table)
@@ -496,6 +511,25 @@ def forward_chain(pairs, start: int, sc: Scale, until: int | None = None, fired=
         if cur == before:
             return cur
     raise InvariantError("forward chaining failed to stabilize within one pass per scale bit")
+
+
+def step_down(m: int, keep, sc: Scale, floor: int = 0) -> int:
+    """Lower the degrees of the mask ``m`` on scale ``sc``, attribute by
+    attribute in universe order, one degree at a time: a degree above its
+    degree in the mask ``floor`` steps down while ``keep(lowered, m)`` holds
+    for the mask one step lower, and one that ends at or below its floor
+    degree, but above 0, drops to 0 untried.  A step clears the top set bit
+    of the attribute's block; ``keep`` is called once per step tried."""
+    for sh in sc.shifts:
+        blk, low = (m >> sh) & sc.block, (floor >> sh) & sc.block
+        while blk > low:
+            lowered = m ^ (1 << (sh + blk.bit_length() - 1))
+            if not keep(lowered, m):
+                break
+            m, blk = lowered, blk >> 1
+        if 0 < blk <= low:
+            m ^= blk << sh
+    return m
 
 
 def render_lset(a: LSet) -> str:

@@ -8,7 +8,7 @@ too: it is the residual g(B)(y) = max {a : f({a/y}) <= B}.  So a connection
 is its lower table, held in mask form only, and both maps evaluate from it;
 the index-vector table is decoded only when the fingerprint is asked for,
 and its term is kept for descriptors and display only.  Tables compose in
-mask form (``Scale.compose``), and a monoid keys its members by them.
+mask form (``Scale.picks``, ``Scale.compose``), and a monoid keys its members by them.
 """
 
 from __future__ import annotations
@@ -115,7 +115,7 @@ def _term_masks(term, universe: Universe, chain: Chain):
     if isinstance(term, Compose):
         outer = _term_masks(term.outer, universe, chain)
         inner = _term_masks(term.inner, universe, chain)
-        return sc.compose(outer, inner)
+        return sc.compose(outer, sc.picks(inner))
     lower = _generator_lower(term, universe, chain)
     size = len(universe)
     return sc.lower_masks(
@@ -197,7 +197,7 @@ def identity(universe: Universe, chain: Chain) -> Connection:
 def compose(outer: Connection, inner: Connection) -> Connection:
     """<f1,g1> o <f2,g2>: lower A |-> f1(f2(A)), upper B |-> g2(g1(B))."""
     same_space(inner, outer.universe, outer.chain)
-    masks = outer._scale.compose(outer.lower_masks, inner.lower_masks)
+    masks = outer._scale.compose(outer.lower_masks, outer._scale.picks(inner.lower_masks))
     return Connection(Compose(outer.term, inner.term), outer.universe, outer.chain, _masks=masks)
 
 
@@ -252,10 +252,10 @@ class Parameterization:
         if check:
             if identity(self.universe, self.chain).lower_masks not in members:
                 raise NotAMonoid("the identity connection is missing")
-            compose_masks = self._scale.compose
+            picks = [self._scale.picks(b.lower_masks) for b in self.connections]
             for a in self.connections:
-                for b in self.connections:
-                    if compose_masks(a.lower_masks, b.lower_masks) not in members:
+                for b, b_picks in zip(self.connections, picks):
+                    if self._scale.compose(a.lower_masks, b_picks) not in members:
                         raise NotAMonoid(
                             f"not closed under composition: {a!r} o {b!r} escapes S"
                         )
@@ -269,14 +269,14 @@ class Parameterization:
     def __contains__(self, conn: Connection) -> bool:
         return conn.lower_masks in self._members
 
-    def lower_images(self, a: LSet) -> list:
-        """f(A) as a mask for every member <f, g>, in S's order: field j of
-        the join the index vector of A picks from one bit-sliced table of
-        the members' lower mask tables (``Scale.slices``), built on first
-        use and kept on this S, outside its equality and hash."""
+    def lower_images(self, idx) -> list:
+        """f(A) as a mask for every member <f, g>, in S's order, A given by
+        its index vector: field j of the join A picks from one bit-sliced
+        table of the members' lower mask tables (``Scale.slices``), built on
+        first use and kept on this S, outside its equality and hash."""
         if self._slices is None:
             self._slices = self._scale.slices([c.lower_masks for c in self.connections])
-        return self._scale.fields(lower_mask(self._slices, a.idx), len(self.connections))
+        return self._scale.fields(lower_mask(self._slices, idx), len(self.connections))
 
     def resolve(self, conn: Connection) -> Connection:
         """The member of S extensionally equal to conn, or None."""
@@ -285,7 +285,8 @@ class Parameterization:
     def compose_in(self, a: Connection, b: Connection) -> Connection:
         """Composition resolved to the stored member of S, composing lower
         mask tables only; InvariantError if S lacks it."""
-        member = self._members.get(self._scale.compose(a.lower_masks, b.lower_masks))
+        sc = self._scale
+        member = self._members.get(sc.compose(a.lower_masks, sc.picks(b.lower_masks)))
         if member is None:
             raise InvariantError("S is not closed under composition")
         return member
@@ -317,16 +318,16 @@ def _right_cayley(identity_masks, generator_masks, sc, cap: int):
     composed with generator j; and each member's word as the position of
     the member it was first reached from and that generator, None for the
     identity.  A member's source comes before it.  These are the only
-    compositions monoid generation makes: |S| per generator.  Raises
-    CapExceeded past cap members (Froidure & Pin, "Algorithms for computing
-    finite semigroups", 1997)."""
-    compose_masks = sc.compose
+    compositions monoid generation makes: |S| per generator, each reading
+    the generator's picks (``Scale.picks``), decoded once.  CapExceeded past
+    cap members (Froidure & Pin, "Algorithms for computing finite semigroups", 1997)."""
+    compose_masks, generator_picks = sc.compose, [sc.picks(g) for g in generator_masks]
     tables = [identity_masks]
     position = {identity_masks: 0}
     right = [[] for _ in generator_masks]
     words = [None]
     for m, masks in enumerate(tables):  # the list grows as members are found
-        for j, gen in enumerate(generator_masks):
+        for j, gen in enumerate(generator_picks):
             img = compose_masks(masks, gen)
             k = position.get(img)
             if k is None:
@@ -362,9 +363,8 @@ def generate_monoid(generators, universe: Universe, chain: Chain, cap: int = 409
         if g.lower_masks not in seen:
             seen.add(g.lower_masks)
             elems.append(g)
-    tables, right, words = _right_cayley(
-        elems[0].lower_masks, [g.lower_masks for g in elems[1:]], sc, cap
-    )
+    generator_masks = [g.lower_masks for g in elems[1:]]
+    tables, right, words = _right_cayley(elems[0].lower_masks, generator_masks, sc, cap)
     size = len(tables)
     # where[i]: the search position of elems[i]; generator j is 1 o g_j
     where = [0] + [column[0] for column in right]

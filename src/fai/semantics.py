@@ -31,9 +31,10 @@ from .lattice import Chain, Hedge
 class FAI(Record):
     """A fuzzy attribute implication: antecedent => consequent.
 
-    ``_pairs`` keeps the rule's images per S (``rule_pairs``); as private
-    state of a record it takes no part in equality, hashing, display or
-    copies, and each new rule starts it empty.
+    ``_pairs`` keeps the rule's images per S, beside the member tuple
+    they were read in (``rule_pairs``); as private state of a record it
+    takes no part in equality, hashing, display or copies, and each new
+    rule starts it empty.
     """
 
     __slots__ = ("antecedent", "consequent", "_pairs")
@@ -154,19 +155,28 @@ def truth_degree(m: LSet, fai: FAI, s: Parameterization) -> Fraction:
 
 def rule_pairs(rule: FAI, s: Parameterization) -> tuple:
     """The distinct (f(A), f(B)) masks of A => B over <f, g> in S, in S's
-    order, leaving out those that cannot fire (f(B) <= f(A)); read off S's
-    bit-sliced table (``Parameterization.lower_images``) and kept on the
-    rule per S."""
-    pairs = rule._pairs.get(s)
-    if pairs is None:
-        a, b = rule.antecedent, rule.consequent
-        same_space(a, s.universe, s.chain)
-        seen = {}
-        for fa, fb in zip(s.lower_images(a), s.lower_images(b)):
-            if fb & fa != fb:
-                seen[fa, fb] = None
-        pairs = rule._pairs[s] = tuple(seen)
+    order (``image_pairs``); read off S's bit-sliced table
+    (``Parameterization.lower_images``) and kept on the rule per S with
+    S's member tuple.  Equal S may list their members in different orders,
+    so kept pairs are read again only while the tuple is S's own."""
+    kept = rule._pairs.get(s)
+    if kept is not None and (kept[0] is s.connections or kept[0] == s.connections):
+        return kept[1]
+    a, b = rule.antecedent, rule.consequent
+    same_space(a, s.universe, s.chain)
+    pairs = image_pairs(s.lower_images(a.idx), s.lower_images(b.idx))
+    rule._pairs[s] = (s.connections, pairs)
     return pairs
+
+
+def image_pairs(fas, fbs) -> tuple:
+    """The distinct (f(A), f(B)) of two image lists zipped member by
+    member, in order, leaving out those that cannot fire (f(B) <= f(A))."""
+    seen = {}
+    for fa, fb in zip(fas, fbs):
+        if fb & fa != fb:
+            seen[fa, fb] = None
+    return tuple(seen)
 
 
 def theory_pairs(rules, s: Parameterization) -> list:
@@ -205,18 +215,14 @@ def least_model(theory: Theory, s: Parameterization, m: LSet) -> LSet:
 
 
 def entails(theory: Theory, fai: FAI, s: Parameterization) -> bool:
-    """Sigma entails A => B iff B is contained in the least model of A."""
+    """Sigma entails A => B iff B is contained in the least model of A:
+    forward chaining from A over the compiled pairs reaches B.  It stops
+    once B lies inside: the set only grows, and stays inside the least
+    model."""
     same_space(fai.antecedent, s.universe, s.chain)
-    return entailed_by(theory_pairs(theory, s), fai, s)
-
-
-def entailed_by(pairs, fai: FAI, s: Parameterization) -> bool:
-    """Whether compiled pairs on S entail A => B: forward chaining from A
-    over them reaches B.  It stops once B lies inside: the set only grows,
-    and stays inside the least model."""
     b = fai.consequent.mask
     sc = scale(len(s.universe), s.chain.n)
-    return b & forward_chain(pairs, fai.antecedent.mask, sc, until=b) == b
+    return b & forward_chain(theory_pairs(theory, s), fai.antecedent.mask, sc, until=b) == b
 
 
 def entail_degree(theory: Theory, fai: FAI, s: Parameterization) -> Fraction:

@@ -13,7 +13,9 @@ is NextClosure as it was before it stepped on masks, and
 ``reduce_to_base_by_entailment`` and ``minimize_sides_by_entailment`` are
 the reduction and the side-minimizing walk as they were before they
 compiled a theory once: each test of entailment runs ``least_model`` on
-the whole theory and compares.
+the whole theory and compares.  ``complete_by_complete_set`` is the full
+completeness check as it was before it read the pseudo-intents off the
+Ganter pass: it builds the complete set and tests each of its rules.
 """
 
 import itertools
@@ -34,8 +36,10 @@ from fai import (
     Proof,
     ProofStep,
     Theory,
+    complete_set,
     downup,
     entails,
+    holds_in_context,
     identity,
     least_model,
     render_fai,
@@ -155,6 +159,15 @@ def complete_by_scan(theory, ctx, s):
     """Whether the theory's least model equals downup on every set."""
     return all(
         least_model(theory, s, m) == downup(ctx, m, s) for m in iter_lsets(ctx.universe, ctx.chain)
+    )
+
+
+def complete_by_complete_set(theory, ctx, s, cap=10**6):
+    """Whether every rule holds in the context and the theory entails
+    every rule of the complete set (``cap`` bounds its enumeration)."""
+    comp = complete_set(ctx, s, cap)
+    return all(holds_in_context(ctx, r, s) for r in theory) and all(
+        entails(theory, r, s) for r in comp
     )
 
 

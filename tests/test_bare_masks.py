@@ -89,7 +89,7 @@ def test_equal_monoids_listing_members_in_another_order_keep_their_own_tables():
     assert s == t and hash(s) == hash(t) and s.connections != t.connections
     rng = random.Random(5)
     a = LSet(universe, chain, [rng.randrange(chain.n) for _ in range(len(universe))])
-    assert t.lower_images(a) == s.lower_images(a)[::-1]
+    assert t.lower_images(a.idx) == s.lower_images(a.idx)[::-1]
     assert s._slices is not t._slices and s._slices != t._slices
     # each S reads its pairs in its own member order
     differ = 0
@@ -100,6 +100,27 @@ def test_equal_monoids_listing_members_in_another_order_keep_their_own_tables():
         assert in_t == rule_pairs_by_member(again, t)
         assert set(in_s) == set(in_t)
         differ += in_s != in_t
+    assert differ
+
+
+def test_one_rule_read_on_equal_monoids_in_two_orders_gives_each_its_own_order():
+    """A rule keeps its pairs beside the member tuple they were read in:
+    the same rule object read on an equal S that lists the members in
+    another order is read again in that order, and an S listing them in
+    the same order reuses the kept pairs."""
+    gens, universe, chain = rotate_diff_generators("godel", 5)
+    s = generate_monoid(gens, universe, chain)
+    t = Parameterization(reversed(s.connections), check=False)
+    same = Parameterization(s.connections, check=False)
+    assert len(s) == 85 and s == t == same and s.connections is not same.connections
+    rng = random.Random(19)
+    differ = 0
+    for rule in _random_rules(rng, universe, chain, 20):
+        for over in (s, t, s, t):
+            assert rule_pairs(rule, over) == rule_pairs_by_member(rule, over)
+        differ += rule_pairs(rule, s) != rule_pairs(rule, t)
+        kept = rule_pairs(rule, s)
+        assert rule_pairs(rule, s) is kept and rule_pairs(rule, same) is kept
     assert differ
 
 

@@ -325,9 +325,25 @@ def test_compiled_reduce_and_minimize_match_re_entailment(holidays, settings):
             assert mini.rules == expected.rules
 
 
+def _outside_completeness_check(monkeypatch):
+    """A list that is non-empty while ``fai.context.is_complete`` runs: the
+    input check's closures and chains are not trials of an edit."""
+    checking, real = [], fai.context.is_complete
+
+    def is_complete(*args, **kwargs):
+        checking.append(True)
+        try:
+            return real(*args, **kwargs)
+        finally:
+            checking.pop()
+
+    monkeypatch.setattr(fai.context, "is_complete", is_complete)
+    return checking
+
+
 def test_minimizing_leaves_s_exactly_as_it_found_it(monkeypatch):
-    """One S reused across several minings: a trial edit's pairs are kept
-    on the trial rule, never on S, so every attribute of S but its cached
+    """One S reused across several minings: a trial edit's images are read
+    off S's table and kept nowhere, so every attribute of S but its cached
     hash is as it was before each minimization."""
     rng = random.Random(3312)
     chain = Chain([F(0), F(1, 2), F(1)], "godel")
@@ -335,14 +351,16 @@ def test_minimizing_leaves_s_exactly_as_it_found_it(monkeypatch):
     const = LSet(universe, chain, [2, 1, 0, 1, 0, 0])
     gens = [Connection(Rotate(2), universe, chain), Connection(DiffSet(const), universe, chain)]
     s = generate_monoid(gens, universe, chain)
-    asked = []
-    real = fai.semantics.rule_pairs
+    checking = _outside_completeness_check(monkeypatch)
+    trials, outcomes, real = [], [], fai.context.forward_chain
 
-    def counted(rule, over):
-        asked.append(rule)  # kept alive, so ids below stay distinct
-        return real(rule, over)
+    def chained(pairs, start, sc, until=None, fired=None):
+        out = real(pairs, start, sc, until=until, fired=fired)
+        if not checking:
+            trials.append((until, out))
+        return out
 
-    monkeypatch.setattr(fai.semantics, "rule_pairs", counted)
+    monkeypatch.setattr(fai.context, "forward_chain", chained)
 
     def state():
         return {
@@ -351,76 +369,69 @@ def test_minimizing_leaves_s_exactly_as_it_found_it(monkeypatch):
             if k != "_hash"
         }
 
-    kept = compiled = rejected = 0
+    kept = 0
     for _ in range(5):
         rows = [LSet(universe, chain, [rng.randrange(3) for _ in range(6)]) for _ in range(6)]
         ctx = LContext(universe, chain, [f"o{i}" for i in range(6)], rows)
         base = reduce_to_base(complete_set(ctx, s), ctx, s)
         before = state()
-        asked.clear()
+        trials.clear()
         mini = minimize_sides(base, ctx, s)
         assert state() == before
+        # each chain of the walk is a consequent trial, kept iff it reaches its goal
+        outcomes += [until & out == until for until, out in trials]
         # each kept edit lowers one degree by one step
         kept += sum(
             sum(b.antecedent.idx) + sum(b.consequent.idx)
             - sum(m.antecedent.idx) - sum(m.consequent.idx)
             for b, m in zip(base, mini)
         )
-        # only a consequent edit that entailment decides is a new rule whose
-        # pairs are asked for; it was rejected unless its consequent lies
-        # above its rule's final one, since later edits only lower
-        trials = {id(r): r for r in asked if all(r is not b for b in base)}.values()
-        compiled += len(trials)
-        rejected += sum(
-            not any(r.antecedent == m.antecedent and m.consequent <= r.consequent for m in mini)
-            for r in trials
-        )
-    # some consequent edits were compiled, tested and rejected, and some kept
-    assert 0 < rejected < compiled, (rejected, compiled)
+    # some consequent edits were tested and rejected, and some kept
+    assert 0 < outcomes.count(False) < len(outcomes), outcomes
     assert kept > 0
 
 
 def test_minimizing_matches_re_entailment_on_the_ladder_rungs():
+    """On bases, and on complete sets as listed and shuffled."""
     rng = random.Random(3317)
     for rung in MINE_RUNGS:
-        for _ in range(2):
+        for _ in range(3):
             ctx, s = rung_context(rng, *rung)
-            base = reduce_to_base(complete_set(ctx, s), ctx, s)
-            mini = minimize_sides(base, ctx, s)
-            assert mini.rules == minimize_sides_by_entailment(base, ctx, s).rules
+            comp = complete_set(ctx, s)
+            shuffled = Theory(rng.sample(comp.rules, len(comp)))
+            for theory in (reduce_to_base(comp, ctx, s), comp, shuffled):
+                mini = minimize_sides(theory, ctx, s)
+                assert mini.rules == minimize_sides_by_entailment(theory, ctx, s).rules
 
 
 def test_each_side_edit_runs_one_test(monkeypatch):
-    """A trial on the antecedent asks only whether it holds in the context;
-    a trial on the consequent only forward-chains for entailment.  The
+    """A trial on the antecedent only closes the lowered antecedent in the
+    context (``meet_above``) to see whether the rule still holds there; a
+    trial on the consequent only forward-chains once for entailment, from
+    the rule's final antecedent to its consequent before the edit.  The
     events of one rule are its antecedent trials, then its consequent
     trials, so each event is matched to the rule the walk is on."""
     rng = random.Random(3318)
-    events, chains, checking = [], [], []
+    events, chains = [], []
+    checking = _outside_completeness_check(monkeypatch)
 
     def recorder(name, module, record):
         real = getattr(module, name)
 
         def wrapper(*args, **kwargs):
-            if not checking:  # the completeness check's tests are not trials
-                record(*args)
+            if not checking:
+                record(*args, **kwargs)
             return real(*args, **kwargs)
 
         monkeypatch.setattr(module, name, wrapper)
 
-    recorder("holds_in_context", fai.context, lambda ctx, cand, s: events.append(("holds", cand)))
-    recorder("entailed_by", fai.context, lambda pairs, goal, s: events.append(("entail", goal)))
-    recorder("forward_chain", fai.semantics, lambda *args: chains.append(args))
-    real_complete = fai.context.is_complete
-
-    def is_complete(*args, **kwargs):
-        checking.append(True)
-        try:
-            return real_complete(*args, **kwargs)
-        finally:
-            checking.pop()
-
-    monkeypatch.setattr(fai.context, "is_complete", is_complete)
+    recorder("meet_above", fai.context, lambda g, rows, top: events.append(("holds", g)))
+    recorder(
+        "forward_chain",
+        fai.context,
+        lambda pairs, start, sc, until=None: events.append(("entail", (start, until))),
+    )
+    recorder("forward_chain", fai.semantics, lambda *args, **kwargs: chains.append(args))
     counted = {"holds": 0, "entail": 0}
     for rung in MINE_RUNGS:
         ctx, s = rung_context(rng, *rung)
@@ -429,23 +440,25 @@ def test_each_side_edit_runs_one_test(monkeypatch):
         chains.clear()
         mini = minimize_sides(base, ctx, s)
         i, phase = 0, "holds"
-        for kind, rule in events:
-            # an antecedent trial lowers the antecedent under the rule's
-            # consequent; a consequent trial's goal has the final antecedent
+        for kind, masks in events:
+            # an antecedent trial lowers the rule's antecedent; a consequent
+            # trial chains from the final antecedent to a consequent no
+            # higher than the rule's
+            ante, cons = base[i].antecedent.mask, base[i].consequent.mask
             while not (
                 kind == "holds" == phase
-                and rule.consequent == base[i].consequent
-                and rule.antecedent < base[i].antecedent
+                and masks & ante == masks != ante
                 or kind == "entail"
-                and rule.antecedent == mini[i].antecedent
-                and rule.consequent <= base[i].consequent
+                and masks[0] == mini[i].antecedent.mask
+                and masks[1] & cons == masks[1]
             ):
                 i, phase = i + 1, "holds"
-                assert i < len(base), (kind, rule)
+                assert i < len(base), (kind, masks)
+                ante, cons = base[i].antecedent.mask, base[i].consequent.mask
             phase = kind
             counted[kind] += 1
-        # each consequent trial forward-chains once; nothing else does
-        assert len(chains) == sum(kind == "entail" for kind, _ in events)
+        # nothing but the consequent trials forward-chains
+        assert chains == []
         # a degree steps down one trial at a time until a trial is refused,
         # but a consequent degree at or below the antecedent's drops to 0
         # with no trial

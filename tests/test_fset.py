@@ -23,7 +23,7 @@ from fai import (
     union,
 )
 
-from fai.fset import forward_chain, lower_mask, meet_above, scale, upper_mask
+from fai.fset import forward_chain, lower_mask, meet_above, scale, step_down, upper_mask
 from scan_oracle import idx_meet_above, iter_lsets, lset_count
 from term_oracle import idx_join, idx_meet, lower_image
 
@@ -250,6 +250,47 @@ def test_forward_chain_returns_the_same_mask_with_and_without_a_record():
                 assert after == before | rhs
                 cur = after
             assert cur == closed
+
+
+def _step_down_on_vectors(idx, keep, floor):
+    """The degree-by-degree lowering of ``fset.step_down`` on index vectors."""
+    idx = list(idx)
+    for y in range(len(idx)):
+        while idx[y] > floor[y]:
+            lowered = idx[:y] + [idx[y] - 1] + idx[y + 1 :]
+            if not keep(tuple(lowered), tuple(idx)):
+                break
+            idx = lowered
+        if 0 < idx[y] <= floor[y]:
+            idx[y] = 0
+    return tuple(idx)
+
+
+def test_step_down_walks_as_the_index_vector_walk():
+    """Same result and the same trials, in the same order, as the walk on
+    index vectors; a degree at or below its floor drops to 0 untried."""
+    rng = random.Random(1904)
+    for _ in range(300):
+        n, size = rng.randint(2, 6), rng.randint(1, 5)
+        sc = scale(size, n)
+        idx = tuple(rng.randrange(n) for _ in range(size))
+        floor = tuple(rng.randrange(n) for _ in range(size)) if rng.random() < 0.7 else (0,) * size
+        salt = rng.randrange(1000)
+        on_vectors, on_masks = [], []
+
+        def keep(lowered, current, record):
+            record.append((lowered, current))
+            return hash((lowered, current, salt)) % 4 != 0
+
+        expected = _step_down_on_vectors(idx, lambda lo, cur: keep(lo, cur, on_vectors), floor)
+        found = step_down(
+            sc.encode(idx),
+            lambda lo, cur: keep(sc.decode(lo), sc.decode(cur), on_masks),
+            sc,
+            sc.encode(floor),
+        )
+        assert sc.decode(found) == expected
+        assert on_masks == on_vectors
 
 
 def test_vector_kernels_agree_with_the_lset_operators():

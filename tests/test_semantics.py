@@ -256,7 +256,8 @@ def test_each_rule_computes_its_pairs_once_per_s(chain5, universe, settings, mon
             least_model(th, s, a)
             entails(th, goal, s)
         # two reads, f(A) and f(B) for every member at once, per rule
-        assert [r for _, r in reads] == [x for rule in th for x in (rule.antecedent, rule.consequent)]
+        read = [r for _, r in reads]
+        assert read == [x.idx for rule in th for x in (rule.antecedent, rule.consequent)]
         assert all(on is s for on, _ in reads)
         # one table per S, over every member's mask table in S's order
         assert builds == [[conn.lower_masks for conn in s]]

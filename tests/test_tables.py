@@ -28,8 +28,8 @@ from fai import (
     render_degree,
     verify_adjoint,
 )
-from fai.fset import Scale, scale
-from fai.gconn import DiffSet, Rotate
+from fai.fset import Record, Scale, scale
+from fai.gconn import DiffSet, Rotate, connection_from_descriptor
 
 from ladder import rotate_diff_generators
 from term_oracle import (
@@ -108,13 +108,14 @@ def _monoid_cases(settings, chain5, universe):
 
 def test_only_the_search_composes(settings, chain5, universe, monkeypatch):
     """Generation composes each member once with each distinct non-identity
-    generator, in the breadth-first search; discovery reads every other
-    product off the search's right Cayley table."""
+    generator, in the breadth-first search, reading the generator's picks;
+    discovery reads every other product off the search's right Cayley
+    table."""
     calls, real = [], Scale.compose
 
-    def counting(sc, outer, inner):
-        calls.append(inner)
-        return real(sc, outer, inner)
+    def counting(sc, outer, picks):
+        calls.append(picks)
+        return real(sc, outer, picks)
 
     counts = []
     for gens, u, ch, size in _monoid_cases(settings, chain5, universe):
@@ -125,7 +126,8 @@ def test_only_the_search_composes(settings, chain5, universe, monkeypatch):
         s = generate_monoid(given, u, ch)
         monkeypatch.undo()
         assert len(s) == size
-        assert [calls.count(g.lower_masks) for g in gens] == [size] * len(gens)
+        picks = [scale(len(u), ch.n).picks(g.lower_masks) for g in gens]
+        assert [calls.count(p) for p in picks] == [size] * len(gens)
         counts.append(len(calls))
     # |S| x 2 generators: S6, the query-shaped 85, Lukasiewicz 456, Goguen 81
     assert counts == [16, 170, 912, 162]
@@ -173,7 +175,7 @@ def test_mask_composer_matches_index_vectors():
         for _ in range(40):
             a, b = rng.choice(s.connections), rng.choice(s.connections)
             table = compose_lower(a.fingerprint, b.fingerprint)
-            assert sc.lower_table(sc.compose(a.lower_masks, b.lower_masks)) == table
+            assert sc.lower_table(sc.compose(a.lower_masks, sc.picks(b.lower_masks))) == table
             assert compose(a, b).fingerprint == table
             assert s.compose_in(a, b).fingerprint == table
         # the closure check composes on masks too
@@ -203,6 +205,71 @@ def test_cap_exceeded_at_the_same_size(settings, chain5, universe):
                     generate_monoid(gens, u, ch, cap=cap)
             else:
                 assert len(generate_monoid(gens, u, ch, cap=cap)) == size
+
+
+class Spread(Record):
+    """f(A) = A u rotate(A): each singleton's image spans two attributes.
+    Every descriptor kind acts attribute by attribute up to a rotation, so
+    this generator is built from its mask table."""
+
+    __slots__ = ("shift",)
+    shift: int
+
+
+def _spread(shift, universe, chain):
+    ident, rot = identity(universe, chain), Connection(Rotate(shift), universe, chain)
+    masks = tuple(
+        tuple(a | b for a, b in zip(own, moved))
+        for own, moved in zip(ident.lower_masks, rot.lower_masks)
+    )
+    return Connection(Spread(shift), universe, chain, _masks=masks)
+
+
+@pytest.mark.parametrize("logic,degrees,size", [("godel", 4, 52), ("lukasiewicz", 3, 140)])
+def test_generators_whose_images_have_several_picks(logic, degrees, size):
+    """A compose-descriptor generator beside one whose images span two
+    attributes: member order, terms and fingerprint hashes are the pairwise
+    oracle's, each image decodes into its picks, and the cap is exceeded at
+    the same size with the same message."""
+    chain = Chain([F(i, degrees - 1) for i in range(degrees)], logic)
+    universe = Universe(["x", "y", "z"])
+    desc = {"kind": "compose", "terms": [
+        {"kind": "rotate", "shift": 1},
+        {"kind": "diff-set", "C": f"{render_degree(chain.degrees[1])}/x"},
+    ]}
+    gens = [connection_from_descriptor(desc, universe, chain), _spread(1, universe, chain)]
+    assert verify_adjoint(gens[1])
+    s, expected = generate_monoid(gens, universe, chain), pairwise_monoid(gens, universe, chain)
+    assert len(s) == len(expected) == size
+    assert [c.fingerprint for c in s] == [c.fingerprint for c in expected]
+    assert [c.term for c in s] == [c.term for c in expected]
+    assert [c.fingerprint_hash() for c in s] == [c.fingerprint_hash() for c in expected]
+    sc = scale(len(universe), chain.n)
+    several = 0
+    for conn in s:
+        picks = sc.picks(conn.lower_masks)
+        # the nonzero entries of each image's index vector, in universe order
+        assert picks == tuple(
+            tuple(tuple((z, d) for z, d in enumerate(image) if d) for image in row)
+            for row in conn.fingerprint
+        )
+        several += sum(len(image) > 1 for row in picks for image in row)
+    assert several
+    rng = random.Random(19)
+    for _ in range(40):
+        a, b = rng.choice(s.connections), rng.choice(s.connections)
+        table = compose_lower(a.fingerprint, b.fingerprint)
+        assert sc.lower_table(sc.compose(a.lower_masks, sc.picks(b.lower_masks))) == table
+        assert s.compose_in(a, b).fingerprint == table
+    assert len(Parameterization(s.connections)) == size
+    for cap in (size - 1, 2):
+        message = f"monoid exceeds {cap} connections"
+        with pytest.raises(CapExceeded) as oracle:
+            pairwise_monoid(gens, universe, chain, cap=cap)
+        assert str(oracle.value) == message
+        with pytest.raises(CapExceeded, match=f"^{message}$"):
+            generate_monoid(gens, universe, chain, cap=cap)
+    assert len(generate_monoid(gens, universe, chain, cap=size)) == size
 
 
 def test_verify_adjoint_names_the_row_that_falls(settings, chain5, universe):
