@@ -257,7 +257,8 @@ class Scale:
     def __init__(self, size: int, n: int):
         width = n - 1
         self.shifts = tuple((size - 1 - y) * width for y in range(size))
-        # codes[y][k]: the bits (y, 1) .. (y, k), so a mask is a sum of codes
+        # codes[y][k]: the bits (y, 1) .. (y, k), the mask of {k/y}; a mask is
+        # a sum of codes, and the codes are the identity's lower mask table
         self.codes = tuple(tuple(((1 << k) - 1) << sh for k in range(n)) for sh in self.shifts)
         self.block = (1 << width) - 1
         self.top = (1 << (size * width)) - 1
@@ -271,14 +272,9 @@ class Scale:
             out.append(((mask >> sh) & block).bit_length())
         return tuple(out)
 
-    def lower_masks(self, table) -> tuple:
-        """The mask form of a lower table: per attribute y and degree index
-        k, the mask of f({k/y}), 0 at k = 0; ``lower_mask`` applies it."""
-        return tuple((0, *map(self.encode, rows)) for rows in table)
-
     def lower_table(self, masks) -> tuple:
-        """The lower table a mask table is the form of (``lower_masks``
-        inverted)."""
+        """The index-vector form of a lower mask table: per attribute y and
+        degree index k >= 1, the index vector of f({k/y})."""
         return tuple(tuple(map(self.decode, row[1:])) for row in masks)
 
     def picks(self, inner) -> tuple:
@@ -353,7 +349,7 @@ def meet_above(g: int, rows, top: int) -> int:
 
 def lower_mask(masks, idx) -> int:
     """f(A) as a mask: the join of the images f({A(y)/y}) that the index
-    vector A picks from a mask table (``Scale.lower_masks``)."""
+    vector A picks from a connection's lower mask table."""
     image = 0
     for row, k in zip(masks, idx):
         image |= row[k]

@@ -5,10 +5,12 @@ preserves unions, so it is determined by its images of the singletons
 {a/y}; that table is the connection's fingerprint and two connections are
 equal exactly when their fingerprints agree.  The upper map is then fixed
 too: it is the residual g(B)(y) = max {a : f({a/y}) <= B}.  So a connection
-is its lower table, held in mask form only, and both maps evaluate from it;
-the index-vector table is decoded only when the fingerprint is asked for,
-and its term is kept for descriptors and display only.  Tables compose in
-mask form (``Scale.picks``, ``Scale.compose``), and a monoid keys its members by them.
+is its lower table, held in mask form only, and both maps evaluate from it.
+A generator's table is read off the scale's codes, the identity's being the
+codes themselves; the index-vector table is decoded only for the
+fingerprint, and the term is kept for descriptors and display only.  Tables
+compose in mask form (``Scale.picks``, ``Scale.compose``), and a monoid keys
+its members by them.
 """
 
 from __future__ import annotations
@@ -81,49 +83,38 @@ class Compose(Record):
 
 # ---------------------------------------------------------------- tables
 #
-# A lower table holds, per attribute position y and degree index a >= 1, the
-# index vector of f({a/y}); f(A) is the union of the rows picked by A.  Its
-# mask form (``Scale.lower_masks``) holds the same images as masks, and
-# fset's lower_mask applies it.  The upper map needs no table of its own:
-# g(B) at y is the largest a whose row f({a/y}) lies inside B, and fset's
-# upper_mask reads that off the same masks.
-
-
-def _generator_lower(term, universe: Universe, chain: Chain):
-    """The lower map of a non-composite term, on index vectors."""
-    if isinstance(term, Identity):
-        return lambda idx: idx
-    if isinstance(term, ConstMult):
-        c = chain.index_of(term.c)
-        return lambda idx: tuple(chain.tnorm_i(c, i) for i in idx)
-    if isinstance(term, (ConstMultSet, DiffSet)):
-        same_space(term.C, universe, chain)
-        cs = term.C.idx
-        if isinstance(term, ConstMultSet):
-            return lambda idx: tuple(chain.tnorm_i(c, i) for c, i in zip(cs, idx))
-        dual = chain.dual
-        return lambda idx: tuple(dual.ominus_i(i, c) for i, c in zip(idx, cs))
-    if isinstance(term, Rotate):
-        n, shift = len(universe), term.shift
-        return lambda idx: tuple(idx[(j + shift) % n] for j in range(n))
-    raise TypeError(f"unknown term {term!r}")
+# A lower mask table holds, per attribute y and degree index k, the mask of
+# f({k/y}), 0 at k = 0; fset's lower_mask joins the images A picks.  Every
+# generator sends each {k/y} to one singleton {d/z}, so row y of its table
+# is the scale's codes[z] read through a degree map k |-> d; the identity's
+# table is the codes.  The upper map needs no table: g(B) at y is the
+# largest k with f({k/y}) inside B, which fset's upper_mask reads off.
 
 
 def _term_masks(term, universe: Universe, chain: Chain):
-    """The lower mask table of a term; a composite composes its factors'."""
+    """The lower mask table of a term: a generator's read off the scale's
+    codes through its degree maps, a composite's composed from its factors'."""
     sc = scale(len(universe), chain.n)
     if isinstance(term, Compose):
         outer = _term_masks(term.outer, universe, chain)
         inner = _term_masks(term.inner, universe, chain)
         return sc.compose(outer, sc.picks(inner))
-    lower = _generator_lower(term, universe, chain)
-    size = len(universe)
-    return sc.lower_masks(
-        tuple(
-            tuple(lower((0,) * y + (a,) + (0,) * (size - y - 1)) for a in range(1, chain.n))
-            for y in range(size)
-        )
-    )
+    codes, size, ks = sc.codes, len(universe), range(chain.n)
+    if isinstance(term, Identity):
+        return codes
+    if isinstance(term, Rotate):
+        return tuple(codes[(y - term.shift) % size] for y in range(size))
+    if isinstance(term, ConstMult):
+        c = chain.index_of(term.c)
+        return tuple(tuple(code[chain.tnorm_i(c, k)] for k in ks) for code in codes)
+    if isinstance(term, (ConstMultSet, DiffSet)):
+        same_space(term.C, universe, chain)
+        pairs = zip(codes, term.C.idx)
+        if isinstance(term, ConstMultSet):
+            return tuple(tuple(code[chain.tnorm_i(c, k)] for k in ks) for code, c in pairs)
+        dual = chain.dual
+        return tuple(tuple(code[dual.ominus_i(k, c)] for k in ks) for code, c in pairs)
+    raise TypeError(f"unknown term {term!r}")
 
 
 class Connection:
@@ -133,7 +124,7 @@ class Connection:
     lower applies it, upper reads its residual off it, and equality and
     hashing use it.  The fingerprint is its index-vector form, decoded when
     asked for.  ``_masks`` gives the mask table outright; by default it is
-    built from the term.
+    read off the scale through the term (``_term_masks``).
     """
 
     __slots__ = ("term", "universe", "chain", "lower_masks", "_scale", "_hash")
@@ -267,7 +258,7 @@ class Parameterization:
         return iter(self.connections)
 
     def __contains__(self, conn: Connection) -> bool:
-        return conn.lower_masks in self._members
+        return self.resolve(conn) is not None
 
     def lower_images(self, idx) -> list:
         """f(A) as a mask for every member <f, g>, in S's order, A given by
@@ -279,8 +270,10 @@ class Parameterization:
         return self._scale.fields(lower_mask(self._slices, idx), len(self.connections))
 
     def resolve(self, conn: Connection) -> Connection:
-        """The member of S extensionally equal to conn, or None."""
-        return self._members.get(conn.lower_masks)
+        """The member of S equal to conn, or None; one over another
+        universe or chain is no member, though its mask table may be one's."""
+        member = self._members.get(conn.lower_masks)
+        return member if member == conn else None
 
     def compose_in(self, a: Connection, b: Connection) -> Connection:
         """Composition resolved to the stored member of S, composing lower

@@ -140,14 +140,11 @@ def hedge_truth_degree(m: LSet, fai: FAI, hedge: Hedge) -> Fraction:
 
 
 def truth_degree(m: LSet, fai: FAI, s: Parameterization) -> Fraction:
-    """The greatest c with A => c*B true in M; the maximum is attained."""
-    chain = m.chain
-    triggered = [conn for conn in s if conn.lower(fai.antecedent) <= m]
-    for c in range(chain.n - 1, 0, -1):
-        cb = c_mult(chain.degrees[c], fai.consequent)
-        if all(conn.lower(cb) <= m for conn in triggered):
-            return chain.degrees[c]
-    return chain.degrees[0]
+    """The greatest c with A => c*B true in M (``holds_in``); A => 0*B always is."""
+    a, b = fai.antecedent, fai.consequent
+    degrees = b.chain.degrees
+    weakened = (c for c in reversed(degrees[1:]) if holds_in(m, FAI(a, c_mult(c, b)), s))
+    return next(weakened, degrees[0])
 
 
 # ---------------------------------------------------------------- models

@@ -11,7 +11,8 @@ adjointness on the table's rows, so these serve as independent oracles; in
 particular ``upper_idx`` is the one place each term's own upper formula is
 evaluated.  ``lower_image`` and ``compose_lower`` apply and compose lower
 tables on index vectors, as fai did before it composed their mask form, and
-``idx_join`` and ``idx_meet`` join and meet index vectors.
+``idx_join`` and ``idx_meet`` join and meet index vectors.  ``lower_masks``
+encodes an index-vector lower table into its mask form, image by image.
 ``rule_pairs_by_member`` is ``semantics.rule_pairs`` as it was before S
 kept a bit-sliced table: each member's own mask table applied to the rule.
 """
@@ -41,6 +42,12 @@ def idx_meet(rows, size: int, top: int) -> tuple:
 def lower_image(table, idx) -> tuple:
     """f(A): the join of the rows f({a/y}) = table[y][a - 1] that A picks."""
     return idx_join([table[y][a - 1] for y, a in enumerate(idx) if a], len(idx))
+
+
+def lower_masks(sc, table) -> tuple:
+    """The mask form of a lower table on scale sc: per attribute y and
+    degree index k, the mask of f({k/y}), 0 at k = 0."""
+    return tuple((0, *map(sc.encode, rows)) for rows in table)
 
 
 def compose_lower(outer, inner):
@@ -139,7 +146,7 @@ def pairwise_monoid(generators, universe, chain, cap=4096):
                 fp = compose_lower(fa, fb)
                 if fp not in fps:
                     fps[fp] = None
-                    masks = sc.lower_masks(fp)
+                    masks = lower_masks(sc, fp)
                     elems.append(Connection(Compose(a.term, b.term), universe, chain, _masks=masks))
                     changed = True
                     if len(elems) > cap:

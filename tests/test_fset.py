@@ -25,7 +25,7 @@ from fai import (
 
 from fai.fset import forward_chain, lower_mask, meet_above, scale, step_down, upper_mask
 from scan_oracle import idx_meet_above, iter_lsets, lset_count
-from term_oracle import idx_join, idx_meet, lower_image
+from term_oracle import idx_join, idx_meet, lower_image, lower_masks
 
 F = Fraction
 
@@ -337,7 +337,7 @@ def test_vector_kernels_agree_with_the_lset_operators():
         flat = tuple(tuple(m.idx for m in row) for row in table)
         picked = [table[y][i - 1] for y, i in enumerate(a.idx) if i]
         assert lower_image(flat, a.idx) == reduce(or_, picked, bottom).idx
-        masks = sc.lower_masks(flat)
+        masks = lower_masks(sc, flat)
         assert sc.decode(lower_mask(masks, a.idx)) == lower_image(flat, a.idx)
         residual = tuple(
             max((k for k in range(1, n) if table[y][k - 1] <= a), default=0) for y in range(size)

@@ -27,6 +27,9 @@ from fai import (
     term_to_descriptor,
     verify_adjoint,
     Hedge,
+    LContext,
+    UniverseMismatch,
+    up,
 )
 
 from scan_oracle import iter_lsets
@@ -154,6 +157,28 @@ def test_parameterization_checks_monoid_axioms(chain5, universe):
     assert s.compose_in(r2, r2) is s.connections[0]
     with pytest.raises(NotAMonoid):
         Parameterization([])
+
+
+def test_membership_needs_the_same_universe_and_chain(small):
+    """A connection over another universe, or over a chain of the same
+    length with another logic, has a member's mask table but is not in S,
+    and ``up`` refuses it; one over equal spaces built apart is a member."""
+    universe, chain = small
+    s = generate_monoid([Connection(Rotate(1), universe, chain)], universe, chain)
+    strangers = [
+        Connection(Rotate(1), Universe(("a", "b")), chain),
+        identity(universe, Chain(chain.degrees, "lukasiewicz")),
+    ]
+    ctx = LContext(universe, chain, ["o"], [parse_lset("x, 0.5/y", universe, chain)])
+    for conn in strangers:
+        assert conn.lower_masks in {member.lower_masks for member in s}
+        assert all(member != conn for member in s)
+        assert conn not in s and s.resolve(conn) is None
+        with pytest.raises(UniverseMismatch):
+            up(ctx, [("o", conn)], s)
+    twin = Connection(Rotate(1), Universe(("x", "y")), Chain(chain.degrees, "godel"))
+    assert twin in s and s.resolve(twin) is s.connections[1]
+    assert up(ctx, [("o", twin)], s) == s.connections[1].upper(ctx.rows[0])
 
 
 def test_generate_monoid(chain5, universe, settings):

@@ -36,6 +36,7 @@ from term_oracle import (
     compose_lower,
     lower_idx,
     lower_image,
+    lower_masks,
     pairwise_monoid,
     upper_idx,
     verify_adjoint_by_sweep,
@@ -77,12 +78,92 @@ ROTATE_DIFF_MONOIDS = [
 ]
 
 
-@pytest.mark.parametrize("logic,degrees,size", ROTATE_DIFF_MONOIDS)
-def test_tables_match_interpreter_on_rotate_diff_monoids(logic, degrees, size):
-    gens, universe, chain = rotate_diff_generators(logic, degrees)
+def _multiple_generators(logic, degrees):
+    """const-mult and const-mult-set beside rotate(1) over three attributes."""
+    chain = Chain([F(i, degrees - 1) for i in range(degrees)], logic)
+    universe = Universe(["x", "y", "z"])
+    const = LSet(universe, chain, [degrees - 1, degrees - 2, (degrees - 1) // 2])
+    gens = [
+        Connection(ConstMult(chain.degrees[degrees - 2]), universe, chain),
+        Connection(ConstMultSet(const), universe, chain),
+        Connection(Rotate(1), universe, chain),
+    ]
+    return gens, universe, chain
+
+
+# Each rotate + diff-set monoid, then const-mult and const-mult-set beyond the
+# Godel chain of S1-S3: (generators, logic, |L|, |S|)
+GENERATED_MONOIDS = [(rotate_diff_generators, *case) for case in ROTATE_DIFF_MONOIDS] + [
+    (_multiple_generators, "lukasiewicz", 3, 43),
+    (_multiple_generators, "lukasiewicz", 5, 139),
+    (_multiple_generators, "goguen", 2, 13),
+]
+
+
+@pytest.mark.parametrize(
+    "generators,logic,degrees,size",
+    GENERATED_MONOIDS,
+    ids=lambda value: value.__name__.strip("_") if callable(value) else None,
+)
+def test_tables_match_interpreter_on_generated_monoids(generators, logic, degrees, size):
+    gens, universe, chain = generators(logic, degrees)
     s = generate_monoid(gens, universe, chain)
     assert len(s) == size
     _assert_tables_match_interpreter(s, universe, chain)
+
+
+# One generator of each kind over Lukasiewicz 0 < 1/4 < ... < 1 and (a, b, c),
+# with the fingerprint hash it must keep: saved proofs and `fai validate`
+# carry these bytes.
+PINNED_HASHES = [
+    ({"kind": "identity"}, "1bf81367437c2a3f"),
+    ({"kind": "const-mult", "c": "0.75"}, "55d809d1dd74221f"),
+    ({"kind": "const-mult-set", "C": "0.5/a, b, 0.25/c"}, "2d71836afa7eb33e"),
+    ({"kind": "diff-set", "C": "0.25/a, 0.75/c"}, "7703806482eba639"),
+    ({"kind": "rotate", "shift": 1}, "00f39661a1699642"),
+    ({"kind": "compose", "terms": [
+        {"kind": "rotate", "shift": 2}, {"kind": "diff-set", "C": "0.5/b"},
+    ]}, "3c6cd8dff2522def"),
+]
+
+
+def test_generator_fingerprint_hashes_are_pinned():
+    chain = Chain([F(i, 4) for i in range(5)], "lukasiewicz")
+    universe = Universe(["a", "b", "c"])
+    for desc, expected in PINNED_HASHES:
+        assert connection_from_descriptor(desc, universe, chain).fingerprint_hash() == expected
+
+
+def test_identity_and_rotation_tables_are_read_off_the_codes(monkeypatch):
+    """The identity's table is the scale's codes, and building it or a
+    rotation encodes and composes nothing."""
+    calls = []
+    for name in ("encode", "compose"):
+        real = getattr(Scale, name)
+        monkeypatch.setattr(
+            Scale, name, lambda sc, *args, real=real, name=name: calls.append(name) or real(sc, *args)
+        )
+    for logic, degrees in (("godel", 5), ("lukasiewicz", 3), ("goguen", 2)):
+        chain = Chain([F(i, degrees - 1) for i in range(degrees)], logic)
+        for size in (1, 3, 5):
+            universe = Universe([f"y{k}" for k in range(size)])
+            sc = scale(size, chain.n)
+            assert identity(universe, chain).lower_masks == sc.codes
+            for shift in (-1, 0, 2):
+                rot = Connection(Rotate(shift), universe, chain)
+                # row y, read at degree k, is the interpreter's image of {k/y}
+                assert rot.fingerprint == tuple(
+                    tuple(
+                        lower_idx(rot.term, tuple(k if z == y else 0 for z in range(size)), chain)
+                        for k in range(1, chain.n)
+                    )
+                    for y in range(size)
+                )
+    assert calls == []
+    # the counters count
+    sc.compose(sc.codes, sc.picks(sc.codes))
+    sc.encode((1,) * size)
+    assert calls == ["compose", "encode"]
 
 
 def test_member_order_equals_pairwise_discovery(settings, chain5, universe):
@@ -304,7 +385,7 @@ def _corrupted(conn, rng):
     z = rng.randrange(len(vector))
     vector[z] = rng.choice([v for v in range(conn.chain.n) if v != vector[z]])
     rows[y][k] = tuple(vector)
-    masks = scale(len(conn.universe), conn.chain.n).lower_masks(rows)
+    masks = lower_masks(scale(len(conn.universe), conn.chain.n), rows)
     return Connection(conn.term, conn.universe, conn.chain, _masks=masks)
 
 
