@@ -39,7 +39,6 @@ _EXPORTS = {
         "identity_hedge",
         "parse_degree",
         "render_degree",
-        "validate_chain",
     ),
     "fset": (
         "LSet",
@@ -113,7 +112,6 @@ _EXPORTS = {
         "Proof",
         "ProofStep",
         "check_proof",
-        "expand_theory",
         "normalize_proof",
         "proof_from_json",
         "proof_to_json",

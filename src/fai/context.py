@@ -35,7 +35,7 @@ from .fset import (
     upper_mask,
 )
 from .gconn import Parameterization, identity
-from .lattice import Chain
+from .lattice import Chain, brief_value
 from .semantics import FAI, Theory, image_pairs, least_model, rule_pairs, theory_pairs
 
 
@@ -85,6 +85,8 @@ class LContext:
         return cls(universe, chain, objects, rows)
 
     def row(self, name: str) -> LSet:
+        if name not in self.objects:
+            raise UniverseMismatch(f"unknown object {brief_value(name)}")
         return self.rows[self.objects.index(name)]
 
     def __eq__(self, other) -> bool:

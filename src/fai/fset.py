@@ -132,30 +132,6 @@ class LSet:
     def top(cls, universe: Universe, chain: Chain) -> "LSet":
         return cls(universe, chain, (chain.n - 1,) * len(universe))
 
-    @classmethod
-    def from_degrees(cls, universe: Universe, chain: Chain, mapping) -> "LSet":
-        """Build from a {name: degree} mapping; absent attributes get 0."""
-        idx = [0] * len(universe)
-        for name, d in mapping.items():
-            if name not in universe:
-                raise UniverseMismatch(f"unknown attribute {name!r}")
-            idx[universe.position[name]] = chain.index_of(d)
-        return cls(universe, chain, idx)
-
-    def degree(self, name: str) -> Fraction:
-        return self.chain.degrees[self.idx[self.universe.position[name]]]
-
-    def degrees(self) -> tuple:
-        return tuple(self.chain.degrees[i] for i in self.idx)
-
-    def with_index(self, pos: int, i: int) -> "LSet":
-        idx = list(self.idx)
-        idx[pos] = i
-        return LSet(self.universe, self.chain, idx)
-
-    def is_bottom(self) -> bool:
-        return self.mask == 0
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, LSet)

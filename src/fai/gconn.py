@@ -431,8 +431,9 @@ def _degree_from(value) -> Fraction:
         return Fraction(value)
     if isinstance(value, float):
         # exact only for representable decimals written in JSON; callers that
-        # care parse their JSON with parse_float=Fraction
-        return Fraction(str(value))
+        # care parse their JSON with parse_float=Fraction.  NaN and infinities
+        # (JSON's bare NaN and Infinity) do not parse: DegreeNotInChain
+        return parse_degree(str(value))
     raise ParseError(f"cannot read degree {brief_value(value)}")
 
 

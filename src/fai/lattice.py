@@ -203,14 +203,6 @@ class Chain:
             self._dual = DualPair(self)
         return self._dual
 
-    # -- value-level operations (API boundary) --
-
-    def tnorm(self, a: Fraction, b: Fraction) -> Fraction:
-        return self.degrees[self._tnorm[self.index_of(a)][self.index_of(b)]]
-
-    def residuum(self, a: Fraction, b: Fraction) -> Fraction:
-        return self.degrees[self._residuum[self.index_of(a)][self.index_of(b)]]
-
     def __contains__(self, d) -> bool:
         return Fraction(d) in self._index
 
@@ -227,15 +219,6 @@ class Chain:
     def __repr__(self) -> str:
         body = ", ".join(render_degree(d) for d in self.degrees)
         return f"Chain([{body}], {self.logic})"
-
-
-def validate_chain(degrees, logic: str) -> bool:
-    """True iff the degrees form a valid chain for the given logic."""
-    try:
-        Chain(degrees, logic)
-    except (ChainNotClosed, ValueError):
-        return False
-    return True
 
 
 class Hedge:
@@ -273,9 +256,6 @@ class Hedge:
 
     def apply_i(self, i: int) -> int:
         return self._table[i]
-
-    def apply(self, a: Fraction) -> Fraction:
-        return self.chain.degrees[self._table[self.chain.index_of(a)]]
 
     def __eq__(self, other) -> bool:
         return (
@@ -341,17 +321,8 @@ class DualPair:
                             f"c={brief_degree(chain.degrees[c])}"
                         )
 
-    def oplus_i(self, i: int, j: int) -> int:
-        return self._oplus[i][j]
-
     def ominus_i(self, i: int, j: int) -> int:
         return self._ominus[i][j]
-
-    def oplus(self, a: Fraction, b: Fraction) -> Fraction:
-        return self.chain.degrees[self._oplus[self.chain.index_of(a)][self.chain.index_of(b)]]
-
-    def ominus(self, a: Fraction, b: Fraction) -> Fraction:
-        return self.chain.degrees[self._ominus[self.chain.index_of(a)][self.chain.index_of(b)]]
 
     def __eq__(self, other) -> bool:
         return isinstance(other, DualPair) and self.chain == other.chain

@@ -185,16 +185,6 @@ def _premise(proof: Proof, k: int, i: int) -> FAI:
 # ---------------------------------------------------------------- synthesis
 
 
-def expand_theory(theory: Theory, s: Parameterization) -> Theory:
-    """All images f(A) => f(B) of the rules under the lower maps of S."""
-    images = (
-        FAI(conn.lower(rule.antecedent), conn.lower(rule.consequent))
-        for rule in theory
-        for conn in s
-    )
-    return Theory(dict.fromkeys(images))
-
-
 def prove(theory: Theory, s: Parameterization, goal: FAI) -> Proof:
     """Synthesize a proof of the goal, or raise NotProvable.
 

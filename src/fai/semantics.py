@@ -72,17 +72,6 @@ class Theory:
     def __hash__(self) -> int:
         return hash(self.rules)
 
-    def without(self, i: int) -> "Theory":
-        return Theory(self.rules[:i] + self.rules[i + 1 :])
-
-    def replaced(self, i: int, rule: FAI) -> "Theory":
-        rules = list(self.rules)
-        rules[i] = rule
-        return Theory(rules)
-
-    def as_set(self):
-        return frozenset(self.rules)
-
     def __repr__(self) -> str:
         return f"Theory({len(self.rules)} rules)"
 

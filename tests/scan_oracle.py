@@ -16,6 +16,11 @@ compiled a theory once: each test of entailment runs ``least_model`` on
 the whole theory and compares.  ``complete_by_complete_set`` is the full
 completeness check as it was before it read the pseudo-intents off the
 Ganter pass: it builds the complete set and tests each of its rules.
+``expand_theory`` lists every image f(A) => f(B) of a theory's rules under
+S, so that provability by Cut alone over the images is least-model
+membership under the identity: an oracle for provability with F.
+``drop_rule`` and ``lower_at`` are the edits the walks make, a theory
+without one rule and a set one degree lower at one attribute.
 """
 
 import itertools
@@ -92,12 +97,33 @@ def next_closures_on_lsets(universe, chain, close, cap):
                 break
 
 
+def drop_rule(theory, i):
+    """The theory without its i-th rule."""
+    return Theory(theory.rules[:i] + theory.rules[i + 1 :])
+
+
+def lower_at(lset, y):
+    """The set one degree lower at attribute position y."""
+    idx = lset.idx
+    return LSet(lset.universe, lset.chain, idx[:y] + (idx[y] - 1,) + idx[y + 1 :])
+
+
+def expand_theory(theory, s):
+    """All images f(A) => f(B) of the rules under the lower maps of S."""
+    images = (
+        FAI(conn.lower(rule.antecedent), conn.lower(rule.consequent))
+        for rule in theory
+        for conn in s
+    )
+    return Theory(dict.fromkeys(images))
+
+
 def reduce_to_base_by_entailment(theory, ctx, s):
     """Drop, in order, every rule the remaining ones entail."""
     current = theory
     i = 0
     while i < len(current):
-        trimmed = current.without(i)
+        trimmed = drop_rule(current, i)
         if current[i].consequent <= least_model(trimmed, s, current[i].antecedent):
             current = trimmed
         else:
@@ -118,13 +144,13 @@ def minimize_sides_by_entailment(theory, ctx, s):
                     lset = getattr(rule, side)
                     if lset.idx[y] == 0:
                         break
-                    lowered = lset.with_index(y, lset.idx[y] - 1)
+                    lowered = lower_at(lset, y)
                     cand = (
                         FAI(lowered, rule.consequent)
                         if side == "antecedent"
                         else FAI(rule.antecedent, lowered)
                     )
-                    edited = current.replaced(i, cand)
+                    edited = Theory(current.rules[:i] + (cand,) + current.rules[i + 1 :])
                     holds = cand.consequent <= downup(ctx, cand.antecedent, s)
                     if not (holds and rule.consequent <= least_model(edited, s, rule.antecedent)):
                         break
@@ -139,7 +165,8 @@ def pseudo_intents_by_scan(ctx, s, order="sum-lectic"):
     pseudo-intent Q found properly below P has its closure inside P."""
     sets = list(iter_lsets(ctx.universe, ctx.chain))
     if order == "sum-lectic":
-        sets.sort(key=lambda m: (sum(m.degrees()), m.idx))
+        degrees = ctx.chain.degrees
+        sets.sort(key=lambda m: (sum(degrees[k] for k in m.idx), m.idx))
     elif order != "lectic":
         raise ValueError(f"unknown scan order {order!r}")
     found = []
@@ -183,13 +210,13 @@ def minimize_sides_by_scan(theory, ctx, s, complete=complete_by_scan):
                     lset = getattr(rule, side)
                     if lset.idx[y] == 0:
                         break
-                    lowered = lset.with_index(y, lset.idx[y] - 1)
+                    lowered = lower_at(lset, y)
                     cand = (
                         FAI(lowered, rule.consequent)
                         if side == "antecedent"
                         else FAI(rule.antecedent, lowered)
                     )
-                    edited = current.replaced(i, cand)
+                    edited = Theory(current.rules[:i] + (cand,) + current.rules[i + 1 :])
                     if not complete(edited, ctx, s):
                         break
                     current = edited

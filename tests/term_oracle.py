@@ -60,6 +60,12 @@ def _dual(chain):
     return DualPair(chain)
 
 
+@lru_cache(maxsize=None)
+def _negation(chain):
+    """The index of 1 - d for each degree d of a symmetric chain."""
+    return tuple(chain.index_of(1 - d) for d in chain.degrees)
+
+
 def lower_idx(term, idx, chain, memo=None):
     """The lower map of a term on an index vector.  A memo dict, keyed on
     (id(subterm), vector), shares the work among terms built from the same
@@ -102,8 +108,9 @@ def upper_idx(term, idx, chain, memo=None):
     if isinstance(term, ConstMultSet):
         return tuple(chain.residuum_i(c, i) for c, i in zip(term.C.idx, idx))
     if isinstance(term, DiffSet):
-        dual = _dual(chain)
-        return tuple(dual.oplus_i(c, i) for c, i in zip(term.C.idx, idx))
+        # c (+) a = 1 - ((1 - c) * (1 - a)), from the chain's own t-norm
+        neg = _negation(chain)
+        return tuple(neg[chain.tnorm_i(neg[c], neg[i])] for c, i in zip(term.C.idx, idx))
     if isinstance(term, Rotate):
         n = len(idx)
         return tuple(idx[(j - term.shift) % n] for j in range(n))
@@ -175,7 +182,7 @@ def verify_adjoint_by_sweep(lower, upper, universe, chain, cap=10**6) -> bool:
             raise NotAdjoint(f"f(g(B)) <= B fails at B = {render_lset(a)!r}")
         for y in range(size):
             if idx[y] + 1 < chain.n:
-                b = a.with_index(y, idx[y] + 1)
+                b = LSet(universe, chain, idx[:y] + (idx[y] + 1,) + idx[y + 1 :])
                 if not fa <= lower(b):
                     raise NotAdjoint(f"f not monotone between {render_lset(a)!r} and {render_lset(b)!r}")
                 if not ga <= upper(b):

@@ -28,7 +28,6 @@ from fai import (
     downup,
     entail_degree,
     entails,
-    expand_theory,
     generate_monoid,
     holds_in,
     identity,
@@ -51,7 +50,7 @@ from fai.errors import InvalidHedge, NotProvable
 from fai.proof import Axiom
 
 from conftest import DATA
-from scan_oracle import iter_lsets, pseudo_intents_by_scan
+from scan_oracle import expand_theory, iter_lsets, pseudo_intents_by_scan
 
 F = Fraction
 
@@ -144,10 +143,7 @@ def _random_settings(rng):
     chain = rng.choice(chains)
     universe = Universe(rng.choice([("x", "y"), ("x", "y", "z")]))
     def random_set():
-        return LSet.from_degrees(
-            universe, chain,
-            {name: rng.choice(chain.degrees) for name in universe.attributes},
-        )
+        return LSet(universe, chain, [rng.choice(range(chain.n)) for _ in universe])
 
     pool = [
         Identity(),
@@ -197,11 +193,11 @@ def test_c7_oracle_sweep():
 
 
 def _builtin_connections(universe, chain):
-    half = chain.degrees[len(chain.degrees) // 2]
-    c_set = LSet.from_degrees(universe, chain, {"x": chain.degrees[-1], "y": half})
+    half = chain.n // 2
+    c_set = LSet(universe, chain, (chain.n - 1, half))  # {1/x, half/y}
     return [
         Connection(Identity(), universe, chain),
-        Connection(ConstMult(half), universe, chain),
+        Connection(ConstMult(chain.degrees[half]), universe, chain),
         Connection(ConstMultSet(c_set), universe, chain),
         Connection(DiffSet(c_set), universe, chain),
         Connection(Rotate(1), universe, chain),
@@ -212,39 +208,44 @@ def test_c8_algebraic_laws():
     degrees = [F(0), F(1, 4), F(1, 2), F(3, 4), F(1)]
     for logic in ("godel", "lukasiewicz"):
         chain = Chain(degrees, logic)
-        for a, b, c in itertools.product(degrees, repeat=3):
-            assert (chain.tnorm(a, b) <= c) == (a <= chain.residuum(b, c))
+        # degrees as chain indices: index order is degree order
+        idx, top = range(chain.n), chain.n - 1
+        for a, b, c in itertools.product(idx, repeat=3):
+            assert (chain.tnorm_i(a, b) <= c) == (a <= chain.residuum_i(b, c))
 
         # every candidate fixed point set over the inner degrees
         for keep in itertools.chain.from_iterable(
-            itertools.combinations(degrees[1:-1], r) for r in range(4)
+            itertools.combinations(idx[1:-1], r) for r in range(4)
         ):
-            fixed = (F(0),) + keep + (F(1),)
+            fixed = (0, *keep, top)
 
             def star(x):
                 return max(f for f in fixed if f <= x)
 
             law_holds = all(
-                star(chain.residuum(a, b)) <= chain.residuum(star(a), star(b))
-                for a in degrees
-                for b in degrees
+                star(chain.residuum_i(a, b)) <= chain.residuum_i(star(a), star(b))
+                for a in idx
+                for b in idx
             )
             try:
-                hedge = Hedge(chain, fixed)
+                hedge = Hedge(chain, [degrees[f] for f in fixed])
             except InvalidHedge:
                 accepted = False
             else:
                 accepted = True
-                for a, b in itertools.product(degrees, repeat=2):
-                    sa, sb = hedge.apply(a), hedge.apply(b)
-                    assert sa <= a and hedge.apply(sa) == sa
-                    assert hedge.apply(chain.residuum(a, b)) <= chain.residuum(sa, sb)
-                assert hedge.apply(F(1)) == F(1)
+                for a, b in itertools.product(idx, repeat=2):
+                    sa, sb = hedge.apply_i(a), hedge.apply_i(b)
+                    assert sa <= a and hedge.apply_i(sa) == sa
+                    assert hedge.apply_i(chain.residuum_i(a, b)) <= chain.residuum_i(sa, sb)
+                assert hedge.apply_i(top) == top
             assert accepted == law_holds
 
+        # b (+) c = 1 - ((1 - b) * (1 - c)), computed here rather than by DualPair
+        neg = [chain.index_of(1 - d) for d in degrees]
         dual = DualPair(chain)
-        for a, b, c in itertools.product(degrees, repeat=3):
-            assert (dual.ominus(a, b) <= c) == (a <= dual.oplus(b, c))
+        for a, b, c in itertools.product(idx, repeat=3):
+            oplus = neg[chain.tnorm_i(neg[b], neg[c])]
+            assert (dual.ominus_i(a, b) <= c) == (a <= oplus)
 
     chain = Chain(degrees, "godel")
     universe = Universe(("x", "y"))
@@ -270,9 +271,7 @@ def test_c8_algebraic_laws():
         (Chain([F(0), F(1, 2), F(1)], "lukasiewicz"), DiffSet),
     ):
         universe = Universe(("x", "y"))
-        c_set = LSet.from_degrees(
-            universe, chain, {"x": chain.degrees[-1], "y": chain.degrees[1]}
-        )
+        c_set = LSet(universe, chain, (chain.n - 1, 1))  # {1/x, d_1/y}
         s = generate_monoid(
             [Connection(term(c_set), universe, chain),
              Connection(ConstMult(chain.degrees[1]), universe, chain)],

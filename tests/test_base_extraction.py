@@ -28,6 +28,7 @@ from ladder import MINE_RUNGS, rung_context
 from scan_oracle import (
     complete_by_complete_set,
     complete_by_scan,
+    drop_rule,
     minimize_sides_by_entailment,
     minimize_sides_by_scan,
     reduce_to_base_by_entailment,
@@ -102,7 +103,7 @@ def test_full_completeness_matches_the_complete_set_route(seed, holidays, settin
         a = _random_set(rng, ctx)
         false_rule = FAI(a, LSet.top(ctx.universe, ctx.chain))
         theories = [comp, reduce_to_base(comp, ctx, s), _random_theory(rng, ctx, s, comp)]
-        theories += [comp.without(i) for i in range(min(len(comp), 3))]
+        theories += [drop_rule(comp, i) for i in range(min(len(comp), 3))]
         if downup(ctx, a, s) != false_rule.consequent:
             theories.append(Theory([*comp, false_rule]))
         for theory in theories:

@@ -300,6 +300,15 @@ def test_hedge_without_fixed_points_is_a_parse_error(tmp_path, capsys):
     assert "hedge descriptor lacks 'fixed_points'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+def test_a_degree_that_is_no_number_exits_3(literal, tmp_path, capsys):
+    path = tmp_path / "params.json"
+    _params_with(tmp_path, [{"kind": "const-mult", "c": 0.5}])
+    path.write_text(path.read_text().replace('"c": 0.5', f'"c": {literal}'))
+    assert main(["validate", "--params", str(path)]) == 3
+    assert "cannot parse degree" in capsys.readouterr().err
+
+
 def test_generators_not_a_list_is_a_parse_error(tmp_path, capsys):
     assert main(["validate", "--params", _params_with(tmp_path, "oops")]) == 3
     assert "generators must be a list" in capsys.readouterr().err

@@ -8,6 +8,7 @@ from fai import (
     Connection,
     ConstMult,
     ConstMultSet,
+    DegreeNotInChain,
     DiffSet,
     Identity,
     NotAMonoid,
@@ -71,7 +72,8 @@ def test_rotate_convention(chain5, universe):
 def test_const_mult_composition_multiplies_constants(chain5, universe):
     a = Connection(ConstMult(F(1, 2)), universe, chain5)
     b = Connection(ConstMult(F(3, 4)), universe, chain5)
-    assert compose(a, b) == Connection(ConstMult(chain5.tnorm(F(1, 2), F(3, 4))), universe, chain5)
+    product = chain5.degrees[chain5.tnorm_i(chain5.index_of(F(1, 2)), chain5.index_of(F(3, 4)))]
+    assert compose(a, b) == Connection(ConstMult(product), universe, chain5)
 
 
 def test_extensional_equality(chain5, universe):
@@ -181,6 +183,17 @@ def test_membership_needs_the_same_universe_and_chain(small):
     assert up(ctx, [("o", twin)], s) == s.connections[1].upper(ctx.rows[0])
 
 
+def test_up_names_an_unknown_object(small):
+    """An object outside the context is refused as a connection outside S
+    is, naming it."""
+    universe, chain = small
+    s = generate_monoid([Connection(Rotate(1), universe, chain)], universe, chain)
+    ctx = LContext(universe, chain, ["o"], [parse_lset("x, 0.5/y", universe, chain)])
+    with pytest.raises(UniverseMismatch) as err:
+        up(ctx, [("nope", s.connections[0])], s)
+    assert str(err.value) == "unknown object 'nope'"
+
+
 def test_generate_monoid(chain5, universe, settings):
     assert len(settings[4]) == 2
     assert len(settings[6]) == 8
@@ -245,6 +258,15 @@ def test_descriptor_rejections(chain5, universe):
     # rotation shifts reduce modulo the universe size
     r = connection_from_descriptor({"kind": "rotate", "shift": 6}, universe, chain5)
     assert r == Connection(Rotate(2), universe, chain5)
+
+
+@pytest.mark.parametrize("c", [float("nan"), float("inf"), float("-inf")])
+def test_a_float_degree_that_is_no_number_is_not_in_the_chain(c, chain5, universe):
+    # JSON's bare NaN, Infinity and -Infinity read as these floats
+    with pytest.raises(DegreeNotInChain):
+        connection_from_descriptor({"kind": "const-mult", "c": c}, universe, chain5)
+    half = connection_from_descriptor({"kind": "const-mult", "c": 0.5}, universe, chain5)
+    assert half == Connection(ConstMult(Fraction(1, 2)), universe, chain5)
 
 
 @pytest.mark.parametrize(

@@ -15,7 +15,6 @@ from fai import (
     identity_hedge,
     parse_degree,
     render_degree,
-    validate_chain,
 )
 from fai.lattice import brief_degree, brief_value
 
@@ -37,27 +36,30 @@ def test_chain_rejects_malformed_degree_lists():
 
 
 def test_closure_validation():
-    assert validate_chain(FIVE, "godel")
-    assert validate_chain(FIVE, "lukasiewicz")
+    Chain(FIVE, "godel")
+    Chain(FIVE, "lukasiewicz")
+    Chain([F(0), F(1)], "goguen")
     # 0.25 * 0.25 = 0.0625 escapes the five-element chain
-    assert not validate_chain(FIVE, "goguen")
+    with pytest.raises(ChainNotClosed):
+        Chain(FIVE, "goguen")
     with pytest.raises(ChainNotClosed):
         Chain([F(0), F(1, 2), F(1)], "goguen")
-    assert validate_chain([F(0), F(1)], "goguen")
     # Lukasiewicz needs equidistance: {0, 0.25, 1} loses 0.75 = 1 -> 0.25
-    assert not validate_chain([F(0), F(1, 4), F(1)], "lukasiewicz")
+    with pytest.raises(ChainNotClosed):
+        Chain([F(0), F(1, 4), F(1)], "lukasiewicz")
 
 
 def test_operation_values():
+    # index i of FIVE is the degree i/4
     godel = Chain(FIVE, "godel")
     luk = Chain(FIVE, "lukasiewicz")
-    assert godel.tnorm(F(3, 4), F(1, 2)) == F(1, 2)
-    assert godel.residuum(F(3, 4), F(1, 2)) == F(1, 2)
-    assert godel.residuum(F(1, 4), F(1, 4)) == F(1)
-    assert luk.tnorm(F(3, 4), F(1, 2)) == F(1, 4)
-    assert luk.tnorm(F(1, 4), F(1, 2)) == F(0)
-    assert luk.residuum(F(3, 4), F(1, 2)) == F(3, 4)
-    assert luk.residuum(F(1, 2), F(1, 4)) == F(3, 4)
+    assert godel.tnorm_i(3, 2) == 2
+    assert godel.residuum_i(3, 2) == 2
+    assert godel.residuum_i(1, 1) == 4
+    assert luk.tnorm_i(3, 2) == 1
+    assert luk.tnorm_i(1, 2) == 0
+    assert luk.residuum_i(3, 2) == 3
+    assert luk.residuum_i(2, 1) == 3
 
 
 @pytest.mark.parametrize("degrees,logic", [
@@ -130,13 +132,13 @@ def test_a_brief_value_is_its_repr_when_short_and_cut_when_long():
 def test_hedge_tables():
     ch = Chain(FIVE, "godel")
     g = globalization(ch)
-    assert [g.apply(d) for d in FIVE] == [F(0), F(0), F(0), F(0), F(1)]
+    assert [g.apply_i(i) for i in range(ch.n)] == [0, 0, 0, 0, 4]
     ide = identity_hedge(ch)
-    assert [ide.apply(d) for d in FIVE] == FIVE
+    assert [ide.apply_i(i) for i in range(ch.n)] == [0, 1, 2, 3, 4]
     h = Hedge(ch, [F(1, 2), F(1)])
     assert h.fixed_points == (0, 2, 4)
-    assert h.apply(F(3, 4)) == F(1, 2)
-    assert h.apply(F(1, 4)) == F(0)
+    assert h.apply_i(3) == 2  # 0.75* = 0.5
+    assert h.apply_i(1) == 0  # 0.25* = 0
 
 
 def test_hedge_laws_hold_for_every_accepted_fixed_point_set():
@@ -202,12 +204,11 @@ def test_dual_pair_on_godel():
     ch = Chain(FIVE, "godel")
     dual = DualPair(ch)
     # the Godel dual: a (+) b = max(a, b); a (-) b = 0 when a <= b, else a
-    for a in FIVE:
-        for b in FIVE:
-            assert dual.oplus(a, b) == max(a, b)
-            assert dual.ominus(a, b) == (F(0) if a <= b else a)
-    assert dual.oplus(F(1, 2), F(1, 4)) == F(1, 2)
-    assert dual.ominus(F(3, 4), F(1, 2)) == F(3, 4)
+    for a, b in itertools.product(range(ch.n), repeat=2):
+        assert dual._oplus[a][b] == max(a, b)
+        assert dual.ominus_i(a, b) == (0 if a <= b else a)
+    assert dual._oplus[2][1] == 2  # 0.5 (+) 0.25 = 0.5
+    assert dual.ominus_i(3, 2) == 3  # 0.75 (-) 0.5 = 0.75
 
 
 def test_dual_adjointness_exhaustive():
@@ -215,7 +216,7 @@ def test_dual_adjointness_exhaustive():
         ch = Chain(FIVE, logic)
         dual = DualPair(ch)
         for a, b, c in itertools.product(range(ch.n), repeat=3):
-            assert (dual.ominus_i(a, b) <= c) == (a <= dual.oplus_i(b, c))
+            assert (dual.ominus_i(a, b) <= c) == (a <= dual._oplus[b][c])
 
 
 def test_dual_pair_needs_a_symmetric_chain():

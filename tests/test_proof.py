@@ -33,7 +33,6 @@ from fai import (
     downup,
     entail_degree,
     entails,
-    expand_theory,
     generate_monoid,
     identity,
     least_model,
@@ -51,7 +50,7 @@ from fai import (
 from fai.errors import ParseError
 
 from conftest import DATA
-from scan_oracle import iter_lsets, prove_by_replay
+from scan_oracle import expand_theory, iter_lsets, prove_by_replay
 
 F = Fraction
 

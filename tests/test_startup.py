@@ -27,14 +27,14 @@ EXPORTED = (
     "LSet NotAMonoid NotAdjoint NotClosureSystem NotComplete NotProvable Parameterization "
     "ParseError Proof ProofStep Rotate Theory Universe UniverseMismatch c_mult c_shift "
     "check_proof complete_set compose connection_from_descriptor context down downup "
-    "entail_degree entails errors expand_theory from_hedge fset gconn generate_monoid "
+    "entail_degree entails errors from_hedge fset gconn generate_monoid "
     "generators_from_descriptors globalization hasse_dot hedge_truth_degree holds_in "
     "holds_in_context identity identity_hedge intents_enum intersection is_complete "
     "is_model lattice least_model leq minimize_sides models_enum next_closures "
     "normalize_proof parse_degree parse_fai parse_lset parse_theory proof proof_from_json "
     "proof_to_json provability_degree prove pseudo_intents reduce_to_base render_degree "
     "render_fai render_lset render_theory semantics subsethood t_step term_to_descriptor "
-    "theory_of_system truth_degree union up validate_chain verify_adjoint"
+    "theory_of_system truth_degree union up verify_adjoint"
 ).split()
 
 # run in a fresh interpreter; its last stderr line lists the modules the
