@@ -5,6 +5,12 @@ pairs to the intersection of the corresponding g(I_x), and a graded set G to
 the collection of pairs whose g(I_x) contains it.  Their composition downup
 is a closure operator whose fixed points ("intents") are exactly the models
 of any complete theory.
+
+downup(G) is the meet of the images g(I_x) that contain G, and it is taken
+over the reduced context: only the meet-irreducible images are kept, those
+that are neither top nor the meet of the images properly above them.  This
+is exact, since a dropped image is the meet of kept images above it, and
+each of those contains every set it contains.
 """
 
 from __future__ import annotations
@@ -109,17 +115,28 @@ class LContext:
 
 
 def _row_images(ctx: LContext, s: Parameterization):
-    """The distinct masks of g(I_x) over objects x and <f, g> in S; kept on
-    the context, computed once per S."""
+    """The meet-irreducible masks of g(I_x) over objects x and <f, g> in S,
+    in descending int order; kept on the context, computed once per S.
+
+    An image equal to the meet of the images properly above it is dropped,
+    and so is top, the empty meet: this is the reduced context (Ganter &
+    Wille, *Formal Concept Analysis*, 1999).  A mask properly above another
+    is a larger int, so in descending order each image is tested against
+    the kept ones before it; by induction from the top each dropped image
+    is the meet of kept images above it, and those contain every set it
+    contains, so ``meet_above`` over the kept images equals ``meet_above``
+    over all of them for every set.
+    """
     images = ctx._images.get(s)
     if images is None:
         same_space(s, ctx.universe, ctx.chain)
-        codes = scale(len(ctx.universe), ctx.chain.n).codes
-        images = ctx._images[s] = tuple(
-            dict.fromkeys(
-                upper_mask(conn.lower_masks, r.mask, codes) for r in ctx.rows for conn in s
-            )
-        )
+        sc = scale(len(ctx.universe), ctx.chain.n)
+        every = {upper_mask(conn.lower_masks, r.mask, sc.codes) for r in ctx.rows for conn in s}
+        kept = []
+        for m in sorted(every, reverse=True):
+            if meet_above(m, kept, sc.top) != m:
+                kept.append(m)
+        images = ctx._images[s] = tuple(kept)
     return images
 
 

@@ -92,21 +92,21 @@ class LSet:
         for i in idx:
             if type(i) is not int or not 0 <= i < chain.n:
                 raise DegreeNotInChain(f"index {i!r} is not a position in the chain")
-        self._set(universe, chain, scale(len(universe), chain.n).encode(idx), idx)
+        _set_universe(self, universe)
+        _set_chain(self, chain)
+        _set_mask(self, scale(len(universe), chain.n).encode(idx))
+        _set_idx(self, idx)
 
     @classmethod
     def _from_mask(cls, universe: Universe, chain: Chain, mask: int) -> "LSet":
         """The set a kernel returns as a mask, trusted as it is; its index
         vector is decoded when first read."""
         out = object.__new__(cls)
-        out._set(universe, chain, mask, None)
+        _set_universe(out, universe)
+        _set_chain(out, chain)
+        _set_mask(out, mask)
+        _set_idx(out, None)
         return out
-
-    def _set(self, universe, chain, mask, idx) -> None:
-        object.__setattr__(self, "universe", universe)
-        object.__setattr__(self, "chain", chain)
-        object.__setattr__(self, "mask", mask)
-        object.__setattr__(self, "_idx", idx)
 
     @property
     def idx(self) -> tuple:
@@ -114,10 +114,13 @@ class LSet:
         idx = self._idx
         if idx is None:
             idx = scale(len(self.universe), self.chain.n).decode(self.mask)
-            object.__setattr__(self, "_idx", idx)
+            _set_idx(self, idx)
         return idx
 
     def __setattr__(self, name, value):
+        raise AttributeError("LSet is immutable")
+
+    def __delattr__(self, name):
         raise AttributeError("LSet is immutable")
 
     def __reduce__(self):
@@ -158,6 +161,12 @@ class LSet:
 
     def __repr__(self) -> str:
         return f"LSet({render_lset(self)!r})"
+
+
+# each slot's member descriptor sets it past LSet.__setattr__, as Record's do
+_set_universe, _set_chain, _set_mask, _set_idx = (
+    LSet.__dict__[name].__set__ for name in ("universe", "chain", "mask", "_idx")
+)
 
 
 class Record:

@@ -21,6 +21,9 @@ S, so that provability by Cut alone over the images is least-model
 membership under the identity: an oracle for provability with F.
 ``drop_rule`` and ``lower_at`` are the edits the walks make, a theory
 without one rule and a set one degree lower at one attribute.
+``row_images_by_scan`` lists every distinct image g(I_x) of a context, as
+the context closure read them before it kept only the meet-irreducible
+ones.
 """
 
 import itertools
@@ -73,6 +76,12 @@ def idx_meet_above(g, rows, top):
     index vector g; all top if none does."""
     above = [r for r in rows if all(map(le, g, r))]
     return tuple(min(column) for column in zip(*above)) if above else (top,) * len(g)
+
+
+def row_images_by_scan(ctx, s):
+    """The distinct masks of g(I_x) over objects x and <f, g> in S, in the
+    order first met: rows in order, S's members in order within a row."""
+    return tuple(dict.fromkeys(conn.upper(r).mask for r in ctx.rows for conn in s))
 
 
 def next_closures_on_lsets(universe, chain, close, cap):

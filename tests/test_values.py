@@ -24,11 +24,15 @@ from fai import (
     Rotate,
     check_proof,
     connection_from_descriptor,
+    downup,
+    intents_enum,
+    least_model,
     parse_fai,
     parse_lset,
     parse_theory,
     prove,
 )
+from fai.fset import scale
 from fai.semantics import rule_pairs
 
 from conftest import DATA
@@ -133,3 +137,43 @@ def test_records_are_frozen_and_take_their_fields_positionally(chain5, universe)
     with pytest.raises(AttributeError):
         FAI(a, a).antecedent = a
     assert cut.i == 1 and cut.c is None
+
+
+def test_sets_the_kernels_build_behave_as_constructed_ones(chain5, universe, holidays, settings):
+    """Kernel results are LSets built from a mask through the slot setters:
+    equal to the constructed set and hashing as it does, copied and pickled
+    through the checked constructor, frozen, and decoded on first read."""
+    s = settings[6]
+    a = parse_lset("0.75/a, e", universe, chain5)
+    b = parse_lset("0.5/k, l", universe, chain5)
+    conn = next(conn for conn in s if isinstance(conn.term, Compose))
+    built = {
+        "union": a | b,
+        "intersection": a & b,
+        "lower": conn.lower(a),
+        "upper": conn.upper(b),
+        "downup": downup(holidays, a, s),
+        "least_model": least_model(parse_theory((DATA / "s6_base.txt").read_text(),
+                                                universe, chain5), s, a),
+        "intent": intents_enum(holidays, s)[3],
+        "from_mask": LSet._from_mask(universe, chain5, a.mask),
+    }
+    for name, lazy in built.items():
+        assert type(lazy) is LSet and lazy._idx is None, name
+        assert lazy.universe is universe and lazy.chain is chain5, name
+        made = LSet(universe, chain5, scale(len(universe), chain5.n).decode(lazy.mask))
+        assert made._idx is not None and made.mask == lazy.mask, name
+        assert lazy == made and made == lazy and hash(lazy) == hash(made), name
+        assert lazy._idx == made.idx and lazy.idx is lazy._idx, name
+        for how, copier in COPIES.items():
+            fresh = LSet._from_mask(universe, chain5, lazy.mask)
+            again = copier(fresh)
+            assert type(again) is LSet and again == made and hash(again) == hash(made), how
+            assert again.idx == made.idx and again.mask == made.mask, how
+        for slot in ("universe", "chain", "mask", "idx", "_idx", "extra"):
+            with pytest.raises(AttributeError):
+                setattr(lazy, slot, None)
+        for slot in ("universe", "chain", "mask", "_idx"):
+            with pytest.raises(AttributeError):
+                delattr(lazy, slot)
+        assert lazy == made and lazy.idx == made.idx, name
