@@ -4,6 +4,13 @@ A formula A => B is true in a model M under a parameterization S when for
 every connection <f, g> in S: f(A) <= M implies f(B) <= M.  Entailment
 reduces to membership in the least model, computed by saturating the
 immediate-consequence step.
+
+Each rule is compiled once per S to its undominated images (``rule_pairs``):
+an image (f(A), f(B)) adds nothing when another image (f'(A), f'(B)) of
+the same rule has f'(A) <= f(A) and f(B) <= f'(B) | f(A), so chaining
+over the rest reaches the same sets.  Pruning stays within one rule, so
+that a theory with one rule left out is chained exactly; proofs and the
+trial edits of side minimization read every image themselves.
 """
 
 from __future__ import annotations
@@ -31,10 +38,10 @@ from .lattice import Chain, Hedge
 class FAI(Record):
     """A fuzzy attribute implication: antecedent => consequent.
 
-    ``_pairs`` keeps the rule's images per S, beside the member tuple
-    they were read in (``rule_pairs``); as private state of a record it
-    takes no part in equality, hashing, display or copies, and each new
-    rule starts it empty.
+    ``_pairs`` keeps the rule's undominated images per S, beside the
+    member tuple they were read in (``rule_pairs``); as private state of a
+    record it takes no part in equality, hashing, display or copies, and
+    each new rule starts it empty.
     """
 
     __slots__ = ("antecedent", "consequent", "_pairs")
@@ -140,29 +147,75 @@ def truth_degree(m: LSet, fai: FAI, s: Parameterization) -> Fraction:
 
 
 def rule_pairs(rule: FAI, s: Parameterization) -> tuple:
-    """The distinct (f(A), f(B)) masks of A => B over <f, g> in S, in S's
-    order (``image_pairs``); read off S's bit-sliced table
-    (``Parameterization.lower_images``) and kept on the rule per S with
-    S's member tuple.  Equal S may list their members in different orders,
-    so kept pairs are read again only while the tuple is S's own."""
+    """The undominated images of A => B over <f, g> in S (``undominated``),
+    as (f(A), f(A) | f(B)) masks in S's order of first appearance; read off
+    S's bit-sliced table (``Parameterization.lower_images``) and kept on
+    the rule per S with S's member tuple.  Equal S may list their members
+    in different orders, so kept pairs are read again only while the tuple
+    is S's own.
+
+    Pruning stays within the rule: ``reduce_to_base`` chains each rule
+    against the others with its own pairs left out, so a rule's pairs must
+    not lean on another rule being there.  ``proof.prove`` and the trials of
+    ``context.minimize_sides`` build their own full image lists instead: a
+    proof replays every firing image, and a trial is chained only once."""
     kept = rule._pairs.get(s)
     if kept is not None and (kept[0] is s.connections or kept[0] == s.connections):
         return kept[1]
     a, b = rule.antecedent, rule.consequent
     same_space(a, s.universe, s.chain)
-    pairs = image_pairs(s.lower_images(a.idx), s.lower_images(b.idx))
+    pairs = undominated(zip(s.lower_images(a.idx), s.lower_images(b.idx)))
     rule._pairs[s] = (s.connections, pairs)
     return pairs
 
 
 def image_pairs(fas, fbs) -> tuple:
     """The distinct (f(A), f(B)) of two image lists zipped member by
-    member, in order, leaving out those that cannot fire (f(B) <= f(A))."""
+    member, in order, leaving out those that cannot fire (f(B) <= f(A)).
+    Dominated images stay: a trial edit of ``context.minimize_sides`` is
+    chained once, so pruning them (``undominated``) would not pay."""
     seen = {}
     for fa, fb in zip(fas, fbs):
         if fb & fa != fb:
             seen[fa, fb] = None
     return tuple(seen)
+
+
+def undominated(pairs) -> tuple:
+    """The (a, b) pairs that can fire (b not inside a) and that no other
+    pair dominates, as (a, a | b), in order of first appearance.
+
+    (a', b') dominates (a, b) when a' <= a and b <= b' | a: whenever the
+    chained set holds a it holds a', so (a', b') fires or has fired, and
+    the set holds b' | a, which holds b.  Dropping (a, b) therefore leaves
+    every saturation, the answer of every ``until`` stop and a single
+    ``t_step`` round as they are; this is the left-reduction of
+    implication sets (Maier, JACM 1980).  Two pairs dominate each other
+    when they share a and a | b, so the pairs are compared, and kept, with
+    b joined to a: the kept set does not depend on the order they come
+    in, and a repeat is dropped as its first copy dominates it.
+
+    One pass against the kept pairs: a newcomer that none of them
+    dominates joins them, and those it dominates leave.  No kept pair
+    dominates another, so once the newcomer dominates one, none of the
+    rest dominates it.  Repeats need no dict first: a rule has few kept
+    pairs, and on small S the dict costs more than the pass.
+    """
+    kept = []
+    for a, b in pairs:
+        c = a | b
+        if c == a:
+            continue
+        for ka, kc in kept:
+            if ka & a == ka and kc | c == kc | a:
+                break
+            if a & ka == a and c | kc == c | ka:
+                kept = [(ka, kc) for ka, kc in kept if not (a & ka == a and c | kc == c | ka)]
+                kept.append((a, c))
+                break
+        else:
+            kept.append((a, c))
+    return tuple(kept)
 
 
 def theory_pairs(rules, s: Parameterization) -> list:

@@ -13,8 +13,11 @@ evaluated.  ``lower_image`` and ``compose_lower`` apply and compose lower
 tables on index vectors, as fai did before it composed their mask form, and
 ``idx_join`` and ``idx_meet`` join and meet index vectors.  ``lower_masks``
 encodes an index-vector lower table into its mask form, image by image.
-``rule_pairs_by_member`` is ``semantics.rule_pairs`` as it was before S
-kept a bit-sliced table: each member's own mask table applied to the rule.
+``image_pairs_by_member`` reads a rule's distinct firing images as
+``semantics.rule_pairs`` did before S kept a bit-sliced table: each
+member's own mask table applied to the rule.  ``undominated_by_scan``
+keeps the pairs no other pair dominates, testing every pair against every
+other, and ``rule_pairs_by_member`` applies it to those images.
 """
 
 from functools import lru_cache
@@ -119,7 +122,7 @@ def upper_idx(term, idx, chain, memo=None):
     raise TypeError(f"unknown term {term!r}")
 
 
-def rule_pairs_by_member(rule, s) -> tuple:
+def image_pairs_by_member(rule, s) -> tuple:
     """The distinct (f(A), f(B)) masks of the rule over S's members in S's
     order, leaving out those with f(B) <= f(A), one member at a time."""
     a, b = rule.antecedent.idx, rule.consequent.idx
@@ -129,6 +132,33 @@ def rule_pairs_by_member(rule, s) -> tuple:
         if fb & fa != fb:
             seen[fa, fb] = None
     return tuple(seen)
+
+
+def dominates(p, q) -> bool:
+    """Whether the pair p = (a', b') dominates q = (a, b): a' <= a and
+    b <= b' | a, so p has added all of b wherever q could fire."""
+    (pa, pb), (qa, qb) = p, q
+    return pa & qa == pa and qb & (pb | qa) == qb
+
+
+def undominated_by_scan(pairs) -> tuple:
+    """The pairs, as (a, a | b), that no other pair dominates, in order; of
+    pairs that dominate each other, the first stays."""
+    return tuple(
+        (p[0], p[0] | p[1])
+        for i, p in enumerate(pairs)
+        if not any(
+            dominates(q, p) and (j < i or not dominates(p, q))
+            for j, q in enumerate(pairs)
+            if j != i
+        )
+    )
+
+
+def rule_pairs_by_member(rule, s) -> tuple:
+    """``semantics.rule_pairs`` by the per-member images and the all-pairs
+    domination scan."""
+    return undominated_by_scan(image_pairs_by_member(rule, s))
 
 
 def pairwise_monoid(generators, universe, chain, cap=4096):

@@ -1,7 +1,8 @@
 """The miner on bare masks against oracles that decode.
 
-A rule's images over S are read off one bit-sliced table per S; the
-per-member oracle applies each member's own mask table.  The Ganter pass
+A rule's images over S are read off one bit-sliced table per S and
+pruned to the undominated ones; the per-member oracle applies each
+member's own mask table and prunes by an all-pairs scan.  The Ganter pass
 keeps int pairs; its views are checked against scans over every graded
 set.  A set made from a mask decodes its index vector on first read and
 must behave like a constructed one.  No output here may depend on hash
