@@ -9,8 +9,8 @@ Each rule is compiled once per S to its undominated images (``rule_pairs``):
 an image (f(A), f(B)) adds nothing when another image (f'(A), f'(B)) of
 the same rule has f'(A) <= f(A) and f(B) <= f'(B) | f(A), so chaining
 over the rest reaches the same sets.  Pruning stays within one rule, so
-that a theory with one rule left out is chained exactly; proofs and the
-trial edits of side minimization read every image themselves.
+that a theory with one rule left out is chained exactly; proofs read
+every image themselves.
 """
 
 from __future__ import annotations
@@ -156,9 +156,8 @@ def rule_pairs(rule: FAI, s: Parameterization) -> tuple:
 
     Pruning stays within the rule: ``reduce_to_base`` chains each rule
     against the others with its own pairs left out, so a rule's pairs must
-    not lean on another rule being there.  ``proof.prove`` and the trials of
-    ``context.minimize_sides`` build their own full image lists instead: a
-    proof replays every firing image, and a trial is chained only once."""
+    not lean on another rule being there.  ``proof.prove`` builds its own
+    full image list instead: a proof replays every firing image."""
     kept = rule._pairs.get(s)
     if kept is not None and (kept[0] is s.connections or kept[0] == s.connections):
         return kept[1]
@@ -167,18 +166,6 @@ def rule_pairs(rule: FAI, s: Parameterization) -> tuple:
     pairs = undominated(zip(s.lower_images(a.idx), s.lower_images(b.idx)))
     rule._pairs[s] = (s.connections, pairs)
     return pairs
-
-
-def image_pairs(fas, fbs) -> tuple:
-    """The distinct (f(A), f(B)) of two image lists zipped member by
-    member, in order, leaving out those that cannot fire (f(B) <= f(A)).
-    Dominated images stay: a trial edit of ``context.minimize_sides`` is
-    chained once, so pruning them (``undominated``) would not pay."""
-    seen = {}
-    for fa, fb in zip(fas, fbs):
-        if fb & fa != fb:
-            seen[fa, fb] = None
-    return tuple(seen)
 
 
 def undominated(pairs) -> tuple:

@@ -13,9 +13,10 @@ evaluated.  ``lower_image`` and ``compose_lower`` apply and compose lower
 tables on index vectors, as fai did before it composed their mask form, and
 ``idx_join`` and ``idx_meet`` join and meet index vectors.  ``lower_masks``
 encodes an index-vector lower table into its mask form, image by image.
-``image_pairs_by_member`` reads a rule's distinct firing images as
-``semantics.rule_pairs`` did before S kept a bit-sliced table: each
-member's own mask table applied to the rule.  ``undominated_by_scan``
+``images_by_member`` reads a rule's images as ``semantics.rule_pairs``
+did before S kept a bit-sliced table: each member's own mask table
+applied to the rule; ``image_pairs_by_member`` keeps the distinct ones
+that can fire (``firing_pairs``).  ``undominated_by_scan``
 keeps the pairs no other pair dominates, testing every pair against every
 other, and ``rule_pairs_by_member`` applies it to those images.
 """
@@ -122,16 +123,24 @@ def upper_idx(term, idx, chain, memo=None):
     raise TypeError(f"unknown term {term!r}")
 
 
-def image_pairs_by_member(rule, s) -> tuple:
-    """The distinct (f(A), f(B)) masks of the rule over S's members in S's
-    order, leaving out those with f(B) <= f(A), one member at a time."""
+def images_by_member(rule, s) -> tuple:
+    """Every (f(A), f(B)) mask pair of the rule, one per member of S in S's
+    order, each read off that member's own mask table."""
     a, b = rule.antecedent.idx, rule.consequent.idx
-    seen = {}
-    for conn in s:
-        fa, fb = lower_mask(conn.lower_masks, a), lower_mask(conn.lower_masks, b)
-        if fb & fa != fb:
-            seen[fa, fb] = None
-    return tuple(seen)
+    return tuple(
+        (lower_mask(conn.lower_masks, a), lower_mask(conn.lower_masks, b)) for conn in s
+    )
+
+
+def firing_pairs(pairs) -> tuple:
+    """The distinct (a, b) pairs in order, leaving out those with b <= a:
+    every pair that can fire, dominated or not."""
+    return tuple(dict.fromkeys((a, b) for a, b in pairs if b & a != b))
+
+
+def image_pairs_by_member(rule, s) -> tuple:
+    """The firing pairs (``firing_pairs``) of ``images_by_member``."""
+    return firing_pairs(images_by_member(rule, s))
 
 
 def dominates(p, q) -> bool:

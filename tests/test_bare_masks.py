@@ -2,7 +2,8 @@
 
 A rule's images over S are read off one bit-sliced table per S and
 pruned to the undominated ones; the per-member oracle applies each
-member's own mask table and prunes by an all-pairs scan.  The Ganter pass
+member's own mask table and prunes by an all-pairs scan, and every image
+read, pruned or not, must match it.  The Ganter pass
 keeps int pairs; its views are checked against scans over every graded
 set.  A set made from a mask decodes its index vector on first read and
 must behave like a constructed one.  No output here may depend on hash
@@ -34,7 +35,7 @@ from fai.semantics import rule_pairs
 
 from ladder import MINE_RUNGS, rotate_diff_generators, rung_context
 from scan_oracle import iter_lsets, pseudo_intents_by_scan
-from term_oracle import rule_pairs_by_member
+from term_oracle import images_by_member, rule_pairs_by_member
 
 
 def _random_rules(rng, universe, chain, count):
@@ -48,6 +49,10 @@ def _random_rules(rng, universe, chain, count):
 
 def _assert_pairs_match_oracle(rules, s):
     for rule in rules:
+        # every image read off S's table, then the ones the rule keeps
+        a, b = rule.antecedent.idx, rule.consequent.idx
+        read = tuple(zip(s.lower_images(a), s.lower_images(b)))
+        assert read == images_by_member(rule, s), rule
         assert rule_pairs(rule, s) == rule_pairs_by_member(rule, s), rule
 
 
