@@ -4,6 +4,11 @@ Cut: from A => B and B u C => D infer A u C => D.
 F:   from A => B infer f(A) => f(B), for a connection <f, g> in S.
 CutF combines both and is accepted only when explicitly enabled; it carries
 its B and C sets so checking stays deterministic.
+
+``normalize_proof`` rewrites a checked proof into the F-before-Cut normal
+form on the proof's own steps, in one iterative walk with no depth limit;
+the recursive version that copied the proof into a tree of its own nodes
+lives on in ``tests/scan_oracle.py`` as the oracle it is tested against.
 """
 
 from __future__ import annotations
@@ -24,7 +29,6 @@ from .gconn import (
     Connection,
     Parameterization,
     connection_from_descriptor,
-    identity,
     term_to_descriptor,
 )
 from .lattice import Chain
@@ -225,8 +229,8 @@ def prove(theory: Theory, s: Parameterization, goal: FAI) -> Proof:
     fires = [(k, decode(before), decode(after)) for k, before, after in fired]
 
     # one F step per fired (rule, member) pair k, its formula decoded from
-    # the replay's own images[k]; the identity's image is the hypothesis
-    ident = identity(s.universe, s.chain)
+    # the replay's own images[k]; the identity, whose table is the scale's
+    # codes, has the hypothesis as its image
     steps: list[ProofStep] = []
     image_step: dict = {}
     hyp_step: dict = {}
@@ -237,7 +241,7 @@ def prove(theory: Theory, s: Parameterization, goal: FAI) -> Proof:
         if ri not in hyp_step:
             hyp_step[ri] = len(steps)
             steps.append(ProofStep(theory[ri], Hyp(ri)))
-        if conn.lower_masks == ident.lower_masks:
+        if conn.lower_masks == sc.codes:
             image_step[k] = hyp_step[ri]
         else:
             image_step[k] = len(steps)
@@ -280,109 +284,86 @@ def provability_degree(theory: Theory, s: Parameterization, fai: FAI):
 # ------------------------------------------------------------- normalization
 
 
-class _Node:
-    """A proof tree node; hashed by identity so shared subproofs stay shared."""
-
-    __slots__ = ("kind", "formula", "rule", "conn", "p", "q", "c")
-
-    def __init__(self, kind, formula, rule=None, conn=None, p=None, q=None, c=None):
-        self.kind = kind
-        self.formula = formula
-        self.rule = rule
-        self.conn = conn
-        self.p = p
-        self.q = q
-        self.c = c
-
-
 def normalize_proof(proof: Proof, theory: Theory, s: Parameterization) -> Proof:
     """Rewrite into the normal form: F applied only to hypotheses, every
     F step before every Cut step, F images of axioms re-justified as axioms.
 
     The input must already check (with CutF allowed); the output proves the
-    same goal using Cut and ApplyF only.
+    same goal using Cut and ApplyF only.  It rewrites the proof's own steps
+    in one post-order walk from the goal, on an explicit stack, so it has
+    no depth limit.  A node of the walk is a step k with the members fs of
+    S pushed onto it, first to last: an ApplyF step is its premise with one
+    more member pushed, a Cut passes its fs to both premises, and a CutF
+    also pushes its member onto its second premise.  Nodes are keyed by
+    (k, fs), members comparing by mask table, and each is rebuilt once,
+    after its premises, as a step whose premise fields hold the rebuilt
+    steps; fs composes into one ApplyF on a hypothesis and maps an axiom to
+    an axiom.  The F side is placed in walk order, then the Cuts in walk
+    order, and premises become indices at the end.  The output equals the
+    tree-based oracle's, ``tests/scan_oracle.normalize_by_tree``.
     """
     check_proof(proof, theory, s, allow_cutf=True)
-    memo: dict[int, _Node] = {}
-    pushed: dict[tuple, _Node] = {}
+    steps = proof.steps
 
-    def build(k: int) -> _Node:
-        if k in memo:
-            return memo[k]
-        step = proof.steps[k]
-        by = step.by
-        if isinstance(by, Axiom):
-            node = _Node("axiom", step.formula)
-        elif isinstance(by, Hyp):
-            node = _Node("hyp", step.formula, rule=by.rule)
-        elif isinstance(by, Cut):
-            c = by.c if by.c is not None else proof.steps[by.j].formula.antecedent
-            node = _Node("cut", step.formula, p=build(by.i), q=build(by.j), c=c)
-        elif isinstance(by, ApplyF):
-            node = push(s.resolve(by.conn), build(by.i))
-        elif isinstance(by, CutF):
-            member = s.resolve(by.conn)
-            fq = push(member, build(by.j))
-            node = _Node("cut", step.formula, p=build(by.i), q=fq, c=member.lower(by.c))
+    def node(k: int, fs: tuple) -> tuple:
+        while isinstance(by := steps[k].by, ApplyF):
+            k, fs = by.i, (s.resolve(by.conn), *fs)
+        return k, fs
+
+    rebuilt: dict[tuple, ProofStep] = {}
+    fside: list[ProofStep] = []
+    cuts: list[ProofStep] = []
+    stack = [(node(len(steps) - 1, ()), None)]
+    while stack:
+        key, premises = stack.pop()
+        if key in rebuilt:
+            continue
+        k, fs = key
+        by = steps[k].by
+        if premises is None:
+            if isinstance(by, Cut):
+                premises = node(by.i, fs), node(by.j, fs)
+            elif isinstance(by, CutF):
+                premises = node(by.i, fs), node(by.j, (s.resolve(by.conn), *fs))
+            elif isinstance(by, Hyp) and fs:
+                premises = ((k, ()),)  # F on a hypothesis rests on the hypothesis
+            else:
+                premises = ()
+            if premises:  # come back once they are rebuilt, the left one first
+                stack.append((key, premises))
+                stack.extend((p, None) for p in reversed(premises))
+                continue
+        formula = steps[k].formula
+        for f in fs:
+            formula = FAI(f.lower(formula.antecedent), f.lower(formula.consequent))
+        if isinstance(by, (Cut, CutF)):
+            if isinstance(by, CutF):
+                c = s.resolve(by.conn).lower(by.c)
+            else:
+                c = by.c if by.c is not None else steps[by.j].formula.antecedent
+            for f in fs:
+                c = f.lower(c)
+            step = ProofStep(formula, Cut(rebuilt[premises[0]], rebuilt[premises[1]], c))
+            cuts.append(step)
         else:
-            raise InvariantError(f"step {k}: unknown justification {by!r}")
-        memo[k] = node
-        return node
+            if premises:  # fs composed, first to last, into one member of S
+                conn = fs[0]
+                for f in fs[1:]:
+                    conn = s.compose_in(f, conn)
+                by = ApplyF(rebuilt[premises[0]], conn)
+            step = ProofStep(formula, by)
+            fside.append(step)
+        rebuilt[key] = step
 
-    def push(f: Connection, node: _Node) -> _Node:
-        key = (id(node), f.lower_masks)
-        if key in pushed:
-            return pushed[key]
-        formula = FAI(f.lower(node.formula.antecedent), f.lower(node.formula.consequent))
-        if node.kind == "axiom":
-            out = _Node("axiom", formula)
-        elif node.kind == "hyp":
-            out = _Node("applyf", formula, conn=f, p=node)
-        elif node.kind == "applyf":
-            out = _Node("applyf", formula, conn=s.compose_in(f, node.conn), p=node.p)
-        elif node.kind == "cut":
-            out = _Node("cut", formula, p=push(f, node.p), q=push(f, node.q), c=f.lower(node.c))
-        else:
-            raise InvariantError(f"cannot push a connection through a {node.kind} node")
-        pushed[key] = out
-        return out
-
-    root = build(len(proof.steps) - 1)
-
-    steps: list[ProofStep] = []
-    placed: dict[int, int] = {}
-
-    def place_leaves(node: _Node):
-        if id(node) in placed:
-            return
-        if node.kind == "hyp":
-            placed[id(node)] = len(steps)
-            steps.append(ProofStep(node.formula, Hyp(node.rule)))
-        elif node.kind == "applyf":
-            place_leaves(node.p)
-            placed[id(node)] = len(steps)
-            steps.append(ProofStep(node.formula, ApplyF(placed[id(node.p)], node.conn)))
-        elif node.kind == "axiom":
-            placed[id(node)] = len(steps)
-            steps.append(ProofStep(node.formula, Axiom()))
-        else:
-            place_leaves(node.p)
-            place_leaves(node.q)
-
-    def place_cuts(node: _Node) -> int:
-        if id(node) in placed:
-            return placed[id(node)]
-        if node.kind != "cut":
-            raise InvariantError(f"a {node.kind} node was not placed before the cuts")
-        pi = place_cuts(node.p)
-        qi = place_cuts(node.q)
-        placed[id(node)] = len(steps)
-        steps.append(ProofStep(node.formula, Cut(pi, qi, node.c)))
-        return placed[id(node)]
-
-    place_leaves(root)
-    place_cuts(root)
-    out = Proof(steps)
+    at = {id(step): n for n, step in enumerate(fside + cuts)}
+    out = [
+        ProofStep(st.formula, ApplyF(at[id(st.by.i)], st.by.conn))
+        if isinstance(st.by, ApplyF)
+        else st
+        for st in fside
+    ]
+    out += [ProofStep(st.formula, Cut(at[id(st.by.i)], at[id(st.by.j)], st.by.c)) for st in cuts]
+    out = Proof(out)
     check_proof(out, theory, s, goal=proof.goal)
     return out
 
@@ -453,6 +434,12 @@ def proof_from_json(data: dict, universe: Universe, chain: Chain) -> Proof:
         try:
             formula = parse_fai(_text(raw["formula"], f"step {k} formula"), universe, chain)
             by = raw["by"]
+            if isinstance(by, dict):
+                named = [name for name in ("hyp", "cut", "applyF", "cutF") if name in by]
+                if len(named) > 1:
+                    raise ParseError(
+                        f"step {k} names more than one justification: {', '.join(named)}"
+                    )
             if by == "axiom":
                 just = Axiom()
             elif "hyp" in by:

@@ -23,7 +23,10 @@ membership under the identity: an oracle for provability with F.
 without one rule and a set one degree lower at one attribute.
 ``row_images_by_scan`` lists every distinct image g(I_x) of a context, as
 the context closure read them before it kept only the meet-irreducible
-ones.
+ones.  ``normalize_by_tree`` is ``normalize_proof`` as it was before it
+rewrote the proof's own steps: it copies the proof into a tree of its own
+nodes, pushes F through Cuts and places the steps by recursion, so it
+reaches Python's recursion limit on long proofs.
 """
 
 import itertools
@@ -35,6 +38,7 @@ from fai import (
     Axiom,
     CapExceeded,
     Cut,
+    CutF,
     Hyp,
     InvariantError,
     LSet,
@@ -44,6 +48,7 @@ from fai import (
     Proof,
     ProofStep,
     Theory,
+    check_proof,
     complete_set,
     downup,
     entails,
@@ -346,3 +351,105 @@ def prove_by_replay(theory: Theory, s: Parameterization, goal: FAI) -> Proof:
     steps.append(ProofStep(FAI(closure, goal.consequent), Axiom()))
     steps.append(ProofStep(goal, Cut(current, ax, bottom)))
     return Proof(steps)
+
+
+class _Node:
+    """A proof tree node; hashed by identity so shared subproofs stay shared."""
+
+    __slots__ = ("kind", "formula", "rule", "conn", "p", "q", "c")
+
+    def __init__(self, kind, formula, rule=None, conn=None, p=None, q=None, c=None):
+        self.kind = kind
+        self.formula = formula
+        self.rule = rule
+        self.conn = conn
+        self.p = p
+        self.q = q
+        self.c = c
+
+
+def normalize_by_tree(proof: Proof, theory: Theory, s: Parameterization) -> Proof:
+    """The F-before-Cut normal form of a checked proof, built on a tree."""
+    check_proof(proof, theory, s, allow_cutf=True)
+    memo = {}
+    pushed = {}
+
+    def build(k):
+        if k in memo:
+            return memo[k]
+        step = proof.steps[k]
+        by = step.by
+        if isinstance(by, Axiom):
+            node = _Node("axiom", step.formula)
+        elif isinstance(by, Hyp):
+            node = _Node("hyp", step.formula, rule=by.rule)
+        elif isinstance(by, Cut):
+            c = by.c if by.c is not None else proof.steps[by.j].formula.antecedent
+            node = _Node("cut", step.formula, p=build(by.i), q=build(by.j), c=c)
+        elif isinstance(by, ApplyF):
+            node = push(s.resolve(by.conn), build(by.i))
+        elif isinstance(by, CutF):
+            member = s.resolve(by.conn)
+            fq = push(member, build(by.j))
+            node = _Node("cut", step.formula, p=build(by.i), q=fq, c=member.lower(by.c))
+        else:
+            raise InvariantError(f"step {k}: unknown justification {by!r}")
+        memo[k] = node
+        return node
+
+    def push(f, node):
+        key = (id(node), f.lower_masks)
+        if key in pushed:
+            return pushed[key]
+        formula = FAI(f.lower(node.formula.antecedent), f.lower(node.formula.consequent))
+        if node.kind == "axiom":
+            out = _Node("axiom", formula)
+        elif node.kind == "hyp":
+            out = _Node("applyf", formula, conn=f, p=node)
+        elif node.kind == "applyf":
+            out = _Node("applyf", formula, conn=s.compose_in(f, node.conn), p=node.p)
+        elif node.kind == "cut":
+            out = _Node("cut", formula, p=push(f, node.p), q=push(f, node.q), c=f.lower(node.c))
+        else:
+            raise InvariantError(f"cannot push a connection through a {node.kind} node")
+        pushed[key] = out
+        return out
+
+    root = build(len(proof.steps) - 1)
+
+    steps = []
+    placed = {}
+
+    def place_leaves(node):
+        if id(node) in placed:
+            return
+        if node.kind == "hyp":
+            placed[id(node)] = len(steps)
+            steps.append(ProofStep(node.formula, Hyp(node.rule)))
+        elif node.kind == "applyf":
+            place_leaves(node.p)
+            placed[id(node)] = len(steps)
+            steps.append(ProofStep(node.formula, ApplyF(placed[id(node.p)], node.conn)))
+        elif node.kind == "axiom":
+            placed[id(node)] = len(steps)
+            steps.append(ProofStep(node.formula, Axiom()))
+        else:
+            place_leaves(node.p)
+            place_leaves(node.q)
+
+    def place_cuts(node):
+        if id(node) in placed:
+            return placed[id(node)]
+        if node.kind != "cut":
+            raise InvariantError(f"a {node.kind} node was not placed before the cuts")
+        pi = place_cuts(node.p)
+        qi = place_cuts(node.q)
+        placed[id(node)] = len(steps)
+        steps.append(ProofStep(node.formula, Cut(pi, qi, node.c)))
+        return placed[id(node)]
+
+    place_leaves(root)
+    place_cuts(root)
+    out = Proof(steps)
+    check_proof(out, theory, s, goal=proof.goal)
+    return out

@@ -217,6 +217,10 @@ def _with_step(data, k, **fields):
             ),
             "step 4 cutF index must be an integer, not False",
         ),
+        (
+            lambda d: _with_step(d, 0, by={"hyp": 2, "cut": [5, 7], "applyF": 3}),
+            "step 0 names more than one justification: hyp, cut, applyF",
+        ),
     ],
 )
 def test_malformed_proof_files_exit_3(tmp_path, capsys, edit, message):

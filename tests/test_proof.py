@@ -50,7 +50,7 @@ from fai import (
 from fai.errors import ParseError
 
 from conftest import DATA
-from scan_oracle import expand_theory, iter_lsets, prove_by_replay
+from scan_oracle import expand_theory, iter_lsets, normalize_by_tree, prove_by_replay
 
 F = Fraction
 
@@ -304,15 +304,19 @@ def test_prove_matches_replay_oracle_on_a_large_monoid(seed):
     assert min(lengths) > 1
 
 
+def _assert_normal_form(norm):
+    """F only on hypotheses, every F step before every Cut, no CutF."""
+    assert not any(isinstance(st.by, CutF) for st in norm.steps)
+    f_pos = [k for k, st in enumerate(norm.steps) if isinstance(st.by, ApplyF)]
+    cut_pos = [k for k, st in enumerate(norm.steps) if isinstance(st.by, Cut)]
+    for k in f_pos:
+        assert isinstance(norm.steps[norm.steps[k].by.i].by, Hyp)
+    if f_pos and cut_pos:
+        assert max(f_pos) < min(cut_pos)
+
+
 def test_synthesis_emits_the_normal_form(base6, settings, chain5, universe):
-    proof = prove(base6, settings[6], parse_fai(GOAL, universe, chain5))
-    cut_positions = [k for k, st in enumerate(proof.steps) if isinstance(st.by, Cut)]
-    f_positions = [k for k, st in enumerate(proof.steps) if isinstance(st.by, ApplyF)]
-    assert not any(isinstance(st.by, CutF) for st in proof.steps)
-    if f_positions and cut_positions:
-        assert max(f_positions) < min(cut_positions)
-    for k in f_positions:
-        assert isinstance(proof.steps[proof.steps[k].by.i].by, Hyp)
+    _assert_normal_form(prove(base6, settings[6], parse_fai(GOAL, universe, chain5)))
 
 
 def test_normalize_removes_cutf(base6, settings, chain5, universe):
@@ -321,35 +325,84 @@ def test_normalize_removes_cutf(base6, settings, chain5, universe):
     norm = normalize_proof(proof, base6, s)
     assert norm.goal == proof.goal
     assert check_proof(norm, base6, s)  # no allow_cutf: CutF is gone
-    kinds = [type(st.by) for st in norm.steps]
-    assert CutF not in kinds
-    for k, st in enumerate(norm.steps):
-        if isinstance(st.by, ApplyF):
-            assert isinstance(norm.steps[st.by.i].by, Hyp)
-    f_pos = [k for k, st in enumerate(norm.steps) if isinstance(st.by, ApplyF)]
-    cut_pos = [k for k, st in enumerate(norm.steps) if isinstance(st.by, Cut)]
-    if f_pos and cut_pos:
-        assert max(f_pos) < min(cut_pos)
+    _assert_normal_form(norm)
 
 
-def test_normalize_composes_stacked_f_steps(base6, settings, chain5, universe):
-    s = settings[6]
+def _stacked_f_example(base6, chain5, universe):
     r2 = Connection(Rotate(2), universe, chain5)
     rule = base6[2]
     once = FAI(r2.lower(rule.antecedent), r2.lower(rule.consequent))
     twice = FAI(r2.lower(once.antecedent), r2.lower(once.consequent))
-    proof = Proof([
+    return Proof([
         ProofStep(rule, Hyp(2)),
         ProofStep(once, ApplyF(0, r2)),
         ProofStep(twice, ApplyF(1, r2)),
     ])
+
+
+def test_normalize_composes_stacked_f_steps(base6, settings, chain5, universe):
+    s = settings[6]
+    proof = _stacked_f_example(base6, chain5, universe)
     assert check_proof(proof, base6, s)
     norm = normalize_proof(proof, base6, s)
-    assert norm.goal == twice == rule
+    assert norm.goal == proof.goal == base6[2]
     # the stacked rotations collapse into the identity member of S
     last = norm.steps[-1].by
     assert isinstance(last, (Hyp, ApplyF))
     assert check_proof(norm, base6, s)
+
+
+def test_normalize_matches_the_tree_oracle(shipped_proof, base6, settings, chain5, universe):
+    # the corpus: the shipped proof, the CutF and stacked-F examples, and
+    # prove's proofs of 40 seeded goals A => C(A) & M on each setting over
+    # the S6 base, each also with an ApplyF by each of S's first four
+    # members appended to its goal
+    corpus = [
+        (shipped_proof, settings[6]),
+        (_cutf_example(base6, chain5, universe), settings[6]),
+        (_stacked_f_example(base6, chain5, universe), settings[6]),
+    ]
+    for i, s in settings.items():
+        rng = random.Random(i)
+
+        def draw():
+            return LSet(universe, chain5, [rng.randrange(5) for _ in range(4)])
+
+        for _ in range(40):
+            a, cap = draw(), draw()
+            proof = prove(base6, s, FAI(a, least_model(base6, s, a) & cap))
+            corpus.append((proof, s))
+            goal = proof.goal
+            for f in list(s)[:4]:
+                image = FAI(f.lower(goal.antecedent), f.lower(goal.consequent))
+                corpus.append((Proof([*proof.steps, ProofStep(image, ApplyF(len(proof) - 1, f))]), s))
+    assert len(corpus) == 803
+    lengths = []
+    for proof, s in corpus:
+        norm = normalize_proof(proof, base6, s)
+        assert proof_to_json(norm) == proof_to_json(normalize_by_tree(proof, base6, s))
+        _assert_normal_form(norm)
+        lengths.append(len(norm))
+    assert max(lengths) > 26 and 1 in lengths
+
+
+def test_normalize_has_no_depth_limit():
+    # y0 => y1, ..., y998 => y999 over {0, 1} with S the identity: prove
+    # gives 3,999 steps, past where a recursive walk meets Python's limit
+    u = Universe([f"y{k}" for k in range(1000)])
+    ch = Chain([F(0), F(1)], "godel")
+    s = Parameterization([identity(u, ch)])
+
+    def single(k):
+        return LSet(u, ch, [int(x == k) for x in range(1000)])
+
+    theory = Theory([FAI(single(k), single(k + 1)) for k in range(999)])
+    goal = FAI(single(0), single(999))
+    proof = prove(theory, s, goal)
+    assert len(proof) == 3999
+    norm = normalize_proof(proof, theory, s)
+    assert check_proof(norm, theory, s, goal=goal)
+    _assert_normal_form(norm)
 
 
 def test_normalize_in_an_unclosed_s_raises_a_typed_error(base6, chain5, universe):
@@ -373,9 +426,7 @@ def test_normalize_pushes_f_through_cut(shipped_proof, base6, settings):
     norm = normalize_proof(shipped_proof, base6, settings[6])
     assert norm.goal == shipped_proof.goal
     assert check_proof(norm, base6, settings[6])
-    for k, st in enumerate(norm.steps):
-        if isinstance(st.by, ApplyF):
-            assert isinstance(norm.steps[st.by.i].by, Hyp)
+    _assert_normal_form(norm)
 
 
 def test_expand_theory(base6, settings, chain5, universe):
