@@ -40,9 +40,17 @@ from .fset import (
     step_down,
     upper_mask,
 )
-from .gconn import Parameterization, identity
+from .gconn import Parameterization
 from .lattice import Chain, brief_value
-from .semantics import FAI, Theory, least_model, rule_pairs, theory_pairs, undominated
+from .semantics import (
+    FAI,
+    Theory,
+    compiled_pairs,
+    least_model,
+    rule_pairs,
+    theory_pairs,
+    undominated,
+)
 
 
 class LContext:
@@ -189,23 +197,34 @@ def _ganter_pass(ctx: LContext, s: Parameterization, cap: int):
     before any set above it is closed.  CapExceeded, naming the intents and
     pseudo-intents among the first ``cap`` sets, past ``cap`` sets; a kept
     pass is held to the same bound.
+
+    Each candidate A is closed by the context first: with D = C(A), A
+    itself when D = A, and otherwise Ganter's closure L*(A), chained only
+    until it holds D.  That is exact, as A <= L*(A) <= C(A) = D, so a chain
+    that reaches D has reached L*(A); and C(L*(A)) = D, so the set
+    NextClosure yields, its last ``close`` result, has the last D as its
+    closure.
     """
     visited = ctx._passes.get(s)
     if visited is None:
         visited, rules = [], []
         sc = scale(len(ctx.universe), ctx.chain.n)
-        rows = _row_images(ctx, s)
+        rows, top, closure = _row_images(ctx, s), sc.top, 0
+
         # Ganter's operator is forward chaining over the (Q, C(Q)) mask pairs
         # found so far.  Q <= M alone stands for "Q properly inside M":
         # NextClosure closes only sets lectically above every set it has
         # emitted, so no set the chaining visits equals a found Q.
-        closed = next_closures(ctx.universe, ctx.chain, lambda a: forward_chain(rules, a, sc), cap)
+        def close(a):
+            nonlocal closure
+            closure = meet_above(a, rows, top)
+            return a if closure == a else forward_chain(rules, a, sc, until=closure)
+
         try:
-            for q in closed:
-                cl = meet_above(q, rows, sc.top)
-                visited.append((q, cl))
-                if cl != q:
-                    rules.append((q, cl))
+            for q in next_closures(ctx.universe, ctx.chain, close, cap):
+                visited.append((q, closure))
+                if closure != q:
+                    rules.append((q, closure))
         except CapExceeded:
             raise _over_cap(visited, cap) from None
         visited = ctx._passes[s] = tuple(visited)
@@ -292,12 +311,13 @@ def is_complete(
 
     Full mode: every rule holds in the context, so every intent is a model,
     and the theory entails P => C(P) for every pseudo-intent P of the
-    Ganter pass (``cap`` bounds it), so every model is an intent; the
-    theory is compiled once for all of them.  Sampled mode compares least
+    Ganter pass (``cap`` bounds it), so every model is an intent; each of
+    those entailments chains over the compiled theory
+    (``semantics.compiled_pairs``).  Sampled mode compares least
     model and downup on the rows, bottom, top, and seeded-random sets.
     """
     if mode == "full":
-        visited, pairs = _ganter_pass(ctx, s, cap), theory_pairs(theory, s)
+        visited, pairs = _ganter_pass(ctx, s, cap), compiled_pairs(theory, s)
         sc = scale(len(ctx.universe), ctx.chain.n)
         return all(holds_in_context(ctx, r, s) for r in theory) and all(
             cl & forward_chain(pairs, q, sc, until=cl) == cl for q, cl in visited if cl != q
@@ -357,14 +377,15 @@ def minimize_sides(theory: Theory, ctx: LContext, s: Parameterization, cap: int 
     - where B(y) <= A(y), A u B' still contains B, so the identity image
       A => B' alone entails A => B: B(y) drops to 0 with no test.
 
-    NotAMonoid when S lacks the identity (an S built unchecked).
+    NotAMonoid when S lacks the identity (an S built unchecked), found as
+    the member whose mask table is the scale's codes.
     """
-    if identity(s.universe, s.chain) not in s:
+    sc = scale(len(s.universe), s.chain.n)
+    if all(conn.lower_masks != sc.codes for conn in s):
         raise NotAMonoid("minimize_sides needs the identity connection in S")
     if not is_complete(theory, ctx, s, cap=cap):
         raise NotComplete("minimize_sides needs a complete theory")
     universe, chain, rows = ctx.universe, ctx.chain, _row_images(ctx, s)
-    sc = scale(len(universe), chain.n)
     rules = list(theory)
     for i, rule in enumerate(rules):
         b = rule.consequent.mask

@@ -437,7 +437,9 @@ def next_closures(universe: Universe, chain: Chain, close, cap: int):
     degree up is ``(b << 1) | 1``.  Int order is lectic order, so the masks
     come out in the order the sets would.  ``close`` is called afresh at
     each step, so it may depend on what the caller did with earlier fixed
-    points.  CapExceeded once more than ``cap`` sets would be emitted.
+    points, and each set yielded is the result of the last ``close`` call
+    made before it.  CapExceeded once more than ``cap`` sets would be
+    emitted.
     """
     sc = scale(len(universe), chain.n)
     block, width = sc.block, chain.n - 1

@@ -6,10 +6,13 @@ reduces to membership in the least model, computed by saturating the
 immediate-consequence step.
 
 Each rule is compiled once per S to its undominated images (``rule_pairs``):
-an image (f(A), f(B)) adds nothing when another image (f'(A), f'(B)) of
-the same rule has f'(A) <= f(A) and f(B) <= f'(B) | f(A), so chaining
-over the rest reaches the same sets.  Pruning stays within one rule, so
-that a theory with one rule left out is chained exactly; proofs read
+an image (f(A), f(B)) adds nothing when another image (f'(A), f'(B)) has
+f'(A) <= f(A) and f(B) <= f'(B) | f(A), so chaining over the rest reaches
+the same sets.  Each theory is compiled once per S too
+(``compiled_pairs``): its rules' pairs together, with every pair another
+rule's image dominates removed as well.  Every closure over a whole theory
+chains over that form.  Base reduction and side minimization leave a rule
+out or replace it, so they chain the rules' own pairs instead; proofs read
 every image themselves.
 """
 
@@ -59,10 +62,20 @@ class FAI(Record):
 
 
 class Theory:
-    """A theory: an ordered tuple of rules, and nothing more."""
+    """A theory: an ordered tuple of rules.
+
+    ``_pairs`` keeps the theory's compiled form per S, beside the member
+    tuple it was read in (``compiled_pairs``); it takes no part in
+    equality, hashing or display, and copies and pickles rebuild the
+    theory from its rules alone, so they start it empty.
+    """
 
     def __init__(self, rules):
         self.rules = tuple(rules)
+        self._pairs = {}
+
+    def __reduce__(self):
+        return Theory, (self.rules,)
 
     def __len__(self) -> int:
         return len(self.rules)
@@ -154,9 +167,10 @@ def rule_pairs(rule: FAI, s: Parameterization) -> tuple:
     in different orders, so kept pairs are read again only while the tuple
     is S's own.
 
-    Pruning stays within the rule: ``reduce_to_base`` chains each rule
-    against the others with its own pairs left out, so a rule's pairs must
-    not lean on another rule being there.  ``proof.prove`` builds its own
+    Pruning here stays within the rule: ``reduce_to_base`` chains each
+    rule against the others with its own pairs left out, so a rule's pairs
+    must not lean on another rule being there; ``compiled_pairs`` prunes
+    across the rules of a whole theory.  ``proof.prove`` builds its own
     full image list instead: a proof replays every firing image."""
     kept = rule._pairs.get(s)
     if kept is not None and (kept[0] is s.connections or kept[0] == s.connections):
@@ -186,7 +200,10 @@ def undominated(pairs) -> tuple:
     dominates joins them, and those it dominates leave.  No kept pair
     dominates another, so once the newcomer dominates one, none of the
     rest dominates it.  Repeats need no dict first: a rule has few kept
-    pairs, and on small S the dict costs more than the pass.
+    pairs, and on small S the dict costs more than the pass.  The pass
+    runs once per rule and S (``rule_pairs``), and once per theory and S
+    over all its rules' pairs (``compiled_pairs``); for P pairs in and K
+    kept it takes O(P * K) comparisons.
     """
     kept = []
     for a, b in pairs:
@@ -214,6 +231,29 @@ def theory_pairs(rules, s: Parameterization) -> list:
     return pairs
 
 
+def compiled_pairs(theory: Theory, s: Parameterization) -> tuple:
+    """The theory's compiled form on S: its rules' pairs (``theory_pairs``)
+    less every pair that another pair dominates, whichever rule either came
+    from (``undominated``); kept on the theory per S with S's member tuple,
+    as ``rule_pairs`` keeps a rule's.  The domination argument never asks
+    which rule a pair came from, so every saturation, every ``until``
+    answer and a single ``t_step`` round over it are those over all the
+    rules' pairs.  A one-rule theory is its rule's pairs.  The pairs go
+    into the pass in ascending int order, so that a pair's dominators come
+    before it but for those with its own antecedent, and the kept tuple
+    does not depend on the order of the rules."""
+    kept = theory._pairs.get(s)
+    if kept is not None and (kept[0] is s.connections or kept[0] == s.connections):
+        return kept[1]
+    rules = theory.rules
+    if len(rules) == 1:
+        pairs = rule_pairs(rules[0], s)
+    else:
+        pairs = undominated(sorted(theory_pairs(rules, s)))
+    theory._pairs[s] = (s.connections, pairs)
+    return pairs
+
+
 def is_model(m: LSet, theory: Theory, s: Parameterization) -> bool:
     """A model is its own least model: no rule image f(A) => f(B) fires on it."""
     return least_model(theory, s, m) == m
@@ -225,7 +265,7 @@ def t_step(m: LSet, theory: Theory, s: Parameterization) -> LSet:
     Fired pairs are judged against the input M, not the growing result."""
     same_space(m, s.universe, s.chain)
     before = after = m.mask
-    for fa, fb in theory_pairs(theory, s):
+    for fa, fb in compiled_pairs(theory, s):
         if fa & before == fa:
             after |= fb
     return LSet._from_mask(m.universe, m.chain, after)
@@ -233,22 +273,22 @@ def t_step(m: LSet, theory: Theory, s: Parameterization) -> LSet:
 
 def least_model(theory: Theory, s: Parameterization, m: LSet) -> LSet:
     """Least model of the theory containing M: forward chaining from M over
-    the compiled rule images, which saturates t_step."""
+    the compiled theory (``compiled_pairs``), which saturates t_step."""
     same_space(m, s.universe, s.chain)
     sc = scale(len(s.universe), s.chain.n)
-    closed = forward_chain(theory_pairs(theory, s), m.mask, sc)
+    closed = forward_chain(compiled_pairs(theory, s), m.mask, sc)
     return LSet._from_mask(m.universe, m.chain, closed)
 
 
 def entails(theory: Theory, fai: FAI, s: Parameterization) -> bool:
     """Sigma entails A => B iff B is contained in the least model of A:
-    forward chaining from A over the compiled pairs reaches B.  It stops
+    forward chaining from A over the compiled theory reaches B.  It stops
     once B lies inside: the set only grows, and stays inside the least
     model."""
     same_space(fai.antecedent, s.universe, s.chain)
     b = fai.consequent.mask
     sc = scale(len(s.universe), s.chain.n)
-    return b & forward_chain(theory_pairs(theory, s), fai.antecedent.mask, sc, until=b) == b
+    return b & forward_chain(compiled_pairs(theory, s), fai.antecedent.mask, sc, until=b) == b
 
 
 def entail_degree(theory: Theory, fai: FAI, s: Parameterization) -> Fraction:
@@ -260,6 +300,6 @@ def models_enum(theory: Theory, s: Parameterization, cap: int = 10**6):
     """All models of the theory, in lectic order: the fixed points of the
     least-model closure, compiled once; CapExceeded past ``cap`` models."""
     sc = scale(len(s.universe), s.chain.n)
-    pairs = theory_pairs(theory, s)
+    pairs = compiled_pairs(theory, s)
     closed = next_closures(s.universe, s.chain, lambda m: forward_chain(pairs, m, sc), cap)
     return [LSet._from_mask(s.universe, s.chain, m) for m in closed]

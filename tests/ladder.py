@@ -2,7 +2,20 @@
 
 from fractions import Fraction as F
 
-from fai import Chain, Connection, ConstMultSet, DiffSet, LContext, LSet, Rotate, Universe, generate_monoid
+from fai import (
+    FAI,
+    Chain,
+    Connection,
+    ConstMultSet,
+    DiffSet,
+    LContext,
+    LSet,
+    Rotate,
+    Theory,
+    Universe,
+    downup,
+    generate_monoid,
+)
 
 
 def rotate_diff_generators(logic: str, degrees: int):
@@ -41,3 +54,25 @@ def rung_context(rng, ny, nl, logic, kind, shift, nobj):
     rows = [LSet(universe, chain, [rng.randrange(nl) for _ in range(ny)]) for _ in range(nobj)]
     ctx = LContext(universe, chain, [f"o{k}" for k in range(nobj)], rows)
     return ctx, generate_monoid(gens, universe, chain)
+
+
+def query_case(rng):
+    """A context, S and theory shaped like the benchmark's query workload:
+    |Y| = |L| = 5 over Goedel, S generated by rotate(2) and a diff-set with
+    one step at two random attributes (|S| = 85), eight rows leaning to the
+    top degree, and 16 context-sound rules A => C(A) with C(A) != A."""
+    chain = Chain([F(k, 4) for k in range(5)], "godel")
+    universe = Universe([f"y{k}" for k in range(5)])
+    steps = rng.sample(range(5), 2)
+    const = LSet(universe, chain, [1 if k in steps else 0 for k in range(5)])
+    gens = [Connection(Rotate(2), universe, chain), Connection(DiffSet(const), universe, chain)]
+    s = generate_monoid(gens, universe, chain)
+    rows = [LSet(universe, chain, [rng.choice((1, 2, 3, 4, 4)) for _ in range(5)]) for _ in range(8)]
+    ctx = LContext(universe, chain, [f"o{k}" for k in range(8)], rows)
+    rules = {}
+    while len(rules) < 16:
+        a = LSet(universe, chain, [rng.choice((0, 0, 1, 2, 3, 4)) for _ in range(5)])
+        closed = downup(ctx, a, s)
+        if closed != a:
+            rules.setdefault(a, FAI(a, closed))
+    return ctx, s, Theory(rules.values())

@@ -23,7 +23,10 @@ membership under the identity: an oracle for provability with F.
 without one rule and a set one degree lower at one attribute.
 ``row_images_by_scan`` lists every distinct image g(I_x) of a context, as
 the context closure read them before it kept only the meet-irreducible
-ones.  ``normalize_by_tree`` is ``normalize_proof`` as it was before it
+ones.  ``ganter_pass_by_chaining`` is the Ganter pass as it was before it
+closed each candidate by the context first: it chains every candidate to
+saturation over the pseudo-intent rules, then takes the context closure
+of each set it yields.  ``normalize_by_tree`` is ``normalize_proof`` as it was before it
 rewrote the proof's own steps: it copies the proof into a tree of its own
 nodes, pushes F through Cuts and places the steps by recursion, so it
 reaches Python's recursion limit on long proofs.
@@ -59,6 +62,7 @@ from fai import (
     render_lset,
     union,
 )
+from fai.fset import forward_chain, meet_above, next_closures, scale
 
 
 def iter_lsets(universe, chain):
@@ -87,6 +91,22 @@ def row_images_by_scan(ctx, s):
     """The distinct masks of g(I_x) over objects x and <f, g> in S, in the
     order first met: rows in order, S's members in order within a row."""
     return tuple(dict.fromkeys(conn.upper(r).mask for r in ctx.rows for conn in s))
+
+
+def ganter_pass_by_chaining(ctx, s, cap=10**6):
+    """Every (mask, closure mask) pair Ganter's algorithm visits, in
+    ascending lectic order: each candidate closed by forward chaining over
+    the (Q, C(Q)) pairs found so far, each set yielded then closed by the
+    meet of every distinct row image."""
+    visited, rules = [], []
+    sc = scale(len(ctx.universe), ctx.chain.n)
+    rows = row_images_by_scan(ctx, s)
+    for q in next_closures(ctx.universe, ctx.chain, lambda a: forward_chain(rules, a, sc), cap):
+        cl = meet_above(q, rows, sc.top)
+        visited.append((q, cl))
+        if cl != q:
+            rules.append((q, cl))
+    return tuple(visited)
 
 
 def next_closures_on_lsets(universe, chain, close, cap):

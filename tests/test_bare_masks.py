@@ -5,7 +5,8 @@ pruned to the undominated ones; the per-member oracle applies each
 member's own mask table and prunes by an all-pairs scan, and every image
 read, pruned or not, must match it.  The Ganter pass
 keeps int pairs; its views are checked against scans over every graded
-set.  A set made from a mask decodes its index vector on first read and
+set, and the sets it visits against the pass that chains every candidate
+to saturation before it takes the context closure.  A set made from a mask decodes its index vector on first read and
 must behave like a constructed one.  No output here may depend on hash
 order, so CI runs this file under two hash seeds.
 """
@@ -34,7 +35,7 @@ from fai.fset import scale
 from fai.semantics import rule_pairs
 
 from ladder import MINE_RUNGS, rotate_diff_generators, rung_context
-from scan_oracle import iter_lsets, pseudo_intents_by_scan
+from scan_oracle import ganter_pass_by_chaining, iter_lsets, pseudo_intents_by_scan
 from term_oracle import images_by_member, rule_pairs_by_member
 
 
@@ -174,3 +175,14 @@ def test_the_pass_keeps_ints_and_its_views_match_the_scans(rung):
     # the views hand out sets as they are constructed, indices included
     sc = scale(len(ctx.universe), ctx.chain.n)
     assert all(sc.encode(p.idx) == p.mask for p, _ in pseudo_intents(ctx, s))
+
+
+def test_the_pass_visits_what_chaining_before_the_closure_visits(holidays, settings):
+    """Closing each candidate by the context first, then chaining only up
+    to that closure, visits the same (set, closure) pairs as chaining to
+    saturation and closing what NextClosure yields."""
+    rng = random.Random(2502)
+    cases = [(holidays, s) for s in settings.values()]
+    cases += [rung_context(rng, *rung) for rung in MINE_RUNGS]
+    for ctx, s in cases:
+        assert _ganter_pass(ctx, s, 10**6) == ganter_pass_by_chaining(ctx, s)

@@ -2,10 +2,12 @@
 is chaining over every image.
 
 ``semantics.rule_pairs`` keeps, per rule and per S, only the images
-(f(A), f(B)) that no other image of the same rule dominates.  The oracle
-pairs (``term_oracle.image_pairs_by_member``) are every distinct firing
-image; each closure, entailment, base and minimization, the trial edits
-of side minimization among them, must come out the same on them.  The
+(f(A), f(B)) that no other image of the same rule dominates, and
+``semantics.compiled_pairs`` keeps, per theory and per S, only those no
+image of any of its rules dominates.  The oracle pairs
+(``term_oracle.image_pairs_by_member``) are every distinct firing image;
+each closure, entailment, base and minimization, the trial edits of side
+minimization among them, must come out the same on them.  The
 kept pairs and their order must not depend on hash order, so CI runs
 this file under two hash seeds.
 """
@@ -116,7 +118,8 @@ def test_chaining_over_kept_pairs_matches_the_unpruned_oracle_pairs(holidays, se
         comp = complete_set(ctx, s)
         shuffled = list(comp)
         rng.shuffle(shuffled)
-        theories = [comp, Theory(shuffled), Theory(_random_rules(rng, universe, chain, 8))]
+        theories = [comp, Theory(shuffled), Theory(_random_rules(rng, universe, chain, 8)),
+                    Theory(_random_rules(rng, universe, chain, 1))]
         sets = [LSet.bottom(universe, chain), LSet.top(universe, chain), *ctx.rows]
         sets += [_random_set(rng, universe, chain) for _ in range(20)]
         goals = _random_rules(rng, universe, chain, 20) + [FAI(m, least_model(comp, s, m)) for m in sets]
@@ -129,7 +132,9 @@ def test_chaining_over_kept_pairs_matches_the_unpruned_oracle_pairs(holidays, se
 
         pruned = answers()
         with monkeypatch.context() as patch:
+            # every image of every rule: no pruning within a rule or across rules
             patch.setattr(fai.semantics, "rule_pairs", image_pairs_by_member)
+            patch.setattr(fai.semantics, "undominated", firing_pairs)
             patch.setattr(fai.context, "rule_pairs", image_pairs_by_member)
             patch.setattr(fai.context, "undominated", firing_pairs)
             unpruned = answers()

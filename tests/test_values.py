@@ -33,7 +33,7 @@ from fai import (
     prove,
 )
 from fai.fset import scale
-from fai.semantics import rule_pairs
+from fai.semantics import compiled_pairs, rule_pairs
 
 from conftest import DATA
 
@@ -98,6 +98,21 @@ def test_a_copied_rule_starts_with_no_images(chain5, universe, settings):
         again = copier(rule)
         assert again._pairs == {}, how
         assert rule_pairs(again, settings[6]) == pairs, how
+
+
+def test_a_copied_theory_starts_with_no_compiled_pairs(chain5, universe, settings):
+    s = settings[6]
+    theory = parse_theory((DATA / "s6_base.txt").read_text(), universe, chain5)
+    before = (hash(theory), repr(theory))
+    pairs = compiled_pairs(theory, s)
+    assert theory._pairs and (hash(theory), repr(theory)) == before
+    for how, copier in COPIES.items():
+        again = copier(theory)
+        assert again._pairs == {}, how
+        assert again == theory and hash(again) == hash(theory), how
+        assert compiled_pairs(again, s) == pairs, how
+    # equality does not read the compiled pairs
+    assert theory == parse_theory((DATA / "s6_base.txt").read_text(), universe, chain5)
 
 
 def test_records_compare_by_type_and_fields(chain5, universe):
