@@ -49,7 +49,6 @@ from .semantics import (
     least_model,
     rule_pairs,
     theory_pairs,
-    undominated,
 )
 
 
@@ -372,8 +371,8 @@ def minimize_sides(theory: Theory, ctx: LContext, s: Parameterization, cap: int 
       identity image A' => B fires from A; context truth decides;
     - lowering B to B': B' <= B <= downup(A) as A => B holds, so r' holds
       in the context; entailment decides, chaining over the other rules'
-      kept pairs and the undominated images of A => B'
-      (``semantics.undominated``), whose f(A) are read once per rule;
+      kept pairs and every image of A => B', whose f(A) are read once per
+      rule: a list chained once cannot repay pruning it;
     - where B(y) <= A(y), A u B' still contains B, so the identity image
       A => B' alone entails A => B: B(y) drops to 0 with no test.
 
@@ -397,7 +396,7 @@ def minimize_sides(theory: Theory, ctx: LContext, s: Parameterization, cap: int 
         fas, rest = s.lower_images(sc.decode(a)), theory_pairs(rules[:i] + rules[i + 1 :], s)
 
         def entailed(cand, cur):
-            trial = [*rest, *undominated(zip(fas, s.lower_images(sc.decode(cand))))]
+            trial = [*rest, *zip(fas, s.lower_images(sc.decode(cand)))]
             return cur & forward_chain(trial, a, sc, until=cur) == cur
 
         b = step_down(b, entailed, sc, floor=a)

@@ -10,7 +10,9 @@ an image (f(A), f(B)) adds nothing when another image (f'(A), f'(B)) has
 f'(A) <= f(A) and f(B) <= f'(B) | f(A), so chaining over the rest reaches
 the same sets.  Each theory is compiled once per S too
 (``compiled_pairs``): its rules' pairs together, with every pair another
-rule's image dominates removed as well.  Every closure over a whole theory
+rule's image dominates removed as well.  Both forms depend on S as a set:
+S's member order only orders ``validate``'s listing, ``context.down``'s
+pairs and ``proof.prove``'s F steps.  Every closure over a whole theory
 chains over that form.  Base reduction and side minimization leave a rule
 out or replace it, so they chain the rules' own pairs instead; proofs read
 every image themselves.
@@ -41,8 +43,8 @@ from .lattice import Chain, Hedge
 class FAI(Record):
     """A fuzzy attribute implication: antecedent => consequent.
 
-    ``_pairs`` keeps the rule's undominated images per S, beside the
-    member tuple they were read in (``rule_pairs``); as private state of a
+    ``_pairs`` keeps the rule's undominated images per S
+    (``rule_pairs``), which depend on S as a set; as private state of a
     record it takes no part in equality, hashing, display or copies, and
     each new rule starts it empty.
     """
@@ -64,8 +66,8 @@ class FAI(Record):
 class Theory:
     """A theory: an ordered tuple of rules.
 
-    ``_pairs`` keeps the theory's compiled form per S, beside the member
-    tuple it was read in (``compiled_pairs``); it takes no part in
+    ``_pairs`` keeps the theory's compiled form per S
+    (``compiled_pairs``), which depends on S as a set; it takes no part in
     equality, hashing or display, and copies and pickles rebuild the
     theory from its rules alone, so they start it empty.
     """
@@ -161,24 +163,22 @@ def truth_degree(m: LSet, fai: FAI, s: Parameterization) -> Fraction:
 
 def rule_pairs(rule: FAI, s: Parameterization) -> tuple:
     """The undominated images of A => B over <f, g> in S (``undominated``),
-    as (f(A), f(A) | f(B)) masks in S's order of first appearance; read off
-    S's bit-sliced table (``Parameterization.lower_images``) and kept on
-    the rule per S with S's member tuple.  Equal S may list their members
-    in different orders, so kept pairs are read again only while the tuple
-    is S's own.
+    as (f(A), f(A) | f(B)) masks in ascending order; read off S's
+    bit-sliced table (``Parameterization.lower_images``) and kept on the
+    rule per S.  The kept set does not depend on S's member order, so an
+    equal S listing its members in another order reuses it.
 
     Pruning here stays within the rule: ``reduce_to_base`` chains each
     rule against the others with its own pairs left out, so a rule's pairs
     must not lean on another rule being there; ``compiled_pairs`` prunes
     across the rules of a whole theory.  ``proof.prove`` builds its own
     full image list instead: a proof replays every firing image."""
-    kept = rule._pairs.get(s)
-    if kept is not None and (kept[0] is s.connections or kept[0] == s.connections):
-        return kept[1]
-    a, b = rule.antecedent, rule.consequent
-    same_space(a, s.universe, s.chain)
-    pairs = undominated(zip(s.lower_images(a.idx), s.lower_images(b.idx)))
-    rule._pairs[s] = (s.connections, pairs)
+    pairs = rule._pairs.get(s)
+    if pairs is None:
+        a, b = rule.antecedent, rule.consequent
+        same_space(a, s.universe, s.chain)
+        images = zip(s.lower_images(a.idx), s.lower_images(b.idx))
+        pairs = rule._pairs[s] = tuple(sorted(undominated(images)))
     return pairs
 
 
@@ -234,23 +234,22 @@ def theory_pairs(rules, s: Parameterization) -> list:
 def compiled_pairs(theory: Theory, s: Parameterization) -> tuple:
     """The theory's compiled form on S: its rules' pairs (``theory_pairs``)
     less every pair that another pair dominates, whichever rule either came
-    from (``undominated``); kept on the theory per S with S's member tuple,
-    as ``rule_pairs`` keeps a rule's.  The domination argument never asks
-    which rule a pair came from, so every saturation, every ``until``
-    answer and a single ``t_step`` round over it are those over all the
-    rules' pairs.  A one-rule theory is its rule's pairs.  The pairs go
-    into the pass in ascending int order, so that a pair's dominators come
-    before it but for those with its own antecedent, and the kept tuple
-    does not depend on the order of the rules."""
-    kept = theory._pairs.get(s)
-    if kept is not None and (kept[0] is s.connections or kept[0] == s.connections):
-        return kept[1]
-    rules = theory.rules
-    if len(rules) == 1:
-        pairs = rule_pairs(rules[0], s)
-    else:
-        pairs = undominated(sorted(theory_pairs(rules, s)))
-    theory._pairs[s] = (s.connections, pairs)
+    from (``undominated``); kept on the theory per S, as ``rule_pairs``
+    keeps a rule's.  The domination argument never asks which rule a pair
+    came from, so every saturation, every ``until`` answer and a single
+    ``t_step`` round over it are those over all the rules' pairs.  A
+    one-rule theory is its rule's pairs.  The pairs go into the pass in
+    ascending int order, so that a pair's dominators come before it but for
+    those with its own antecedent, and the kept tuple, ascending too, does
+    not depend on the order of the rules or of S's members."""
+    pairs = theory._pairs.get(s)
+    if pairs is None:
+        rules = theory.rules
+        if len(rules) == 1:
+            pairs = rule_pairs(rules[0], s)
+        else:
+            pairs = undominated(sorted(theory_pairs(rules, s)))
+        theory._pairs[s] = pairs
     return pairs
 
 

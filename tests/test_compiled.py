@@ -5,15 +5,29 @@ all the theory's rules less every pair another one dominates, whichever
 rule either came from.  The oracle takes every firing image of every rule
 (``term_oracle.image_pairs_by_member``) and keeps those no other image
 dominates by an all-pairs scan (``term_oracle.undominated_by_scan``).
-The kept pairs and their order must not depend on the order of the rules
-or on hash order, so CI runs this file under two hash seeds.
+The kept pairs and their order must not depend on the order of the rules,
+on S's member order or on hash order, so CI runs this file under two
+hash seeds.  Nor may any answer that rests on them: an equal S listing
+its members in another order must give the same answers.
 """
 
 import random
 
 import pytest
 
-from fai import FAI, Parameterization, Theory, complete_set, least_model, reduce_to_base
+from fai import (
+    FAI,
+    LContext,
+    LSet,
+    Parameterization,
+    Theory,
+    complete_set,
+    entail_degree,
+    is_complete,
+    least_model,
+    minimize_sides,
+    reduce_to_base,
+)
 from fai.semantics import compiled_pairs, rule_pairs
 
 from ladder import MINE_RUNGS, query_case, rung_context
@@ -81,16 +95,71 @@ def test_a_one_rule_theory_is_its_rules_pairs_and_the_empty_one_has_none(holiday
     assert least_model(empty, s, m) == m
 
 
-def test_equal_monoids_in_another_member_order_compile_again(holidays, settings):
-    """The compiled form is kept beside the member tuple it was read in,
-    as a rule's pairs are: an equal S listing its members in another order
-    compiles the theory again, to the same pairs."""
+def test_equal_monoids_in_another_member_order_reuse_the_compiled_form(holidays, settings):
+    """The compiled form depends on S as a set, as a rule's pairs do: an
+    equal S listing its members in another order reuses the kept pairs,
+    and a theory compiled afresh on it comes out the same."""
     s = settings[6]
     t = Parameterization(reversed(s.connections), check=False)
     same = Parameterization(s.connections, check=False)
+    assert s == t == same and s.connections != t.connections
     theory = _fresh(complete_set(holidays, s))
     kept = compiled_pairs(theory, s)
-    assert compiled_pairs(theory, same) is kept
-    again = compiled_pairs(theory, t)
-    assert again == kept and again is not kept
-    assert theory._pairs[t][0] is t.connections
+    assert compiled_pairs(theory, same) is kept and compiled_pairs(theory, t) is kept
+    assert theory._pairs == {s: kept}
+    assert compiled_pairs(_fresh(theory), t) == kept
+
+
+def _shuffled(s, rng):
+    """An S equal to s that lists its members in another order."""
+    members = list(s.connections)
+    while members == list(s.connections):
+        rng.shuffle(members)
+    return Parameterization(members, check=False)
+
+
+def _answers(ctx, s, seed):
+    """Every answer that rests on compiled forms, from a fresh context and
+    fresh rules, so that nothing compiled on an equal S is reused."""
+    ctx = LContext(ctx.universe, ctx.chain, ctx.objects, ctx.rows)
+    universe, chain = ctx.universe, ctx.chain
+    rng = random.Random(seed)
+
+    def draw():
+        return LSet(universe, chain, [rng.randrange(chain.n) for _ in range(len(universe))])
+
+    comp = complete_set(ctx, s)
+    base = reduce_to_base(_fresh(comp), ctx, s)
+    sets = [LSet.bottom(universe, chain), LSet.top(universe, chain), *ctx.rows]
+    sets += [draw() for _ in range(10)]
+    goals = [FAI(draw(), draw()) for _ in range(10)]
+    theories = (_fresh(comp), _fresh(base))
+    return (
+        comp,
+        base,
+        minimize_sides(_fresh(base), ctx, s),
+        is_complete(_fresh(base), ctx, s),
+        is_complete(Theory(_fresh(base).rules[:-1]), ctx, s),
+        [least_model(theory, s, m) for theory in theories for m in sets],
+        [entail_degree(theory, g, s) for theory in theories for g in goals],
+    )
+
+
+def _assert_order_free(ctx, s, rng):
+    t = _shuffled(s, rng)
+    assert t == s and t.connections != s.connections
+    seed = rng.random()
+    assert _answers(ctx, t, seed) == _answers(ctx, s, seed)
+
+
+def test_holidays_answers_do_not_depend_on_member_order(holidays, settings):
+    rng = random.Random(2600)
+    for s in settings.values():
+        _assert_order_free(holidays, s, rng)
+
+
+@pytest.mark.parametrize("rung", MINE_RUNGS, ids=lambda r: f"{r[0]}x{r[1]}-{r[2]}-{r[3].__name__}")
+def test_mined_answers_do_not_depend_on_member_order(rung):
+    rng = random.Random(2601)
+    ctx, s = rung_context(rng, *rung)
+    _assert_order_free(ctx, s, rng)

@@ -136,7 +136,6 @@ def test_chaining_over_kept_pairs_matches_the_unpruned_oracle_pairs(holidays, se
             patch.setattr(fai.semantics, "rule_pairs", image_pairs_by_member)
             patch.setattr(fai.semantics, "undominated", firing_pairs)
             patch.setattr(fai.context, "rule_pairs", image_pairs_by_member)
-            patch.setattr(fai.context, "undominated", firing_pairs)
             unpruned = answers()
         assert pruned == unpruned
 
