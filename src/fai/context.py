@@ -45,7 +45,6 @@ from .lattice import Chain, brief_value
 from .semantics import (
     FAI,
     Theory,
-    compiled_pairs,
     least_model,
     rule_pairs,
     theory_pairs,
@@ -311,12 +310,13 @@ def is_complete(
     Full mode: every rule holds in the context, so every intent is a model,
     and the theory entails P => C(P) for every pseudo-intent P of the
     Ganter pass (``cap`` bounds it), so every model is an intent; each of
-    those entailments chains over the compiled theory
-    (``semantics.compiled_pairs``).  Sampled mode compares least
+    those entailments chains over the rules' own kept pairs
+    (``semantics.theory_pairs``): one chain per pseudo-intent is too few
+    to repay pruning across the rules.  Sampled mode compares least
     model and downup on the rows, bottom, top, and seeded-random sets.
     """
     if mode == "full":
-        visited, pairs = _ganter_pass(ctx, s, cap), compiled_pairs(theory, s)
+        visited, pairs = _ganter_pass(ctx, s, cap), theory_pairs(theory, s)
         sc = scale(len(ctx.universe), ctx.chain.n)
         return all(holds_in_context(ctx, r, s) for r in theory) and all(
             cl & forward_chain(pairs, q, sc, until=cl) == cl for q, cl in visited if cl != q

@@ -10,12 +10,16 @@ an image (f(A), f(B)) adds nothing when another image (f'(A), f'(B)) has
 f'(A) <= f(A) and f(B) <= f'(B) | f(A), so chaining over the rest reaches
 the same sets.  Each theory is compiled once per S too
 (``compiled_pairs``): its rules' pairs together, with every pair another
-rule's image dominates removed as well.  Both forms depend on S as a set:
-S's member order only orders ``validate``'s listing, ``context.down``'s
-pairs and ``proof.prove``'s F steps.  Every closure over a whole theory
-chains over that form.  Base reduction and side minimization leave a rule
-out or replace it, so they chain the rules' own pairs instead; proofs read
-every image themselves.
+rule's image dominates removed as well.  Both are one pass
+(``undominated``): it sorts its feed once, so that every pair comes after
+each pair that dominates it, and keeps a pair when no pair kept before
+dominates it; a kept pair is never dropped.  Both forms depend on S as a
+set: S's member order only orders ``validate``'s listing,
+``context.down``'s pairs and ``proof.prove``'s F steps.  Closures over a
+whole theory chain over its compiled form.  Base reduction and side
+minimization leave a rule out or replace it, and full-mode completeness
+chains a theory too few times to repay the cross-rule pass, so these
+chain the rules' own pairs instead; proofs read every image themselves.
 """
 
 from __future__ import annotations
@@ -177,49 +181,45 @@ def rule_pairs(rule: FAI, s: Parameterization) -> tuple:
     if pairs is None:
         a, b = rule.antecedent, rule.consequent
         same_space(a, s.universe, s.chain)
-        images = zip(s.lower_images(a.idx), s.lower_images(b.idx))
-        pairs = rule._pairs[s] = tuple(sorted(undominated(images)))
+        pairs = rule._pairs[s] = undominated(zip(s.lower_images(a.idx), s.lower_images(b.idx)))
     return pairs
 
 
 def undominated(pairs) -> tuple:
     """The (a, b) pairs that can fire (b not inside a) and that no other
-    pair dominates, as (a, a | b), in order of first appearance.
+    pair dominates, as (a, a | b), in ascending order.
 
     (a', b') dominates (a, b) when a' <= a and b <= b' | a: whenever the
     chained set holds a it holds a', so (a', b') fires or has fired, and
     the set holds b' | a, which holds b.  Dropping (a, b) therefore leaves
     every saturation, the answer of every ``until`` stop and a single
     ``t_step`` round as they are; this is the left-reduction of
-    implication sets (Maier, JACM 1980).  Two pairs dominate each other
-    when they share a and a | b, so the pairs are compared, and kept, with
-    b joined to a: the kept set does not depend on the order they come
-    in, and a repeat is dropped as its first copy dominates it.
+    implication sets (Maier, JACM 1980).  Domination is transitive, and
+    two pairs dominate each other only when they share a and a | b, so
+    the pairs are compared, and kept, with b joined to a: a repeat is the
+    same pair.
 
-    One pass against the kept pairs: a newcomer that none of them
-    dominates joins them, and those it dominates leave.  No kept pair
-    dominates another, so once the newcomer dominates one, none of the
-    rest dominates it.  Repeats need no dict first: a rule has few kept
-    pairs, and on small S the dict costs more than the pass.  The pass
-    runs once per rule and S (``rule_pairs``), and once per theory and S
-    over all its rules' pairs (``compiled_pairs``); for P pairs in and K
-    kept it takes O(P * K) comparisons.
+    One pass, dominators first: the distinct firing pairs are sorted by
+    antecedent ascending, then by joined consequent descending, and a pair
+    is kept when no kept pair dominates it.  Every dominator of a pair
+    comes before it in that order: a' < a as sets makes a' the smaller
+    int, and with a' = a, a | b < a' | b' as sets makes a' | b' the
+    larger.  A dominated pair thus meets an undominated dominator, kept
+    before it, and no kept pair is ever dropped: the kept set is the
+    undominated pairs, whatever order the feed came in.  The pass runs
+    once per rule and S (``rule_pairs``), and once per theory and S over
+    all its rules' pairs (``compiled_pairs``); for P pairs in and K kept it
+    takes a sort and O(P * K) comparisons.
     """
     kept = []
-    for a, b in pairs:
-        c = a | b
-        if c == a:
-            continue
+    for a, c in sorted({(a, -(a | b)) for a, b in pairs if b & ~a}):
+        c = -c  # negated in the sort, so descending
         for ka, kc in kept:
             if ka & a == ka and kc | c == kc | a:
                 break
-            if a & ka == a and c | kc == c | ka:
-                kept = [(ka, kc) for ka, kc in kept if not (a & ka == a and c | kc == c | ka)]
-                kept.append((a, c))
-                break
         else:
             kept.append((a, c))
-    return tuple(kept)
+    return tuple(sorted(kept))
 
 
 def theory_pairs(rules, s: Parameterization) -> list:
@@ -234,21 +234,17 @@ def theory_pairs(rules, s: Parameterization) -> list:
 def compiled_pairs(theory: Theory, s: Parameterization) -> tuple:
     """The theory's compiled form on S: its rules' pairs (``theory_pairs``)
     less every pair that another pair dominates, whichever rule either came
-    from (``undominated``); kept on the theory per S, as ``rule_pairs``
-    keeps a rule's.  The domination argument never asks which rule a pair
-    came from, so every saturation, every ``until`` answer and a single
-    ``t_step`` round over it are those over all the rules' pairs.  A
-    one-rule theory is its rule's pairs.  The pairs go into the pass in
-    ascending int order, so that a pair's dominators come before it but for
-    those with its own antecedent, and the kept tuple, ascending too, does
-    not depend on the order of the rules or of S's members."""
+    from (``undominated``), in ascending order; kept on the theory per S,
+    as ``rule_pairs`` keeps a rule's.  The domination argument never asks
+    which rule a pair came from, so every saturation, every ``until``
+    answer and a single ``t_step`` round over it are those over all the
+    rules' pairs, and the kept tuple depends neither on the order of the
+    rules nor on S's member order.  A one-rule theory is its rule's
+    pairs."""
     pairs = theory._pairs.get(s)
     if pairs is None:
         rules = theory.rules
-        if len(rules) == 1:
-            pairs = rule_pairs(rules[0], s)
-        else:
-            pairs = undominated(sorted(theory_pairs(rules, s)))
+        pairs = rule_pairs(rules[0], s) if len(rules) == 1 else undominated(theory_pairs(rules, s))
         theory._pairs[s] = pairs
     return pairs
 

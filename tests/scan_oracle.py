@@ -29,7 +29,9 @@ saturation over the pseudo-intent rules, then takes the context closure
 of each set it yields.  ``normalize_by_tree`` is ``normalize_proof`` as it was before it
 rewrote the proof's own steps: it copies the proof into a tree of its own
 nodes, pushes F through Cuts and places the steps by recursion, so it
-reaches Python's recursion limit on long proofs.
+reaches Python's recursion limit on long proofs.  ``undominated_by_eviction``
+is ``semantics.undominated`` as it was before it sorted its feed: one pass
+in the order the pairs come, where a newcomer may evict kept pairs.
 """
 
 import itertools
@@ -473,3 +475,27 @@ def normalize_by_tree(proof: Proof, theory: Theory, s: Parameterization) -> Proo
     out = Proof(steps)
     check_proof(out, theory, s, goal=proof.goal)
     return out
+
+
+def undominated_by_eviction(pairs) -> tuple:
+    """The (a, b) pairs that can fire and that no other pair dominates, as
+    (a, a | b), in order of first appearance: one pass against the kept
+    pairs, where a newcomer that none of them dominates joins them and
+    those it dominates leave.  No kept pair dominates another, so once the
+    newcomer dominates one, none of the rest dominates it.  The kept set
+    does not depend on the order the pairs come in."""
+    kept = []
+    for a, b in pairs:
+        c = a | b
+        if c == a:
+            continue
+        for ka, kc in kept:
+            if ka & a == ka and kc | c == kc | a:
+                break
+            if a & ka == a and c | kc == c | ka:
+                kept = [(ka, kc) for ka, kc in kept if not (a & ka == a and c | kc == c | ka)]
+                kept.append((a, c))
+                break
+        else:
+            kept.append((a, c))
+    return tuple(kept)
