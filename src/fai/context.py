@@ -33,6 +33,7 @@ from .fset import (
     Universe,
     forward_chain,
     meet_above,
+    move_blocks,
     next_closures,
     render_lset,
     same_space,
@@ -342,10 +343,32 @@ def reduce_to_base(theory: Theory, ctx: LContext, s: Parameterization) -> Theory
     list, rule by rule; a rule is tested against the list with its own slice
     left out, and a dropped rule's slice leaves the list.  ``ctx`` is not
     read: entailment alone decides, and callers pass it positionally.
+
+    Before that walk, and before any rule is compiled, every rule that a
+    unit u of S (``Parameterization.units``) maps to a rule further on is
+    dropped: its image u(A) => u(B), mask for mask, is found by block moves
+    (``fset.move_blocks``).  That is exact.  With u's inverse in S the later
+    rule entails the dropped one, so the walk would drop it too; a chain of
+    later images ends at a rule no unit maps further on, which is kept and
+    entails every rule along the chain; so each rest the walk tests against
+    entails the same rules as it would unfiltered, whether or not the
+    theory is complete.  Every rule is first checked to live over S's
+    universe and chain, dropped or not.
     """
-    flat = theory_pairs(theory, s)
-    sc, kept, lo = scale(len(s.universe), s.chain.n), [], 0
     for rule in theory:
+        same_space(rule.antecedent, s.universe, s.chain)
+    sc, rules, units = scale(len(s.universe), s.chain.n), theory.rules, s.units()
+    if units:
+        sides = [(r.antecedent.mask, r.consequent.mask) for r in rules]
+        last, later = {pair: i for i, pair in enumerate(sides)}, set()
+        for u in units:
+            moves = sc.moves(u.lower_masks)
+            for i, (a, b) in enumerate(sides):
+                if last.get((move_blocks(moves, a), move_blocks(moves, b)), i) > i:
+                    later.add(i)
+        rules = [rule for i, rule in enumerate(rules) if i not in later]
+    flat, kept, lo = theory_pairs(rules, s), [], 0
+    for rule in rules:
         size, b = len(rule_pairs(rule, s)), rule.consequent.mask
         rest = flat[:lo] + flat[lo + size :]
         if b & forward_chain(rest, rule.antecedent.mask, sc, until=b) == b:

@@ -16,13 +16,14 @@ table, composes connections' lower mask tables through the inner table's
 decoded picks (``Scale.picks``) and bit-slices many of them
 into one (``Scale.slices``), so that one ``lower_mask`` gives the images of
 a set under all of them.  The context closure (``meet_above``), rule images
-(``lower_mask``), NextClosure (``next_closures``), forward chaining
-(``forward_chain``) and the degree-by-degree lowering of side minimization
-(``step_down``) take and return masks, and ``LSet._from_mask`` hands a
-result out as an LSet holding the mask only; ``LSet.idx`` decodes on first
-read and keeps the vector.  A connection is its lower mask table:
-``lower_mask`` applies it, and ``upper_mask`` reads its residual, the upper
-map, off the same masks.
+(``lower_mask``), an attribute permutation's images by block moves
+(``Scale.moves``, ``move_blocks``), NextClosure (``next_closures``),
+forward chaining (``forward_chain``) and the degree-by-degree lowering of
+side minimization (``step_down``) take and return masks, and
+``LSet._from_mask`` hands a result out as an LSet holding the mask only;
+``LSet.idx`` decodes on first read and keeps the vector.  A connection is
+its lower mask table: ``lower_mask`` applies it, and ``upper_mask`` reads
+its residual, the upper map, off the same masks.
 
 Only this module compares, joins or meets index vectors, encodes or
 decodes masks, or checks that operands share a universe and chain; the rest
@@ -310,6 +311,19 @@ class Scale:
             out.append(tuple(row))
         return tuple(out)
 
+    def moves(self, masks) -> tuple:
+        """The block moves of an attribute permutation's lower mask table,
+        whose row y is ``codes[z]`` for the attribute z that y goes to, as
+        (source bits, shift) pairs: y's block moves by the distance from
+        y's shift to z's, z's shift being the one bit of the row's {1/z},
+        and the blocks that move the same distance move together, so a
+        rotation's moves are two.  ``move_blocks`` applies them."""
+        moves = {}
+        for sh, row in zip(self.shifts, masks):
+            shift = row[1].bit_length() - 1 - sh
+            moves[shift] = moves.get(shift, 0) | (self.block << sh)
+        return tuple((bits, shift) for shift, bits in moves.items())
+
     def fields(self, wide: int, count: int) -> list:
         """The first ``count`` fields of a bit-sliced mask (``slices``), in
         table order."""
@@ -338,6 +352,17 @@ def lower_mask(masks, idx) -> int:
     image = 0
     for row, k in zip(masks, idx):
         image |= row[k]
+    return image
+
+
+def move_blocks(moves, m: int) -> int:
+    """u(A) as a mask for an attribute permutation u, given by its block
+    moves (``Scale.moves``): the bits of the mask m under each move's
+    source bits, shifted by its shift.  It equals ``lower_mask`` on u's
+    table and decodes nothing."""
+    image = 0
+    for bits, shift in moves:
+        image |= (m & bits) << shift if shift >= 0 else (m & bits) >> -shift
     return image
 
 

@@ -269,6 +269,36 @@ class Parameterization:
             self._slices = self._scale.slices([c.lower_masks for c in self.connections])
         return self._scale.fields(lower_mask(self._slices, idx), len(self.connections))
 
+    def units(self) -> list:
+        """The members other than the identity whose inverse is a member,
+        in S's order; computed on each call.
+
+        A member with an inverse in S is an order automorphism of L^Y, so it
+        sends each {k/y} to some {k/z}: its mask table is the rows of
+        ``Scale.codes`` in another order, an attribute permutation.  Such a
+        member counts only when the table of the inverse permutation is a
+        member too, so an S built unchecked that is not a monoid yields no
+        unit without its inverse."""
+        codes = self._scale.codes
+        where = {row: z for z, row in enumerate(codes)}
+        units = []
+        for conn in self.connections:
+            perm = []
+            for row in conn.lower_masks:
+                z = where.get(row)
+                if z is None:
+                    break
+                perm.append(z)
+            else:
+                if conn.lower_masks == codes or len(set(perm)) != len(perm):
+                    continue
+                inverse = [codes[0]] * len(perm)
+                for y, z in enumerate(perm):
+                    inverse[z] = codes[y]
+                if tuple(inverse) in self._members:
+                    units.append(conn)
+        return units
+
     def resolve(self, conn: Connection) -> Connection:
         """The member of S equal to conn, or None; one over another
         universe or chain is no member, though its mask table may be one's."""

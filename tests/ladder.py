@@ -1,5 +1,6 @@
 """Seeded inputs shaped like the synthetic benchmark ladder, shared by tests."""
 
+import random
 from fractions import Fraction as F
 
 from fai import (
@@ -53,6 +54,21 @@ def rung_context(rng, ny, nl, logic, kind, shift, nobj):
     gens = [Connection(Rotate(shift), universe, chain), Connection(kind(const), universe, chain)]
     rows = [LSet(universe, chain, [rng.randrange(nl) for _ in range(ny)]) for _ in range(nobj)]
     ctx = LContext(universe, chain, [f"o{k}" for k in range(nobj)], rows)
+    return ctx, generate_monoid(gens, universe, chain)
+
+
+def ladder_case(ny, seed):
+    """A context of the scaling ladder and its S: eight random rows over a
+    Goedel chain with |L| = 5, S generated by rotate(2) and a diff-set whose
+    constant has index 0 or 1 at each attribute, drawn before the rows,
+    from ``Random(1000 * seed + ny)``."""
+    rng = random.Random(1000 * seed + ny)
+    chain = Chain([F(k, 4) for k in range(5)], "godel")
+    universe = Universe([f"y{k}" for k in range(ny)])
+    const = LSet(universe, chain, [rng.randrange(2) for _ in range(ny)])
+    gens = [Connection(Rotate(2), universe, chain), Connection(DiffSet(const), universe, chain)]
+    rows = [LSet(universe, chain, [rng.randrange(5) for _ in range(ny)]) for _ in range(8)]
+    ctx = LContext(universe, chain, [f"o{k}" for k in range(8)], rows)
     return ctx, generate_monoid(gens, universe, chain)
 
 
